@@ -12,7 +12,14 @@ from .intrinsics import INTRINSICS, Intrinsic, lookup_intrinsic
 from .lexer import LexError, tokenize
 from .optimize import fold_constants
 from .parser import ParseError, parse
-from .pipeline import CompiledKernel, compile_source
+from .pipeline import (
+    COMPILE_CACHE_SIZE,
+    CompileCacheInfo,
+    CompiledKernel,
+    compile_cache_clear,
+    compile_cache_info,
+    compile_source,
+)
 from .semantic import SemanticError, analyze
 from .typesys import (
     FLOAT,
@@ -38,7 +45,11 @@ __all__ = [
     "fold_constants",
     "ParseError",
     "parse",
+    "COMPILE_CACHE_SIZE",
+    "CompileCacheInfo",
     "CompiledKernel",
+    "compile_cache_clear",
+    "compile_cache_info",
     "compile_source",
     "SemanticError",
     "analyze",

@@ -38,6 +38,7 @@ Correctness sketch (all arrays are binary64):
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -54,7 +55,17 @@ _U32 = np.uint32
 _U64 = np.uint64
 
 
-_suppressed = 0
+class _QuietDepth(threading.local):
+    """Per-thread nesting depth of :class:`quiet_errors` regions.
+
+    numpy's error state is per thread, so the depth that says "this
+    thread already silenced warnings" must be too: a process-global
+    count would let one thread's region skip ``errstate`` on another."""
+
+    depth = 0
+
+
+_quiet_depth = _QuietDepth()
 
 
 class quiet_errors:
@@ -62,20 +73,19 @@ class quiet_errors:
 
     The lockstep engine enters this once per run so the per-op
     ``np.errstate`` context (a measurable per-call cost at batch sizes
-    of a few dozen) collapses to a no-op flag check."""
+    of a few dozen) collapses to a no-op flag check.  The region covers
+    the calling thread only, like numpy's error state."""
 
     def __enter__(self):
-        global _suppressed
-        if _suppressed == 0:
+        if _quiet_depth.depth == 0:
             self._old = np.seterr(invalid="ignore", over="ignore")
         else:
             self._old = None
-        _suppressed += 1
+        _quiet_depth.depth += 1
         return self
 
     def __exit__(self, *exc):
-        global _suppressed
-        _suppressed -= 1
+        _quiet_depth.depth -= 1
         if self._old is not None:
             np.seterr(**self._old)
         return False
@@ -87,7 +97,7 @@ def _quiet(fn):
     mask routes them to the scalar core."""
 
     def wrapper(*args, **kwargs):
-        if _suppressed:
+        if _quiet_depth.depth:
             return fn(*args, **kwargs)
         with np.errstate(invalid="ignore", over="ignore"):
             return fn(*args, **kwargs)
@@ -134,7 +144,7 @@ def decode(fmt: FloatFormat, bits: np.ndarray) -> np.ndarray:
 def _cast(v: np.ndarray, dtype) -> np.ndarray:
     """``astype`` with overflow warnings silenced (cheap when a
     :class:`quiet_errors` region is already active)."""
-    if _suppressed:
+    if _quiet_depth.depth:
         return v.astype(dtype)
     with np.errstate(over="ignore"):
         return v.astype(dtype)

@@ -39,6 +39,14 @@ from .registry import (
 )
 
 
+#: The IEEE codec behind FloatFormat's NumberFormat hooks.  It lives in
+#: :mod:`.unpacked` and :mod:`.rounding`, which import this module to
+#: keep it at the bottom of the dependency stack, so they bind these
+#: names once they have loaded (``repro.fp`` imports both on start-up)
+#: rather than each call importing them.
+_ieee_decode = _unpack = _ieee_round_and_pack = None
+
+
 @dataclass(frozen=True)
 class FloatFormat(NumberFormat):
     """An IEEE-754-style binary interchange format.
@@ -164,23 +172,16 @@ class FloatFormat(NumberFormat):
 
     # ------------------------------------------------------------------
     # NumberFormat codec hooks (IEEE semantics; the implementations
-    # live in unpacked/rounding, imported late to keep this module at
-    # the bottom of the dependency stack)
+    # live in unpacked/rounding, which bind them here once they load)
     # ------------------------------------------------------------------
     def decode(self, bits: int):
-        from .unpacked import ieee_decode
-
-        return ieee_decode(bits, self)
+        return _ieee_decode(bits, self)
 
     def round_pack(self, sign: int, sig: int, exp: int, rm) -> Tuple[int, int]:
-        from .rounding import ieee_round_and_pack
-
-        return ieee_round_and_pack(self, sign, sig, exp, rm)
+        return _ieee_round_and_pack(self, sign, sig, exp, rm)
 
     def classify(self, bits: int) -> int:
-        from .unpacked import unpack
-
-        u = unpack(bits, self)
+        u = _unpack(bits, self)
         if u.is_nan:
             return CLASS_SNAN if u.signaling else CLASS_QNAN
         if u.is_inf:

@@ -29,7 +29,9 @@ import math
 from typing import Dict, Iterable, List, Tuple
 
 from . import registry
+from .convert import from_double, to_double
 from .flags import NX, OF, UF
+from .formats import BINARY32
 from .registry import (
     CLASS_NEG_NORMAL,
     CLASS_NEG_SUBNORMAL,
@@ -40,7 +42,8 @@ from .registry import (
     CLASS_QNAN,
     NumberFormat,
 )
-from .rounding import RoundingMode
+from .rounding import RoundingMode, _shift_right_round, round_and_pack
+from .unpacked import Kind, Unpacked, unpack
 
 #: E4M3FN element geometry.
 _EXP_BITS = 4
@@ -102,8 +105,6 @@ class MX8Format(NumberFormat):
     # Codec
     # ------------------------------------------------------------------
     def decode(self, bits: int):
-        from .unpacked import Kind, Unpacked
-
         sign = (bits >> 7) & 1
         biased = (bits >> _MAN_BITS) & ((1 << _EXP_BITS) - 1)
         man = bits & ((1 << _MAN_BITS) - 1)
@@ -118,8 +119,6 @@ class MX8Format(NumberFormat):
                         exp=biased - _BIAS - _MAN_BITS)
 
     def round_pack(self, sign: int, sig: int, exp: int, rm) -> Tuple[int, int]:
-        from .rounding import _shift_right_round
-
         p = _MAN_BITS + 1
         nbits = sig.bit_length()
         msb_exp = exp + nbits - 1
@@ -167,8 +166,6 @@ class MX8Format(NumberFormat):
         raise ValueError(f"cannot overflow with mode {rm!r}")
 
     def classify(self, bits: int) -> int:
-        from .unpacked import unpack
-
         u = unpack(bits, self)
         if u.is_nan:
             return CLASS_QNAN  # E4M3FN has no signaling NaN
@@ -269,8 +266,6 @@ def choose_scale(values: Iterable[float]) -> int:
 def quantize_block(values: Iterable[float],
                    rm: RoundingMode = RoundingMode.RNE) -> int:
     """Quantize up to 3 Python floats into a packed MX8 block."""
-    from .convert import from_double
-
     vals = list(values)
     scale = choose_scale(vals)
     shift = -block_scale_value(scale)
@@ -288,8 +283,6 @@ def quantize_block(values: Iterable[float],
 
 def decode_block(word: int) -> List[float]:
     """The exact values of a block's lanes as Python floats."""
-    from .convert import to_double
-
     scale, elems = unpack_block(word)
     if scale == SCALE_NAN:
         return [math.nan] * BLOCK_LANES
@@ -309,10 +302,6 @@ def block_dotp(acc_bits: int, block_a: int, block_b: int,
     product.  A NaN scale or element, or a NaN accumulator, yields the
     canonical binary32 quiet NaN.
     """
-    from .formats import BINARY32
-    from .rounding import round_and_pack
-    from .unpacked import unpack
-
     sa, elems_a = unpack_block(block_a)
     sb, elems_b = unpack_block(block_b)
     uacc = unpack(acc_bits, BINARY32)

@@ -39,6 +39,8 @@ from .registry import (
     CLASS_QNAN,
     NumberFormat,
 )
+from .rounding import _shift_right_round
+from .unpacked import Kind, Unpacked
 
 #: Energy per operation class in pJ.  Derived from the PERCIVAL /
 #: PPU-lite synthesis comparisons (posit ALUs come in ~20-25% above an
@@ -115,8 +117,6 @@ class PositFormat(NumberFormat):
     # Codec
     # ------------------------------------------------------------------
     def decode(self, bits: int):
-        from .unpacked import Kind, Unpacked
-
         if bits == 0:
             return Unpacked(Kind.ZERO, sign=0)
         if bits == self.quiet_nan:
@@ -147,8 +147,6 @@ class PositFormat(NumberFormat):
                         exp=scale - frac_bits)
 
     def round_pack(self, sign: int, sig: int, exp: int, rm) -> Tuple[int, int]:
-        from .rounding import _shift_right_round
-
         n = self.width
         nbits = sig.bit_length()
         scale = exp + nbits - 1  # exponent of the value's MSB

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Tuple
 
+from . import formats
 from .flags import NX, OF, UF
 from .formats import FloatFormat
 
@@ -291,3 +292,7 @@ def resolve_rm(rm: RoundingMode, frm: RoundingMode) -> RoundingMode:
     if mode not in OPERATIONAL_MODES:
         raise ValueError(f"reserved rounding mode {mode!r}")
     return mode
+
+
+# FloatFormat.round_pack calls this; formats.py cannot import it.
+formats._ieee_round_and_pack = ieee_round_and_pack

@@ -17,9 +17,10 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from . import arith, compare
+from .arith import _exact_sum, _invalid, _nan_result  # shared internals
 from .convert import fcvt_f2f, fcvt_from_int, fcvt_to_int
 from .formats import FloatFormat, vector_lanes
-from .rounding import RoundingMode
+from .rounding import RoundingMode, round_and_pack
 from .unpacked import unpack
 
 Result = Tuple[int, int]
@@ -289,9 +290,6 @@ def vfdotpex(
     whole accumulation is rounded once, modelling a fused hardware
     datapath.
     """
-    from .arith import _exact_sum, _invalid, _nan_result  # shared internals
-    from .rounding import round_and_pack
-
     ua = [unpack(x, src_fmt) for x in split_lanes(a, src_fmt, flen)]
     ub = [unpack(x, src_fmt) for x in split_lanes(b, src_fmt, flen)]
     uacc = unpack(acc, dst_fmt)

@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from . import formats
 from .formats import FloatFormat
 
 
@@ -145,3 +146,8 @@ def from_python_float(value: float) -> Unpacked:
 
     (bits,) = struct.unpack("<Q", struct.pack("<d", value))
     return unpack(bits, BINARY64)
+
+
+# FloatFormat.decode/classify call these; formats.py cannot import them.
+formats._ieee_decode = ieee_decode
+formats._unpack = unpack

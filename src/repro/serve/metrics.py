@@ -14,6 +14,7 @@ import time
 from collections import deque
 from typing import Dict, Optional
 
+from ..compiler import compile_cache_info
 from ..harness.parallel import DiskResultCache
 from ..harness.runner import SafeRunOutcome
 
@@ -184,6 +185,10 @@ class ServeMetrics:
                     "rejects": self.verification_rejects,
                     "cache_hits": self.verification_cache_hits,
                 },
+                # This process's compile cache: every executor thread
+                # and the verify gate share it; fleet workers keep
+                # their own.
+                "compile_cache": compile_cache_info()._asdict(),
                 "cache": {
                     "hit_rate": (round(cache_hits / lookups, 4)
                                  if lookups else None),

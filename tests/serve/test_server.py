@@ -102,6 +102,19 @@ class TestKernelEndpoint:
             assert metrics["per_kernel"]["atax"]["requests"] == 2
             assert metrics["per_kernel"]["atax"]["executions"] == 1
 
+    def test_repeat_point_reuses_compiled_program(self):
+        # A new seed misses the result cache but not the compile cache.
+        with serving(workers=2) as (app, client):
+            first = client.run_kernel("syrk", "float16", "scalar", seed=11)
+            before = client.metrics()["compile_cache"]
+            second = client.run_kernel("syrk", "float16", "scalar", seed=12)
+            after = client.metrics()["compile_cache"]
+            assert first["served_from"] == second["served_from"] == "executed"
+            assert before["entries"] >= 1
+            assert after["hits"] == before["hits"] + 1
+            assert after["misses"] == before["misses"]
+            assert after["lints"] == before["lints"]
+
     def test_trap_free_outcome_statuses_are_results_not_errors(self):
         with serving(workers=1) as (app, client):
             # An exhausted *request-chosen* budget is a 200 result row.
