@@ -18,7 +18,7 @@ Public surface:
 
 from . import arith, compare, convert, numpy_backend, registry, simd
 from . import mx, posit  # noqa: F401  (self-registering guest formats)
-from .flags import DZ, NV, NX, OF, UF, flag_names, format_flags
+from .flags import DZ, NV, NX, OF, UF, GuestIllegal, flag_names, format_flags
 from .formats import (
     BINARY8,
     BINARY16,
@@ -60,6 +60,7 @@ __all__ = [
     "NX",
     "flag_names",
     "format_flags",
+    "GuestIllegal",
     "BINARY8",
     "BINARY16",
     "BINARY16ALT",

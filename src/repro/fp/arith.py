@@ -14,7 +14,7 @@ the canonical quiet NaN, and signaling NaNs additionally raise NV.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .flags import DZ, NV
 from .formats import FloatFormat
@@ -47,9 +47,9 @@ def _cancel_zero_sign(rm: RoundingMode) -> int:
 # Exact combination of finite unpacked values
 # ----------------------------------------------------------------------
 def _exact_sum(
-    terms: Tuple[Tuple[int, int, int], ...]
+    terms: Sequence[Tuple[int, int, int]]
 ) -> Optional[Tuple[int, int, int]]:
-    """Exactly sum ``(sign, sig, exp)`` terms; ``None`` on cancellation.
+    """Exactly sum n ``(sign, sig, exp)`` terms; ``None`` on cancellation.
 
     Zero terms (``sig == 0``) are permitted and ignored.
     """
@@ -68,33 +68,58 @@ def _exact_sum(
     return 0, total, common
 
 
+def _round_sum(
+    fmt: FloatFormat,
+    sign_a: int, sig_a: int, exp_a: int,
+    sign_b: int, sig_b: int, exp_b: int,
+    rm: RoundingMode,
+) -> Result:
+    """Round the exact sum of two ``(sign, sig, exp)`` terms once.
+
+    The two-term form of :func:`_exact_sum`, for ``fadd`` and
+    ``fma_mixed``: a zero term drops out, otherwise both significands
+    align at the smaller exponent.  Exact cancellation gives the
+    rounding mode's zero; callers handle the sum of two zeros.
+    """
+    if not sig_b:
+        return round_and_pack(fmt, sign_a, sig_a, exp_a, rm)
+    if not sig_a:
+        return round_and_pack(fmt, sign_b, sig_b, exp_b, rm)
+    if exp_a > exp_b:
+        sig_a <<= exp_a - exp_b
+        exp_a = exp_b
+    else:
+        sig_b <<= exp_b - exp_a
+    if sign_a == sign_b:
+        return round_and_pack(fmt, sign_a, sig_a + sig_b, exp_a, rm)
+    sig_a -= sig_b
+    if sig_a > 0:
+        return round_and_pack(fmt, sign_a, sig_a, exp_a, rm)
+    if sig_a < 0:
+        return round_and_pack(fmt, sign_b, -sig_a, exp_a, rm)
+    return fmt.zero(_cancel_zero_sign(rm)), 0
+
+
 # ----------------------------------------------------------------------
 # Addition / subtraction
 # ----------------------------------------------------------------------
 def fadd(fmt: FloatFormat, a: int, b: int, rm: RoundingMode) -> Result:
     """``a + b``, correctly rounded in ``fmt``."""
     ua, ub = unpack(a, fmt), unpack(b, fmt)
-    if ua.is_nan or ub.is_nan:
-        return _nan_result(fmt, ua, ub)
-    if ua.is_inf and ub.is_inf:
-        if ua.sign != ub.sign:
+    if not (ua.is_finite and ub.is_finite):
+        if ua.is_nan or ub.is_nan:
+            return _nan_result(fmt, ua, ub)
+        if ua.is_inf and ub.is_inf and ua.sign != ub.sign:
             return _invalid(fmt)  # inf - inf
-        return fmt.inf(ua.sign), 0
-    if ua.is_inf:
-        return fmt.inf(ua.sign), 0
-    if ub.is_inf:
-        return fmt.inf(ub.sign), 0
+        return fmt.inf(ua.sign if ua.is_inf else ub.sign), 0
     if ua.is_zero and ub.is_zero:
         # IEEE: equal signs keep the sign, opposite signs give the
         # cancellation zero of the rounding mode.
         if ua.sign == ub.sign:
             return fmt.zero(ua.sign), 0
         return fmt.zero(_cancel_zero_sign(rm)), 0
-    exact = _exact_sum(((ua.sign, ua.sig, ua.exp), (ub.sign, ub.sig, ub.exp)))
-    if exact is None:
-        return fmt.zero(_cancel_zero_sign(rm)), 0
-    sign, sig, exp = exact
-    return round_and_pack(fmt, sign, sig, exp, rm)
+    return _round_sum(fmt, ua.sign, ua.sig, ua.exp, ub.sign, ub.sig, ub.exp,
+                      rm)
 
 
 def fsub(fmt: FloatFormat, a: int, b: int, rm: RoundingMode) -> Result:
@@ -113,15 +138,14 @@ def fsub(fmt: FloatFormat, a: int, b: int, rm: RoundingMode) -> Result:
 def fmul(fmt: FloatFormat, a: int, b: int, rm: RoundingMode) -> Result:
     """``a * b``, correctly rounded in ``fmt``."""
     ua, ub = unpack(a, fmt), unpack(b, fmt)
-    if ua.is_nan or ub.is_nan:
-        return _nan_result(fmt, ua, ub)
     sign = ua.sign ^ ub.sign
-    if ua.is_inf or ub.is_inf:
+    if not (ua.is_finite and ub.is_finite):
+        if ua.is_nan or ub.is_nan:
+            return _nan_result(fmt, ua, ub)
         if ua.is_zero or ub.is_zero:
             return _invalid(fmt)  # 0 * inf
         return fmt.inf(sign), 0
-    if ua.is_zero or ub.is_zero:
-        return fmt.zero(sign), 0
+    # A zero factor makes sig == 0, which rounds to the signed zero.
     return round_and_pack(fmt, sign, ua.sig * ub.sig, ua.exp + ub.exp, rm)
 
 
@@ -228,39 +252,28 @@ def fma_mixed(
     """
     ua, ub = unpack(a, src_fmt), unpack(b, src_fmt)
     uc = unpack(c, dst_fmt)
-    if ua.is_nan or ub.is_nan or uc.is_nan:
-        return _nan_result(dst_fmt, ua, ub, uc)
-
     prod_sign = ua.sign ^ ub.sign ^ (1 if negate_product else 0)
     add_sign = uc.sign ^ (1 if negate_addend else 0)
 
-    # Invalid: 0 * inf in the product (regardless of the addend).
-    if (ua.is_inf and ub.is_zero) or (ua.is_zero and ub.is_inf):
-        return _invalid(dst_fmt)
-
-    prod_inf = ua.is_inf or ub.is_inf
-    if prod_inf and uc.is_inf:
-        if prod_sign != add_sign:
-            return _invalid(dst_fmt)  # inf - inf
-        return dst_fmt.inf(prod_sign), 0
-    if prod_inf:
-        return dst_fmt.inf(prod_sign), 0
-    if uc.is_inf:
+    if not (ua.is_finite and ub.is_finite and uc.is_finite):
+        if ua.is_nan or ub.is_nan or uc.is_nan:
+            return _nan_result(dst_fmt, ua, ub, uc)
+        # Invalid: 0 * inf in the product (regardless of the addend).
+        if (ua.is_inf and ub.is_zero) or (ua.is_zero and ub.is_inf):
+            return _invalid(dst_fmt)
+        if ua.is_inf or ub.is_inf:
+            if uc.is_inf and prod_sign != add_sign:
+                return _invalid(dst_fmt)  # inf - inf
+            return dst_fmt.inf(prod_sign), 0
         return dst_fmt.inf(add_sign), 0
 
     prod_sig = ua.sig * ub.sig
-    prod_exp = ua.exp + ub.exp
     if prod_sig == 0 and uc.is_zero:
         if prod_sign == add_sign:
             return dst_fmt.zero(prod_sign), 0
         return dst_fmt.zero(_cancel_zero_sign(rm)), 0
-    exact = _exact_sum(
-        ((prod_sign, prod_sig, prod_exp), (add_sign, uc.sig, uc.exp))
-    )
-    if exact is None:
-        return dst_fmt.zero(_cancel_zero_sign(rm)), 0
-    sign, sig, exp = exact
-    return round_and_pack(dst_fmt, sign, sig, exp, rm)
+    return _round_sum(dst_fmt, prod_sign, prod_sig, ua.exp + ub.exp,
+                      add_sign, uc.sig, uc.exp, rm)
 
 
 def fmul_widen(
@@ -272,13 +285,11 @@ def fmul_widen(
     with at least double the precision, the common cases are exact.
     """
     ua, ub = unpack(a, src_fmt), unpack(b, src_fmt)
-    if ua.is_nan or ub.is_nan:
-        return _nan_result(dst_fmt, ua, ub)
     sign = ua.sign ^ ub.sign
-    if ua.is_inf or ub.is_inf:
+    if not (ua.is_finite and ub.is_finite):
+        if ua.is_nan or ub.is_nan:
+            return _nan_result(dst_fmt, ua, ub)
         if ua.is_zero or ub.is_zero:
-            return _invalid(dst_fmt)
+            return _invalid(dst_fmt)  # 0 * inf
         return dst_fmt.inf(sign), 0
-    if ua.is_zero or ub.is_zero:
-        return dst_fmt.zero(sign), 0
     return round_and_pack(dst_fmt, sign, ua.sig * ub.sig, ua.exp + ub.exp, rm)

@@ -30,6 +30,19 @@ NX = 0b00001
 #: Every flag at once (the mask of valid fflags bits).
 ALL = NV | DZ | OF | UF | NX
 
+
+class GuestIllegal(ValueError):
+    """An operation the guest program may not perform: an illegal instruction.
+
+    Raised where the *guest* is at fault -- a reserved rounding mode, a
+    vector form that does not exist at the machine's FLEN -- and caught
+    by the simulator engines, which take an illegal-instruction trap.
+    Every other exception from an FP operation is a host bug and
+    propagates.  It subclasses ``ValueError``, so callers that catch
+    ``ValueError`` around an FP operation still see it.
+    """
+
+
 _NAMES = [(NV, "NV"), (DZ, "DZ"), (OF, "OF"), (UF, "UF"), (NX, "NX")]
 
 

@@ -19,7 +19,7 @@ import enum
 from typing import Tuple
 
 from . import formats
-from .flags import NX, OF, UF
+from .flags import NX, OF, UF, GuestIllegal
 from .formats import FloatFormat
 
 
@@ -48,6 +48,8 @@ class RoundingMode(enum.IntEnum):
     #: arithmetic is performed.)
     DYN = 0b111
 
+
+_RNE = RoundingMode.RNE
 
 #: The six operational rounding modes (DYN must be resolved first).
 OPERATIONAL_MODES = (
@@ -243,13 +245,26 @@ def ieee_round_and_pack(
 
     if msb_exp >= fmt.emin:
         # Normal-range candidate: keep exactly p significand bits.
-        rounded, inexact = _shift_right_round(sig, nbits - p, rm, sign)
+        discard = nbits - p
+        if discard <= 0:
+            rounded = sig << -discard  # exact
+        elif rm is _RNE:
+            # Round to nearest, ties to even, inline: the hot case.
+            rounded = sig >> discard
+            half = 1 << (discard - 1)
+            dropped = sig & ((half << 1) - 1)
+            if dropped:
+                flags = NX
+                if dropped > half or (dropped == half and rounded & 1):
+                    rounded += 1
+        else:
+            rounded, inexact = _shift_right_round(sig, discard, rm, sign)
+            if inexact:
+                flags = NX
         exp_out = msb_exp
-        if rounded.bit_length() > p:  # rounding carried out, e.g. 0b1111 -> 0b10000
+        if rounded >> p:  # rounding carried out, e.g. 0b1111 -> 0b10000
             rounded >>= 1
             exp_out += 1
-        if inexact:
-            flags |= NX
         if exp_out > fmt.emax:
             return _overflow_result(fmt, rm, sign), flags | OF | NX
         biased = exp_out + fmt.bias
@@ -284,13 +299,13 @@ def ieee_round_and_pack(
 def resolve_rm(rm: RoundingMode, frm: RoundingMode) -> RoundingMode:
     """Resolve an instruction rounding mode against ``fcsr.frm``.
 
-    ``DYN`` defers to the CSR; anything else is taken verbatim.  An
-    invalid dynamic mode raises, mirroring the illegal-instruction trap
-    hardware would take.
+    ``DYN`` defers to the CSR; anything else is taken verbatim.  A
+    reserved mode raises :class:`~repro.fp.flags.GuestIllegal`, the
+    illegal-instruction trap hardware would take.
     """
     mode = frm if rm == RoundingMode.DYN else rm
     if mode not in OPERATIONAL_MODES:
-        raise ValueError(f"reserved rounding mode {mode!r}")
+        raise GuestIllegal(f"reserved rounding mode {mode!r}")
     return mode
 
 

@@ -14,11 +14,17 @@ emerged as a main bottleneck of transprecision computing.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import arith, compare
-from .arith import _exact_sum, _invalid, _nan_result  # shared internals
+from .arith import (  # shared internals
+    _cancel_zero_sign,
+    _exact_sum,
+    _invalid,
+    _nan_result,
+)
 from .convert import fcvt_f2f, fcvt_from_int, fcvt_to_int
+from .flags import GuestIllegal
 from .formats import FloatFormat, vector_lanes
 from .rounding import RoundingMode, round_and_pack
 from .unpacked import unpack
@@ -30,18 +36,32 @@ Result = Tuple[int, int]
 # Lane plumbing
 # ----------------------------------------------------------------------
 def lane_count(fmt: FloatFormat, flen: int) -> int:
-    """Number of lanes, raising when the format has no vector form."""
+    """Number of lanes; :class:`GuestIllegal` when there is no vector form."""
     lanes = vector_lanes(fmt, flen)
     if lanes is None:
-        raise ValueError(f"{fmt.name} has no vector form at FLEN={flen}")
+        raise GuestIllegal(f"{fmt.name} has no vector form at FLEN={flen}")
     return lanes
+
+
+#: (id(fmt), flen) -> (fmt, lane bit offsets); the format is pinned in
+#: the entry so a reused id can never match (as in repro.fp.unpacked).
+_LANE_SHIFTS: Dict[Tuple[int, int], Tuple[FloatFormat, Tuple[int, ...]]] = {}
+
+
+def _lane_shifts(fmt: FloatFormat, flen: int) -> Tuple[int, ...]:
+    """Bit offset of each lane, lane 0 first (cached per format and FLEN)."""
+    entry = _LANE_SHIFTS.get((id(fmt), flen))
+    if entry is None or entry[0] is not fmt:
+        width = fmt.width
+        shifts = tuple(range(0, lane_count(fmt, flen) * width, width))
+        entry = _LANE_SHIFTS[(id(fmt), flen)] = (fmt, shifts)
+    return entry[1]
 
 
 def split_lanes(reg: int, fmt: FloatFormat, flen: int) -> List[int]:
     """Split an FLEN-bit register into lane bit patterns (lane 0 first)."""
-    lanes = lane_count(fmt, flen)
     mask = fmt.bits_mask
-    return [(reg >> (i * fmt.width)) & mask for i in range(lanes)]
+    return [(reg >> shift) & mask for shift in _lane_shifts(fmt, flen)]
 
 
 def join_lanes(values: Sequence[int], fmt: FloatFormat, flen: int) -> int:
@@ -66,20 +86,15 @@ def replicate(scalar_bits: int, fmt: FloatFormat, flen: int) -> int:
 # Lane-wise binary / unary operations
 # ----------------------------------------------------------------------
 def _lanewise2(
-    op: Callable[..., Result],
-    fmt: FloatFormat,
-    flen: int,
-    a: int,
-    b: int,
-    rm: RoundingMode,
+    op: Callable[..., Result], fmt: FloatFormat, flen: int, a: int, b: int,
+    *args,
 ) -> Result:
-    width = fmt.width
+    """``op(fmt, a[i], b[i], *args)`` per lane in lane order, flags ORed."""
     mask = fmt.bits_mask
     reg, flags = 0, 0
     # Inline split/join: op results are already in-range packed bits.
-    for i in range(lane_count(fmt, flen)):
-        shift = i * width
-        bits, f = op(fmt, (a >> shift) & mask, (b >> shift) & mask, rm)
+    for shift in _lane_shifts(fmt, flen):
+        bits, f = op(fmt, (a >> shift) & mask, (b >> shift) & mask, *args)
         reg |= bits << shift
         flags |= f
     return reg, flags
@@ -117,38 +132,23 @@ def vfsqrt(fmt: FloatFormat, flen: int, a: int, rm: RoundingMode) -> Result:
 
 def vfmin(fmt: FloatFormat, flen: int, a: int, b: int) -> Result:
     """Lane-wise minNum (``vfmin.<fmt>``)."""
-    out, flags = [], 0
-    for la, lb in zip(split_lanes(a, fmt, flen), split_lanes(b, fmt, flen)):
-        bits, f = compare.fmin(fmt, la, lb)
-        out.append(bits)
-        flags |= f
-    return join_lanes(out, fmt, flen), flags
+    return _lanewise2(compare.fmin, fmt, flen, a, b)
 
 
 def vfmax(fmt: FloatFormat, flen: int, a: int, b: int) -> Result:
     """Lane-wise maxNum (``vfmax.<fmt>``)."""
-    out, flags = [], 0
-    for la, lb in zip(split_lanes(a, fmt, flen), split_lanes(b, fmt, flen)):
-        bits, f = compare.fmax(fmt, la, lb)
-        out.append(bits)
-        flags |= f
-    return join_lanes(out, fmt, flen), flags
+    return _lanewise2(compare.fmax, fmt, flen, a, b)
 
 
 def vfmac(
     fmt: FloatFormat, flen: int, acc: int, a: int, b: int, rm: RoundingMode
 ) -> Result:
     """Lane-wise fused multiply-accumulate: ``acc[i] += a[i] * b[i]``."""
-    out, flags = [], 0
-    for lacc, la, lb in zip(
-        split_lanes(acc, fmt, flen),
-        split_lanes(a, fmt, flen),
-        split_lanes(b, fmt, flen),
-    ):
-        bits, f = arith.ffma(fmt, la, lb, lacc, rm)
-        out.append(bits)
-        flags |= f
-    return join_lanes(out, fmt, flen), flags
+    # _lanewise2 calls the op once per lane, lane 0 first.
+    accs = iter(split_lanes(acc, fmt, flen))
+    return _lanewise2(
+        lambda fmt, x, y: arith.ffma(fmt, x, y, next(accs), rm),
+        fmt, flen, a, b)
 
 
 def vfsgnj(fmt: FloatFormat, flen: int, a: int, b: int) -> int:
@@ -261,7 +261,8 @@ def vfcpk(
     lanes = lane_count(dst_fmt, flen)
     lo_lane = pair_index * 2
     if lo_lane + 1 >= lanes + 1 and lanes != 1:
-        raise ValueError(f"pair index {pair_index} out of range for {lanes} lanes")
+        raise GuestIllegal(
+            f"pair index {pair_index} out of range for {lanes} lanes")
     ca, fa = fcvt_f2f(src_fmt, dst_fmt, a, rm)
     cb, fb = fcvt_f2f(src_fmt, dst_fmt, b, rm)
     out = split_lanes(dest, dst_fmt, flen)
@@ -290,8 +291,10 @@ def vfdotpex(
     whole accumulation is rounded once, modelling a fused hardware
     datapath.
     """
-    ua = [unpack(x, src_fmt) for x in split_lanes(a, src_fmt, flen)]
-    ub = [unpack(x, src_fmt) for x in split_lanes(b, src_fmt, flen)]
+    shifts = _lane_shifts(src_fmt, flen)
+    mask = src_fmt.bits_mask
+    ua = [unpack((a >> shift) & mask, src_fmt) for shift in shifts]
+    ub = [unpack((b >> shift) & mask, src_fmt) for shift in shifts]
     uacc = unpack(acc, dst_fmt)
 
     if uacc.is_nan or any(u.is_nan for u in ua + ub):
@@ -315,9 +318,8 @@ def vfdotpex(
             return _invalid(dst_fmt)  # inf - inf across lanes
         return dst_fmt.inf(inf_signs.pop()), 0
 
-    exact = _exact_sum(tuple(terms))
+    exact = _exact_sum(terms)
     if exact is None:
-        sign = 1 if rm == RoundingMode.RDN else 0
-        return dst_fmt.zero(sign), 0
+        return dst_fmt.zero(_cancel_zero_sign(rm)), 0
     sign, sig, exp = exact
     return round_and_pack(dst_fmt, sign, sig, exp, rm)

@@ -50,21 +50,15 @@ from ..fp.flags import ALL as FFLAGS_MASK
 from ..fp.rounding import RoundingMode
 from ..isa.compressed import IllegalCompressed
 from ..isa.instructions import Instr, UnknownInstruction
-from .csr import IllegalCsr
-from .executor import EbreakTrap, EcallTrap, handler_for
+from .executor import GUEST_FAULTS, handler_for
 from .machine import MASK32
 from .memory import MemoryAccessError
 from .tracer import classify
-from .traps import ArchitecturalTrap
 
 #: Upper bound on entries per block.  Long straight-line runs simply
 #: split into consecutive blocks; the cap bounds the stat-recording
 #: work a mid-block trap has to replay.
 MAX_BLOCK_LEN = 64
-
-#: Exceptions guest execution can raise (the reference loop's fence).
-GUEST_FAULTS = (EcallTrap, EbreakTrap, ArchitecturalTrap, IllegalCsr,
-                MemoryAccessError, ValueError)
 
 #: CSR-accessing kinds terminate blocks: they can observe the cycle and
 #: instret counters, which the fast path only keeps exact at block

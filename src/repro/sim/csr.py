@@ -4,8 +4,8 @@ the machine-mode trap CSRs (mepc/mcause/mtval and friends)."""
 from __future__ import annotations
 
 from .. import ReproError
-from ..fp.flags import ALL as FFLAGS_MASK
-from ..fp.rounding import RoundingMode
+from ..fp.flags import ALL as FFLAGS_MASK, GuestIllegal
+from ..fp.rounding import OPERATIONAL_MODES, RoundingMode
 
 CSR_FFLAGS = 0x001
 CSR_FRM = 0x002
@@ -24,9 +24,11 @@ CSR_MHARTID = 0xF14
 
 MASK32 = 0xFFFFFFFF
 
-#: frm value -> RoundingMode member; the reserved encoding (6) absent.
-#: Enum construction per read showed up in simulation profiles.
-_RM_BY_VALUE = {int(mode): mode for mode in RoundingMode}
+#: frm value -> RoundingMode member.  The reserved encodings (6, and 7:
+#: DYN is an instruction rm, never a valid frm) are absent, so reading
+#: them raises GuestIllegal.  Enum construction per read showed up in
+#: simulation profiles.
+_RM_BY_VALUE = {int(mode): mode for mode in OPERATIONAL_MODES}
 
 
 class IllegalCsr(ReproError):
@@ -69,7 +71,7 @@ class CsrFile:
         """The dynamic rounding mode (raises on reserved frm values)."""
         mode = _RM_BY_VALUE.get(self.frm)
         if mode is None:
-            raise ValueError(f"{self.frm} is not a valid RoundingMode")
+            raise GuestIllegal(f"{self.frm} is not a valid RoundingMode")
         return mode
 
     # ------------------------------------------------------------------

@@ -13,11 +13,14 @@ from typing import Callable, Dict, Optional
 
 from ..fp import arith, compare, registry, simd
 from ..fp.convert import fcvt_f2f, fcvt_from_int, fcvt_to_int
+from ..fp.flags import GuestIllegal
 from ..fp.formats import FORMATS_BY_SUFFIX
 from ..fp.registry import NumberFormat
 from ..fp.rounding import RoundingMode
 from ..isa.instructions import Instr
+from .csr import IllegalCsr
 from .machine import MASK32, Machine
+from .memory import MemoryAccessError
 from .traps import CAUSE_ILLEGAL_INSTRUCTION, ArchitecturalTrap
 
 
@@ -27,6 +30,13 @@ class EcallTrap(Exception):
 
 class EbreakTrap(Exception):
     """Raised by ``ebreak`` (breakpoint)."""
+
+
+#: Exceptions guest execution can raise: every engine's fence.  Anything
+#: else -- a plain ValueError included -- is a host bug and propagates
+#: instead of turning into a guest trap.
+GUEST_FAULTS = (EcallTrap, EbreakTrap, ArchitecturalTrap, IllegalCsr,
+                MemoryAccessError, GuestIllegal)
 
 
 Handler = Callable[[Machine, Instr], Optional[int]]
@@ -95,7 +105,7 @@ def _rm(machine: Machine, instr: Instr) -> RoundingMode:
         return machine.csr.rounding_mode
     mode = _RM_BY_VALUE.get(instr.rm)
     if mode is None:
-        raise ValueError(f"{instr.rm} is not a valid RoundingMode")
+        raise GuestIllegal(f"{instr.rm} is not a valid RoundingMode")
     return mode
 
 

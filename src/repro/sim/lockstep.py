@@ -41,12 +41,11 @@ from ..fp import arith, batch as fpbatch, compare, registry, simd
 from ..fp.convert import fcvt_f2f as _fcvt_scalar
 from ..fp.formats import FORMATS_BY_SUFFIX
 from ..fp.rounding import RoundingMode, set_sr_key
-from .blocks import GUEST_FAULTS, _CSR_KINDS as _CSR_TERM_KINDS, \
-    _resolve_static_rm
+from .blocks import _CSR_KINDS as _CSR_TERM_KINDS, _resolve_static_rm
 from .csr import (CSR_CYCLE, CSR_CYCLEH, CSR_FCSR, CSR_FFLAGS, CSR_FRM,
                   CSR_INSTRET, CSR_INSTRETH, CSR_MHARTID, MASK32, CsrFile,
                   _RM_BY_VALUE)
-from .executor import _HANDLERS, _WIDTH_BYTES
+from .executor import GUEST_FAULTS, _HANDLERS, _WIDTH_BYTES
 from .machine import Machine
 from .memory import Memory
 from .simulator import (HALT_ADDRESS, STACK_TOP, RunResult, SimulationError,
@@ -664,7 +663,7 @@ def _rm_resolver(i):
     def dynamic(bt):
         mode = _RM_BY_VALUE.get(bt.frm)
         if mode is None:
-            raise _Drain()  # reserved frm: scalar core raises ValueError
+            raise _Drain()  # reserved frm: scalar core raises GuestIllegal
         if mode is _SR and _SR_NONUNIFORM:
             raise _Drain()  # per-lane keys: scalar core rounds
         return mode

@@ -36,7 +36,7 @@ from ..isa.disassembler import disassemble, format_instr
 from ..isa.encoding import is_compressed
 from ..isa.instructions import Instr, UnknownInstruction, decode
 from .csr import IllegalCsr
-from .executor import EbreakTrap, EcallTrap, execute
+from .executor import GUEST_FAULTS, EbreakTrap, EcallTrap, execute
 from .machine import MASK32, Machine
 from .memory import Memory, MemoryAccessError
 from .timing import CycleBreakdown, TimingConfig, TimingModel
@@ -367,8 +367,8 @@ class Simulator:
                      else CAUSE_LOAD_ACCESS_FAULT)
             return "trap", self._take_trap(
                 cause, exc.addr, str(exc), instr=instr), False
-        # ValueError: reserved rounding modes and format/FLEN mismatches
-        # are illegal instructions architecturally.
+        # GuestIllegal: reserved rounding modes and format/FLEN
+        # mismatches are illegal instructions architecturally.
         return "trap", self._take_trap(
             CAUSE_ILLEGAL_INSTRUCTION, instr.word, str(exc),
             instr=instr), False
@@ -422,8 +422,7 @@ class Simulator:
             pc_before = machine.pc
             try:
                 next_pc = execute(machine, instr)
-            except (EcallTrap, EbreakTrap, ArchitecturalTrap, IllegalCsr,
-                    MemoryAccessError, ValueError) as exc:
+            except GUEST_FAULTS as exc:
                 exit_reason, trap_info, retires = self._resolve_exec_fault(
                     exc, instr)
                 if retires:
