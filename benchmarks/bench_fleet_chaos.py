@@ -20,6 +20,7 @@ stops actually killing anyone -- also fails the gate.
 import json
 import os
 
+from repro.analysis.serialize import read_canonical
 from repro.serve.chaos import ChaosScenario, run_chaos_scenario
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -64,18 +65,10 @@ def collect():
     return report
 
 
-def load_baseline():
-    try:
-        with open(BASELINE_PATH) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
 def test_fleet_chaos(capsys):
     from conftest import save_result
 
-    baseline = load_baseline()  # read BEFORE save_result overwrites it
+    baseline = read_canonical(BASELINE_PATH)  # before save_result writes
     report = collect()
     save_result("BENCH_fleet_chaos", report)
 

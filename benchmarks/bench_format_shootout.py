@@ -9,9 +9,11 @@ build saves energy against the binary32 baseline.
 """
 
 import math
+import os
 
 from conftest import save_result
 
+from repro.analysis.serialize import read_canonical
 from repro.harness.experiments import cached_run, format_shootout
 
 BENCH_ORDER = ["svm", "gemm", "atax", "syrk", "syr2k", "fdtd2d"]
@@ -54,22 +56,11 @@ def test_format_shootout(benchmark, shootout_rows):
         assert row(bench, "mx8")["sqnr_db"] > f8, bench
 
 
-def _load_committed():
-    import json
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "results",
-                        "format_shootout.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        return json.load(handle)
-
-
 #: Captured at import time, before save_result() refreshes the file --
 #: the comparison below must see what was committed, not what this
 #: session just wrote.
-_COMMITTED = _load_committed()
+_COMMITTED = read_canonical(os.path.join(
+    os.path.dirname(__file__), "results", "format_shootout.json"))
 
 
 def test_shootout_matches_committed_baseline(shootout_rows):

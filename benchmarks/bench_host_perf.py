@@ -19,6 +19,7 @@ import json
 import os
 import time
 
+from repro.analysis.serialize import read_canonical
 from repro.harness.experiments import clear_cache, fig1_points
 from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import run_kernel, run_kernel_batch
@@ -134,18 +135,10 @@ def collect():
     return payload
 
 
-def load_baseline():
-    try:
-        with open(BASELINE_PATH) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
 def test_host_perf(capsys):
     from conftest import save_result
 
-    baseline = load_baseline()  # read BEFORE save_result overwrites it
+    baseline = read_canonical(BASELINE_PATH)  # before save_result writes
     clear_cache()
     payload = collect()
     save_result("BENCH_host_perf", payload)

@@ -24,6 +24,7 @@ import statistics
 import threading
 import time
 
+from repro.analysis.serialize import read_canonical
 from repro.serve import ReproServeApp, ServeClient, make_server
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -213,18 +214,10 @@ def collect():
     }
 
 
-def load_baseline():
-    try:
-        with open(BASELINE_PATH) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
 def test_serve_load(capsys):
     from conftest import save_result
 
-    baseline = load_baseline()  # read BEFORE save_result overwrites it
+    baseline = read_canonical(BASELINE_PATH)  # before save_result writes
     payload = collect()
     save_result("BENCH_serve_load", payload)
 

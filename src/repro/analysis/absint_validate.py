@@ -468,30 +468,15 @@ def validate_kernel(name: str, ftype: str, mode: str,
         violation_count=count, violations=violations)
 
 
-def validation_matrix(
-    kernels: Optional[Sequence[str]] = None,
-    ftypes: Sequence[str] = VALIDATION_FTYPES,
-) -> List[Tuple[str, str, str]]:
-    """The (kernel, ftype, mode) triples the baseline matrix covers."""
-    out = []
-    for name in (kernels or sorted(KERNELS)):
-        spec = KERNELS[name]
-        modes = ["scalar", "auto"]
-        if getattr(spec, "manual_source_fn", None) is not None:
-            modes.append("manual")
-        for ftype in ftypes:
-            for mode in modes:
-                out.append((name, ftype, mode))
-    return out
-
-
 def validate_matrix(kernels: Optional[Sequence[str]] = None,
                     ftypes: Sequence[str] = VALIDATION_FTYPES,
                     config: Optional[AbsintConfig] = None,
                     seed: int = 0) -> SoundnessReport:
-    """Replay every configuration in the baseline matrix."""
+    """Replay every buildable kernel x ftype x mode configuration."""
+    from ..harness.runner import build_points  # deferred: heavy import
+
     report = SoundnessReport()
-    for name, ftype, mode in validation_matrix(kernels, ftypes):
+    for name, ftype, mode in build_points(ftypes, kernels):
         report.configs.append(
             validate_kernel(name, ftype, mode, config=config, seed=seed))
     return report

@@ -1,23 +1,25 @@
 """Lint baseline over every built-in kernel build configuration.
 
-``compute_baseline`` compiles each benchmark kernel in every valid
-(type x vectorization) configuration, runs the full lint pass over the
-assembled output and returns a deterministic summary: per-configuration
-finding counts by check and severity, plus each finding's identity
-(check, line, suggestion).  The committed snapshot lives at
-``benchmarks/results/lint_baseline.json``; CI regenerates it and the
-regression test in ``tests/analysis/test_baseline.py`` diffs the two,
-so any codegen change that alters what the analyzer sees shows up as a
-reviewable baseline diff rather than silent drift.
+``compute_baseline`` builds each benchmark kernel in every valid
+(type x vectorization) configuration with :func:`repro.harness.runner.
+build_kernel` -- the builder :func:`run_kernel` uses, so the snapshot
+covers the programs that run -- lints the assembled output and returns
+a deterministic summary: per-configuration finding counts by check and
+severity, plus each finding's identity (check, line, suggestion).
+The committed snapshot lives at ``benchmarks/results/lint_baseline.json``;
+CI regenerates it and the regression test in
+``tests/analysis/test_baseline.py`` diffs the two, so any codegen change
+that alters what the analyzer sees shows up as a reviewable baseline
+diff rather than silent drift.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
-#: The (ftype, mode) build matrix; invalid combinations are skipped.
+#: The ftypes of the build matrix; unbuildable points are skipped.
 FTYPES = ("float", "float16", "float16alt", "float8")
-MODES = ("scalar", "auto", "manual")
 
 
 def _config_key(kernel: str, ftype: str, mode: str) -> str:
@@ -30,54 +32,36 @@ def compute_baseline(
     modes: Optional[List[str]] = None,
 ) -> Dict[str, object]:
     """Lint every requested configuration; returns the baseline payload."""
-    from ..compiler import compile_source
+    from ..harness.runner import MODES, build_kernel, build_points
     from ..kernels import KERNELS
     from .lints import lint_program
 
     configs: Dict[str, object] = {}
-    totals: Dict[str, int] = {}
-    severity_totals: Dict[str, int] = {}
-    for name in sorted(kernels or KERNELS):
-        spec = KERNELS[name]
-        for ftype in ftypes or FTYPES:
-            for mode in modes or MODES:
-                if mode == "manual":
-                    if spec.manual_source_fn is None or ftype == "float":
-                        continue
-                    source = spec.manual_source_fn(ftype)
-                    kernel = compile_source(source, lint=False)
-                else:
-                    source = spec.source_fn(ftype)
-                    kernel = compile_source(
-                        source, vectorize_loops=(mode == "auto"), lint=False)
-                result = lint_program(kernel.program,
-                                      vector_report=kernel.vector_report,
-                                      source=kernel.asm)
-                by_check: Dict[str, int] = {}
-                by_severity: Dict[str, int] = {}
-                findings = []
-                for finding in result.findings:
-                    by_check[finding.check] = \
-                        by_check.get(finding.check, 0) + 1
-                    by_severity[finding.severity] = \
-                        by_severity.get(finding.severity, 0) + 1
-                    entry = {"check": finding.check,
-                             "severity": finding.severity,
-                             "line": finding.line}
-                    if finding.suggestion is not None:
-                        entry["suggestion"] = finding.suggestion
-                    findings.append(entry)
-                configs[_config_key(name, ftype, mode)] = {
-                    "findings": findings,
-                    "by_check": dict(sorted(by_check.items())),
-                    "by_severity": dict(sorted(by_severity.items())),
-                    "blocks": len(result.cfg.blocks),
-                }
-                for check, count in by_check.items():
-                    totals[check] = totals.get(check, 0) + count
-                for severity, count in by_severity.items():
-                    severity_totals[severity] = \
-                        severity_totals.get(severity, 0) + count
+    totals: Counter = Counter()
+    severity_totals: Counter = Counter()
+    for name, ftype, mode in build_points(ftypes or FTYPES, kernels,
+                                          modes or MODES):
+        kernel = build_kernel(KERNELS[name], ftype, mode, lint=False)
+        result = lint_program(kernel.program,
+                              vector_report=kernel.vector_report,
+                              source=kernel.asm)
+        by_check = Counter(f.check for f in result.findings)
+        by_severity = Counter(f.severity for f in result.findings)
+        findings = []
+        for finding in result.findings:
+            entry = {"check": finding.check, "severity": finding.severity,
+                     "line": finding.line}
+            if finding.suggestion is not None:
+                entry["suggestion"] = finding.suggestion
+            findings.append(entry)
+        configs[_config_key(name, ftype, mode)] = {
+            "findings": findings,
+            "by_check": dict(sorted(by_check.items())),
+            "by_severity": dict(sorted(by_severity.items())),
+            "blocks": len(result.cfg.blocks),
+        }
+        totals.update(by_check)
+        severity_totals.update(by_severity)
     return {
         "configs": configs,
         "totals_by_check": dict(sorted(totals.items())),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 
 def dumps_canonical(payload: object) -> str:
@@ -25,3 +25,11 @@ def write_canonical(path: Union[str, Path], payload: object) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dumps_canonical(payload))
     return path
+
+
+def read_canonical(path: Union[str, Path]) -> Optional[object]:
+    """The payload written at ``path``, or ``None`` if there is none yet."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        return None

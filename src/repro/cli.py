@@ -48,6 +48,31 @@ def _kernel_ftypes() -> List[str]:
     return list(registry.kernel_ftypes())
 
 
+def _unbuildable(spec, ftype: str, mode: str) -> bool:
+    """Print why a kernel point has no program, if it has none."""
+    from .harness.runner import build_error
+
+    problem = build_error(spec, ftype, mode)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+    return problem is not None
+
+
+def _build_kernel_arg(args: argparse.Namespace):
+    """Compile ``--kernel`` as ``run_kernel`` would; ``None`` if it can't."""
+    from .harness.runner import build_kernel
+    from .kernels import KERNELS
+
+    if args.kernel not in KERNELS:
+        print(f"unknown kernel {args.kernel!r}; choose from "
+              f"{sorted(KERNELS)}", file=sys.stderr)
+        return None
+    spec = KERNELS[args.kernel]
+    if _unbuildable(spec, args.ftype, args.mode):
+        return None
+    return build_kernel(spec, args.ftype, args.mode, lint=False)
+
+
 def _cmd_formats(args: argparse.Namespace) -> int:
     from .fp import registry
     from .nn import fused_block_kernels
@@ -163,6 +188,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         print(f"unknown kernel {args.name!r}; choose from "
               f"{sorted(KERNELS)}", file=sys.stderr)
         return 1
+    if _unbuildable(KERNELS[args.name], args.ftype, args.mode):
+        return 2
     run = run_kernel(KERNELS[args.name], args.ftype, args.mode,
                      mem_latency=args.latency, seed=args.seed,
                      profile=args.profile)
@@ -252,6 +279,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # 'vector' reads naturally on the command line; it is the
     # compiler's auto-vectorized build.
     mode = "auto" if args.mode == "vector" else args.mode
+    if _unbuildable(KERNELS[args.name], args.ftype, mode):
+        return 2
     config = ProfileConfig(timeline=not args.no_timeline,
                            max_timeline_events=args.max_timeline_events)
     run = run_kernel(KERNELS[args.name], args.ftype, mode,
@@ -291,33 +320,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     vector_report = None
     trace = None
     if args.kernel is not None:
-        from .compiler import compile_source
-        from .kernels import KERNELS
-
-        if args.kernel not in KERNELS:
-            print(f"unknown kernel {args.kernel!r}; choose from "
-                  f"{sorted(KERNELS)}", file=sys.stderr)
+        kernel = _build_kernel_arg(args)
+        if kernel is None:
             return 2
-        spec = KERNELS[args.kernel]
-        if args.mode == "manual":
-            if spec.manual_source_fn is None:
-                print(f"{args.kernel} has no manual-vectorized form",
-                      file=sys.stderr)
-                return 2
-            kernel = compile_source(spec.manual_source_fn(args.ftype),
-                                    lint=False)
-        else:
-            kernel = compile_source(spec.source_fn(args.ftype),
-                                    vectorize_loops=(args.mode == "auto"),
-                                    lint=False)
         program = kernel.program
         source = kernel.asm
         vector_report = kernel.vector_report
         if args.validate:
             from .harness import run_kernel
+            from .kernels import KERNELS
 
-            run = run_kernel(spec, args.ftype, args.mode)
-            trace = run.trace
+            trace = run_kernel(KERNELS[args.kernel], args.ftype,
+                               args.mode).trace
     elif args.file is not None:
         from .isa import assemble
 
@@ -409,25 +423,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # ------------------------------------------------------------------
     violations = None
     if args.kernel is not None:
-        from .compiler import compile_source
-        from .kernels import KERNELS
-
-        if args.kernel not in KERNELS:
-            print(f"unknown kernel {args.kernel!r}; choose from "
-                  f"{sorted(KERNELS)}", file=sys.stderr)
+        kernel = _build_kernel_arg(args)
+        if kernel is None:
             return 2
-        spec = KERNELS[args.kernel]
-        if args.mode == "manual":
-            if spec.manual_source_fn is None:
-                print(f"{args.kernel} has no manual-vectorized form",
-                      file=sys.stderr)
-                return 2
-            kernel = compile_source(spec.manual_source_fn(args.ftype),
-                                    lint=False)
-        else:
-            kernel = compile_source(spec.source_fn(args.ftype),
-                                    vectorize_loops=(args.mode == "auto"),
-                                    lint=False)
         result = analyze_program(kernel.program, config=config)
         if args.validate:
             cv = validate_kernel(args.kernel, args.ftype, args.mode,

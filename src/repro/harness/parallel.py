@@ -38,8 +38,8 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .. import __version__
 from ..kernels import KERNELS
-from .runner import (SafeRunOutcome, classify_run, run_kernel_batch,
-                     run_kernel_safe)
+from .runner import (HarnessError, SafeRunOutcome, build_inputs,
+                     classify_run, run_kernel_batch, run_kernel_safe)
 
 #: Bump when the pickled payload layout (or anything it transitively
 #: contains) changes shape; old entries then miss instead of
@@ -81,28 +81,26 @@ _FINGERPRINTS: Dict[Tuple[str, str, str], str] = {}
 def program_fingerprint(name: str, ftype: str, mode: str) -> str:
     """Hash of the kernel program a point will compile and run.
 
-    Covers the generated C source (which embeds the FP type choice),
-    the vectorization mode, and the kernel's default parameters -- so a
-    change to a kernel generator or its sizing invalidates exactly that
-    kernel's cached points.  Memoized: sweeps ask per point but sources
-    only vary per (kernel, type, mode).
+    Covers what :func:`~repro.harness.runner.build_kernel` compiles --
+    the source, the vectorize flag and the spec's ``compile_opts`` --
+    plus the kernel's default parameters, so a change to a kernel
+    generator, its build options or its sizing invalidates exactly that
+    kernel's cached points (an unbuildable point hashes why).  Memoized:
+    sweeps ask per point but programs only vary per (kernel, type, mode).
     """
     key = (name, ftype, mode)
     cached = _FINGERPRINTS.get(key)
     if cached is not None:
         return cached
     spec = KERNELS[name]
-    if mode == "manual":
-        if spec.manual_source_fn is None:
-            source = f"<no manual form for {name}>"
-        else:
-            source = spec.manual_source_fn(ftype)
-    else:
-        source = spec.source_fn(ftype)
+    try:
+        source, opts = build_inputs(spec, ftype, mode)
+    except HarnessError as exc:
+        source, opts = f"<{exc}>", {}
     digest = hashlib.sha256()
     digest.update(f"{CACHE_VERSION_SALT}\n".encode())
     digest.update(source.encode())
-    digest.update(repr(("mode", mode, "params",
+    digest.update(repr(("opts", sorted(opts.items()), "params",
                         sorted(spec.params.items()))).encode())
     fingerprint = digest.hexdigest()
     _FINGERPRINTS[key] = fingerprint

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from .. import ReproError
-from ..compiler import compile_source
+from ..compiler import CompiledKernel, compile_source
 from ..compiler.typesys import TYPE_KEYWORDS, FloatType
 from ..energy import EnergyModel, EnergyReport
 from ..fp.convert import from_double
 from ..fp.formats import FloatFormat
 from ..fp.rounding import set_sr_key
 from ..fp.numpy_backend import from_bits, to_bits
-from ..kernels import KernelSpec
+from ..kernels import KERNELS, MANUAL_FTYPES, KernelSpec
 from ..metrics import classification_error, sqnr_db
 from ..sim import Simulator, Trace
 from ..sim.traps import TrapInfo
@@ -196,6 +196,64 @@ def _read_outputs(spec: KernelSpec, memory, array_at) -> Dict[str, np.ndarray]:
     return outputs
 
 
+def build_error(spec: KernelSpec, ftype: str, mode: str) -> Optional[str]:
+    """Why ``(spec, ftype, mode)`` has no program, or ``None`` if it has."""
+    if mode not in MODES:
+        return f"unknown mode {mode!r} (pick from {MODES})"
+    if mode == "manual" and spec.manual_source_fn is None:
+        return f"{spec.name} has no manual-vectorized form"
+    if mode == "manual" and ftype not in MANUAL_FTYPES:
+        return (f"{spec.name} has no manual-vectorized form for {ftype!r} "
+                f"(manual builds take {', '.join(MANUAL_FTYPES)})")
+    return None
+
+
+def build_inputs(spec: KernelSpec, ftype: str,
+                 mode: str) -> Tuple[str, Dict[str, object]]:
+    """The ``compile_source`` source and keywords of one point.
+
+    The one place a point's build is decided: :func:`build_kernel`
+    compiles exactly this, and :func:`repro.harness.parallel.
+    program_fingerprint` hashes it.  ``mode='manual'`` takes the
+    hand-vectorized source; ``'auto'`` turns the loop vectorizer on;
+    the spec's ``compile_opts`` ride along in every mode.
+    """
+    problem = build_error(spec, ftype, mode)
+    if problem is not None:
+        raise HarnessError(problem)
+    source_fn = spec.manual_source_fn if mode == "manual" else spec.source_fn
+    return (source_fn(ftype),
+            dict(spec.compile_opts, vectorize_loops=(mode == "auto")))
+
+
+def build_kernel(spec: KernelSpec, ftype: str, mode: str,
+                 lint: bool = True) -> CompiledKernel:
+    """Compile the program :func:`run_kernel` runs for this point.
+
+    Verification, ``repro lint``/``analyze`` and the committed baselines
+    all build through here, so what they check is what runs.  Raises
+    :class:`HarnessError` for a point :func:`build_error` rejects.
+    """
+    source, opts = build_inputs(spec, ftype, mode)
+    return compile_source(source, lint=lint, **opts)
+
+
+def build_points(ftypes: Sequence[str],
+                 kernels: Optional[Sequence[str]] = None,
+                 modes: Sequence[str] = MODES
+                 ) -> Iterator[Tuple[str, str, str]]:
+    """Every buildable ``(kernel, ftype, mode)``, kernel-major.
+
+    Kernels default to all registered ones, sorted; points
+    :func:`build_error` rejects are skipped.
+    """
+    for name in kernels or sorted(KERNELS):
+        for ftype in ftypes:
+            for mode in modes:
+                if build_error(KERNELS[name], ftype, mode) is None:
+                    yield name, ftype, mode
+
+
 def run_kernel(
     spec: KernelSpec,
     ftype: str = "float",
@@ -236,22 +294,11 @@ def run_kernel(
     mode; pass ``int(RoundingMode.SR)`` to enable stochastic rounding,
     seeded by ``sr_key`` (see :func:`repro.fp.rounding.set_sr_key`).
     """
-    if mode not in MODES:
-        raise HarnessError(f"unknown mode {mode!r} (pick from {MODES})")
+    kernel = build_kernel(spec, ftype, mode)
     run_params = dict(spec.params)
     run_params.update(params or {})
     rng = np.random.default_rng(seed)
     data = spec.make_data(run_params, rng)
-
-    if mode == "manual":
-        if spec.manual_source_fn is None:
-            raise HarnessError(f"{spec.name} has no manual-vectorized form")
-        source = spec.manual_source_fn(ftype)
-        kernel = compile_source(source, **spec.compile_opts)
-    else:
-        source = spec.source_fn(ftype)
-        kernel = compile_source(source, vectorize_loops=(mode == "auto"),
-                                **spec.compile_opts)
 
     sim = Simulator(kernel.program, mem_latency=mem_latency,
                     fast_path=fast_path)
@@ -356,21 +403,10 @@ def run_kernel_batch(
     PRF.  Divergent keys make the lockstep engine drain SR-rounded work
     to scalar execution, preserving bit-identity at reduced throughput.
     """
-    if mode not in MODES:
-        raise HarnessError(f"unknown mode {mode!r} (pick from {MODES})")
+    kernel = build_kernel(spec, ftype, mode)
     if not seeds:
         return []
     from ..sim.lockstep import Lane, run_lockstep
-
-    if mode == "manual":
-        if spec.manual_source_fn is None:
-            raise HarnessError(f"{spec.name} has no manual-vectorized form")
-        kernel = compile_source(spec.manual_source_fn(ftype),
-                                **spec.compile_opts)
-    else:
-        kernel = compile_source(spec.source_fn(ftype),
-                                vectorize_loops=(mode == "auto"),
-                                **spec.compile_opts)
 
     if sr_keys is not None and len(sr_keys) != len(seeds):
         raise HarnessError(

@@ -64,6 +64,9 @@ class KernelSpec:
 
 KERNELS: Dict[str, KernelSpec] = {}
 
+#: The types every hand-vectorized (``manual_source_fn``) source takes.
+MANUAL_FTYPES = tuple(_polybench._VECTOR_INFO)
+
 
 def _register(spec: KernelSpec) -> KernelSpec:
     KERNELS[spec.name] = spec
@@ -220,6 +223,7 @@ __all__ = [
     "ArgSpec",
     "KernelSpec",
     "KERNELS",
+    "MANUAL_FTYPES",
     "BENCHMARK_NAMES",
     "GEMM",
     "ATAX",

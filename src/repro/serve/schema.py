@@ -22,7 +22,7 @@ import numpy as np
 from .. import ReproError
 from ..harness.parallel import SweepPoint
 from ..fp import registry
-from ..harness.runner import MODES, SafeRunOutcome
+from ..harness.runner import MODES, SafeRunOutcome, build_error
 from ..kernels import KERNELS
 
 #: Bump on any incompatible change to request or response bodies.
@@ -138,9 +138,9 @@ def parse_point(payload, where: str = "point") -> SweepPoint:
             f"(choose from {sorted(KERNELS)})")
     ftype = _choice_field(payload, "ftype", "float16", FTYPES, where)
     mode = _choice_field(payload, "mode", "auto", MODES, where)
-    if mode == "manual" and KERNELS[kernel].manual_source_fn is None:
-        raise RequestValidationError(
-            f"{where}: kernel {kernel!r} has no manual-vectorized form")
+    problem = build_error(KERNELS[kernel], ftype, mode)
+    if problem is not None:
+        raise RequestValidationError(f"{where}: {problem}")
     return SweepPoint(
         name=kernel,
         ftype=ftype,

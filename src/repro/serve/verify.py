@@ -2,8 +2,9 @@
 
 ``POST /v1/kernel?verify=1`` asks the server to prove the requested
 configuration numerically safe *before* it spends a queue slot and
-simulation time on it.  The program the point would execute is compiled
-and pushed through the full lint suite -- including the abstract-
+simulation time on it.  The program the point would execute -- built by
+:func:`~repro.harness.runner.build_kernel`, as the run builds it -- is
+pushed through the full lint suite -- including the abstract-
 interpretation checks from :mod:`repro.analysis.absint` -- and any
 **error**-severity finding rejects the request with a structured 422
 carrying the findings, so a client learns *why* its type map is unsafe
@@ -24,6 +25,8 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.absint import AbsintConfig
 from ..analysis.lints import LintConfig, lint_program, severity_at_least
 from ..harness.parallel import SweepPoint, program_fingerprint
+from ..harness.runner import build_kernel
+from ..kernels import KERNELS
 
 #: Findings at or above this severity refuse admission.
 REJECT_SEVERITY = "error"
@@ -75,18 +78,9 @@ class StaticVerifier:
 
     # ------------------------------------------------------------------
     def _compute(self, point: SweepPoint, fingerprint: str) -> Verdict:
-        from ..compiler import compile_source
-        from ..kernels import KERNELS
-
-        spec = KERNELS[point.name]
         try:
-            if point.mode == "manual":
-                kernel = compile_source(
-                    spec.manual_source_fn(point.ftype), lint=False)
-            else:
-                kernel = compile_source(
-                    spec.source_fn(point.ftype),
-                    vectorize_loops=(point.mode == "auto"), lint=False)
+            kernel = build_kernel(KERNELS[point.name], point.ftype,
+                                  point.mode, lint=False)
         except Exception as exc:  # compile failure is itself a verdict
             return Verdict(fingerprint=fingerprint, ok=False,
                            detail=f"compilation failed: {exc}")

@@ -9,11 +9,11 @@ forcing the baseline diff into review.  Regenerate with::
     PYTHONPATH=src python -m pytest benchmarks/bench_absint_baseline.py
 """
 
-import json
 import os
 import time
 
 from repro.analysis.absint_baseline import compute_absint_baseline
+from repro.analysis.serialize import read_canonical
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                              os.pardir, "benchmarks", "results",
@@ -21,8 +21,7 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 
 
 def test_absint_baseline_matches_committed_snapshot():
-    with open(BASELINE_PATH) as handle:
-        committed = json.load(handle)
+    committed = read_canonical(BASELINE_PATH)
     started = time.monotonic()
     current = compute_absint_baseline()
     elapsed = time.monotonic() - started
@@ -37,14 +36,12 @@ def test_absint_baseline_matches_committed_snapshot():
 def test_absint_baseline_has_no_budget_risks():
     # The error budget is disarmed by default, so the committed
     # snapshot may not contain budget risks.
-    with open(BASELINE_PATH) as handle:
-        committed = json.load(handle)
+    committed = read_canonical(BASELINE_PATH)
     assert committed["totals_by_kind"].get("budget", 0) == 0
 
 
 def test_absint_baseline_flags_narrow_accumulation():
-    with open(BASELINE_PATH) as handle:
-        committed = json.load(handle)
+    committed = read_canonical(BASELINE_PATH)
     assert committed["totals_by_kind"].get("overflow", 0) > 0
     atax = committed["configs"]["atax/float8/auto"]
     assert any(r.get("suggestion") in ("fmacex.s.b", "vfdotpex.s.b")

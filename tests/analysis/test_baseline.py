@@ -9,11 +9,11 @@ baseline diff into review.  Regenerate with::
     PYTHONPATH=src python -m pytest benchmarks/bench_lint_baseline.py
 """
 
-import json
 import os
 import time
 
 from repro.analysis.baseline import compute_baseline
+from repro.analysis.serialize import read_canonical
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                              os.pardir, "benchmarks", "results",
@@ -21,8 +21,7 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 
 
 def test_baseline_matches_committed_snapshot():
-    with open(BASELINE_PATH) as handle:
-        committed = json.load(handle)
+    committed = read_canonical(BASELINE_PATH)
     started = time.monotonic()
     current = compute_baseline()
     elapsed = time.monotonic() - started
@@ -36,14 +35,12 @@ def test_baseline_matches_committed_snapshot():
 
 
 def test_baseline_contains_no_errors():
-    with open(BASELINE_PATH) as handle:
-        committed = json.load(handle)
+    committed = read_canonical(BASELINE_PATH)
     assert committed["totals_by_severity"].get("error", 0) == 0
 
 
 def test_baseline_names_the_expanding_dot_product():
-    with open(BASELINE_PATH) as handle:
-        committed = json.load(handle)
+    committed = read_canonical(BASELINE_PATH)
     atax = committed["configs"]["atax/float8/auto"]
     assert any(f.get("suggestion") == "vfdotpex.s.b"
                for f in atax["findings"])

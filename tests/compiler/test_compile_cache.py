@@ -10,7 +10,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis.baseline import MODES
 from repro.analysis.lints import lint_program
 from repro.compiler import (
     COMPILE_CACHE_SIZE,
@@ -22,32 +21,12 @@ from repro.compiler import (
 from repro.compiler import pipeline
 from repro.faults import FaultInjector, fault_space_of, make_plan
 from repro.fp import registry
-from repro.harness.runner import run_kernel
+from repro.harness.runner import (build_inputs, build_kernel, build_points,
+                                  run_kernel)
 from repro.kernels import KERNELS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
-
-
-def _builds(name):
-    """(ftype, mode) for every valid build of a kernel: each registered
-    kernel type x the lint baseline's modes."""
-    spec = KERNELS[name]
-    for ftype in registry.kernel_ftypes():
-        for mode in MODES:
-            if mode == "manual" and (
-                    spec.manual_source_fn is None or ftype == "float"
-                    or registry.by_keyword(ftype).is_guest):
-                continue
-            yield ftype, mode
-
-
-def _build_args(name, ftype, mode):
-    spec = KERNELS[name]
-    if mode == "manual":
-        return spec.manual_source_fn(ftype), dict(spec.compile_opts)
-    return spec.source_fn(ftype), dict(
-        spec.compile_opts, vectorize_loops=(mode == "auto"))
 
 
 def _findings(result):
@@ -64,17 +43,18 @@ def _unique_source(tag):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_cached_compile_matches_cold_compile(name):
-    for ftype, mode in _builds(name):
+    spec = KERNELS[name]
+    for _, ftype, mode in build_points(registry.kernel_ftypes(), [name]):
         label = f"{name}/{ftype}/{mode}"
-        source, opts = _build_args(name, ftype, mode)
+        source, opts = build_inputs(spec, ftype, mode)
         cold = pipeline._compile(
-            source, opts.get("vectorize_loops", False), pipeline.TEXT_BASE,
+            source, opts["vectorize_loops"], pipeline.TEXT_BASE,
             pipeline.DATA_BASE, opts.get("expanding_reductions", False))
         cold_lint = lint_program(cold.program,
                                  vector_report=cold.vector_report,
                                  source=cold.asm)
         for _ in range(2):  # the first call may fill the entry
-            cached = compile_source(source, **opts)
+            cached = build_kernel(spec, ftype, mode)
             assert cached.asm == cold.asm, label
             assert cached.program.words == cold.program.words, label
             assert cached.program.data == cold.program.data, label

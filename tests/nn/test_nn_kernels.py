@@ -16,7 +16,7 @@ import pytest
 from repro import nn
 from repro.compiler import compile_source
 from repro.fp import RoundingMode
-from repro.harness.runner import run_kernel
+from repro.harness.runner import build_kernel, run_kernel
 from repro.kernels import KERNELS
 from repro.metrics import loss_divergence, max_abs_err
 from repro.nn import sources
@@ -78,9 +78,7 @@ class TestAutoVectorization:
 
     @pytest.mark.parametrize("name", REDUCTION_NAMES)
     def test_auto_emits_vfdotpex(self, name):
-        spec = KERNELS[name]
-        k = compile_source(spec.source_fn("float8"), vectorize_loops=True,
-                           **spec.compile_opts)
+        k = build_kernel(KERNELS[name], "float8", "auto", lint=False)
         assert "vfdotpex.s.b" in k.asm
 
     def test_without_opt_in_no_vfdotpex(self):
@@ -104,10 +102,8 @@ class TestAutoVectorization:
             assert abs(scalar.sqnr_db() - auto.sqnr_db()) < 6.0, name
 
     def test_manual_mlp_uses_intrinsic(self):
-        spec = KERNELS["nn_mlp_fwd"]
-        k = compile_source(spec.manual_source_fn("float8"))
-        assert "vfdotpex.s.b" in k.asm
-        run = run_kernel(spec, "float8", "manual")
+        run = run_kernel(KERNELS["nn_mlp_fwd"], "float8", "manual")
+        assert "vfdotpex.s.b" in run.asm
         assert run.sqnr_db() > 15.0
 
 

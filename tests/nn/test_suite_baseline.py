@@ -7,9 +7,9 @@ Regenerate with::
     PYTHONPATH=src python -m pytest benchmarks/bench_nn_suite.py
 """
 
-import json
 import os
 
+from repro.analysis.serialize import read_canonical
 from repro.nn.suite import compute_nn_suite
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -18,8 +18,7 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 
 
 def _committed():
-    with open(BASELINE_PATH) as handle:
-        return json.load(handle)
+    return read_canonical(BASELINE_PATH)
 
 
 def test_suite_matches_committed_snapshot():

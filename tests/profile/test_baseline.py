@@ -8,9 +8,9 @@ here, forcing the baseline diff into review.  Regenerate with::
     PYTHONPATH=src python -m pytest benchmarks/bench_profile_baseline.py
 """
 
-import json
 import os
 
+from repro.analysis.serialize import read_canonical
 from repro.profile import PROFILE_SCHEMA_VERSION
 from repro.profile.baseline import compute_profile_baseline
 
@@ -20,8 +20,7 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 
 
 def _committed():
-    with open(BASELINE_PATH) as handle:
-        return json.load(handle)
+    return read_canonical(BASELINE_PATH)
 
 
 def test_baseline_matches_committed_snapshot():

@@ -169,3 +169,14 @@ class TestOverHTTP:
                                         mode="auto", verify=True)
             assert payload["verified"]["cached_verdict"] is False
             assert payload["verified"]["fingerprint"]
+
+    def test_unbuildable_point_is_400_before_verification(self):
+        # No hand-vectorized source exists for a guest format, so the
+        # point has no program to verify or run.
+        with serving(workers=1, runner=instant_runner) as (app, client):
+            with pytest.raises(ServeClientError) as exc_info:
+                client._request("POST", "/v1/kernel?verify=1", kernel_body(
+                    kernel="gemm", ftype="posit8", mode="manual"))
+            assert exc_info.value.status == 400
+            assert exc_info.value.error_type == "invalid_request"
+            assert app.metrics.verifications == 0
