@@ -13,10 +13,17 @@ reported separately as part of end-to-end wall-clock.  The committed
 against: the fast/reference speedup *ratio* is host-independent, so the
 gate fails when the ratio regresses by more than 30%, while absolute
 MIPS is recorded for information only.
+
+The lockstep engine is gated on its own rate, scaled to a reference
+host speed by the sampler of ``perfbench/hostspeed.py``: the ratio of
+two separately timed engines moves whenever either one changes, and
+host drift moves it further.  The lockstep/fast ratio is still
+reported.
 """
 
 import json
 import os
+import sys
 import time
 
 from repro.analysis.serialize import read_canonical
@@ -24,6 +31,10 @@ from repro.harness.experiments import clear_cache, fig1_points
 from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import run_kernel, run_kernel_batch
 from repro.kernels import KERNELS
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+from hostspeed import HostSpeed  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BASELINE_PATH = os.path.join(RESULTS_DIR, "BENCH_host_perf.json")
@@ -35,9 +46,12 @@ REGRESSION_TOLERANCE = 0.30
 #: Lockstep batch widths measured (seed-varied lanes per fig1 config).
 LOCKSTEP_BATCHES = (4, 16, 64, 128)
 
-#: Aggregate-MIPS floor for the lockstep engine at batch >= 16,
-#: relative to the single-point fast path (a host-independent ratio).
-LOCKSTEP_SPEEDUP_FLOOR = 10.0
+#: Floor on lockstep's aggregate guest MIPS at its best batch (>= 16),
+#: scaled to the reference host speed of ``perfbench/hostspeed.py``.
+#: 10 runs on a 2-vCPU VM read 7.95-9.01 (median 8.53); with the batch
+#: dispatch loop slowed by 30% three runs read 6.73-7.17.  The floor
+#: sits 12% under the healthy median, between the two.
+LOCKSTEP_SCALED_MIPS_FLOOR = 7.5
 
 
 def _sweep_points():
@@ -64,7 +78,7 @@ def measure_guest_mips(points, fast_path):
     }
 
 
-def measure_lockstep(points, batch):
+def measure_lockstep(points, batch, speed):
     """Aggregate guest MIPS with ``batch`` seed-varied lanes per config.
 
     The fig1 sweep varies *configs*, so lockstep batching is exercised
@@ -73,7 +87,8 @@ def measure_lockstep(points, batch):
     path, enforced by the differential suite).  The sum of per-lane
     ``sim_seconds`` shares is the batch's simulation wall-clock, so
     ``guest_mips`` here is directly comparable to the single-point
-    rows above.
+    rows above.  ``scaled_guest_mips`` divides it by the host speed
+    factor ``speed`` measured over the same interval.
     """
     wall_start = time.perf_counter()
     instret, sim_seconds = 0, 0.0
@@ -84,13 +99,16 @@ def measure_lockstep(points, batch):
             trap_ok=True)
         instret += sum(r.trace.instret for r in runs)
         sim_seconds += sum(r.sim_seconds for r in runs)
-    wall = time.perf_counter() - wall_start
+    wall_end = time.perf_counter()
+    mips = instret / sim_seconds / 1e6
     return {
         "batch": batch,
         "instructions": instret,
         "sim_seconds": round(sim_seconds, 4),
-        "wall_seconds": round(wall, 4),
-        "guest_mips": round(instret / sim_seconds / 1e6, 4),
+        "wall_seconds": round(wall_end - wall_start, 4),
+        "guest_mips": round(mips, 4),
+        "scaled_guest_mips": round(
+            mips / speed.factor(wall_start, wall_end), 4),
     }
 
 
@@ -112,8 +130,16 @@ def collect():
                trap_ok=True)
     reference = measure_guest_mips(points, fast_path=False)
     fast = measure_guest_mips(points, fast_path=True)
-    lockstep = [measure_lockstep(points, batch)
-                for batch in LOCKSTEP_BATCHES]
+    # One busy thread: it and the host speed sampler share one CPU, so
+    # the sampler times the CPU the work runs on.
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        with HostSpeed() as speed:
+            lockstep = [measure_lockstep(points, batch, speed)
+                        for batch in LOCKSTEP_BATCHES]
+    finally:
+        os.sched_setaffinity(0, cpus)
     best = max((row for row in lockstep if row["batch"] >= 16),
                key=lambda row: row["guest_mips"])
     payload = {
@@ -130,6 +156,7 @@ def collect():
         "speedup_lockstep_vs_fast": round(
             best["guest_mips"] / fast["guest_mips"], 3),
         "lockstep_best_batch": best["batch"],
+        "lockstep_scaled_mips": best["scaled_guest_mips"],
         "parallel": [measure_jobs(points, jobs) for jobs in (1, 2)],
     }
     return payload
@@ -149,18 +176,18 @@ def test_host_perf(capsys):
               f"({payload['speedup_guest_mips']}x sim-phase, "
               f"{payload['speedup_wall']}x end-to-end), "
               f"lockstep best {payload['speedup_lockstep_vs_fast']}x "
-              f"at batch={payload['lockstep_best_batch']}")
+              f"at batch={payload['lockstep_best_batch']}, "
+              f"{payload['lockstep_scaled_mips']} scaled MIPS")
 
     # Sanity floor: the block engine must be a clear win on any host.
     assert payload["speedup_guest_mips"] >= 2.0
 
-    # Lockstep floor: at batch >= 16 the batched engine must deliver
-    # >= 10x the single-point fast path's aggregate guest MIPS.
-    assert payload["speedup_lockstep_vs_fast"] >= LOCKSTEP_SPEEDUP_FLOOR, (
-        f"lockstep speedup {payload['speedup_lockstep_vs_fast']}x below "
-        f"the {LOCKSTEP_SPEEDUP_FLOOR}x floor")
+    # Lockstep floor: its own host-scaled rate at the best batch.
+    assert payload["lockstep_scaled_mips"] >= LOCKSTEP_SCALED_MIPS_FLOOR, (
+        f"lockstep {payload['lockstep_scaled_mips']} scaled MIPS below "
+        f"the {LOCKSTEP_SCALED_MIPS_FLOOR} floor")
 
-    # Regression gates against the committed baseline (ratios are
+    # Regression gate against the committed baseline (the ratio is
     # host-independent; absolute MIPS is informational).
     if baseline and "speedup_guest_mips" in baseline:
         floor = baseline["speedup_guest_mips"] * (1 - REGRESSION_TOLERANCE)
@@ -168,13 +195,6 @@ def test_host_perf(capsys):
             f"fast-path speedup {payload['speedup_guest_mips']}x regressed "
             f">{REGRESSION_TOLERANCE:.0%} vs baseline "
             f"{baseline['speedup_guest_mips']}x")
-    if baseline and "speedup_lockstep_vs_fast" in baseline:
-        floor = baseline["speedup_lockstep_vs_fast"] \
-            * (1 - REGRESSION_TOLERANCE)
-        assert payload["speedup_lockstep_vs_fast"] >= floor, (
-            f"lockstep speedup {payload['speedup_lockstep_vs_fast']}x "
-            f"regressed >{REGRESSION_TOLERANCE:.0%} vs baseline "
-            f"{baseline['speedup_lockstep_vs_fast']}x")
 
 
 if __name__ == "__main__":

@@ -87,6 +87,9 @@ class MX8Format(NumberFormat):
     guest_fmt2 = 0b10
     cvt_code = 10
     quiet_nan = 0x7F
+    #: Significand bits, hidden bit included: the bound exact division
+    #: and square root size their quotient and root from.
+    precision = _MAN_BITS + 1
 
     # ------------------------------------------------------------------
     # Special values (sign-magnitude defaults from NumberFormat apply)

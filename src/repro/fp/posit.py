@@ -83,6 +83,10 @@ class PositFormat(NumberFormat):
         #: Body (encoding without the sign bit) of maxpos / minpos.
         self.max_body = (1 << (n - 1)) - 1
         self.min_body = 1
+        #: Widest significand, hidden bit included (the shortest,
+        #: two-bit regime): the bound exact division and square root
+        #: size their quotient and root from.
+        self.precision = max(1, n - 2 - es)
 
     # ------------------------------------------------------------------
     # Bit-level operations: two's-complement negation

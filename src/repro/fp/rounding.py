@@ -16,6 +16,7 @@ specification (and FPnew, the hardware this reproduction models).
 from __future__ import annotations
 
 import enum
+import threading
 from typing import Tuple
 
 from . import formats
@@ -79,30 +80,35 @@ OPERATIONAL_MODES = (
 
 _M64 = (1 << 64) - 1
 
-#: The ambient SR key.  The harness and the lockstep engine set this
-#: per lane around execution (see :func:`set_sr_key`); the default key
-#: 0 is a valid lane key, so bare :class:`Simulator` runs are still
-#: deterministic.
-_SR_KEY = 0
+class _SrKey(threading.local):
+    """The ambient SR key, one per thread.  The harness and the lockstep
+    engine set it per lane around execution (see :func:`set_sr_key`);
+    the default key 0 is a valid lane key, so bare :class:`Simulator`
+    runs are still deterministic.  Per thread, because a server runs
+    kernels with different keys on concurrent workers."""
+
+    key = 0
+
+
+_SR_KEY = _SrKey()
 
 
 def set_sr_key(key: int) -> int:
     """Install the ambient SR lane key; returns the previous key.
 
     The key seeds the stochastic-rounding PRF for every SR-rounded
-    operation until the next call.  Callers must restore the previous
+    operation on the calling thread until the next call.  Callers must restore the previous
     key (try/finally) so nested scopes -- the lockstep engine draining
     lanes into scalar simulators, for example -- stay correct.
     """
-    global _SR_KEY
-    previous = _SR_KEY
-    _SR_KEY = key & _M64
+    previous = _SR_KEY.key
+    _SR_KEY.key = key & _M64
     return previous
 
 
 def get_sr_key() -> int:
     """The ambient SR lane key (see :func:`set_sr_key`)."""
-    return _SR_KEY
+    return _SR_KEY.key
 
 
 def _mix64(x: int) -> int:
@@ -120,7 +126,7 @@ def _sr_draw(sign: int, sig: int, discard: int) -> int:
     arbitrary-precision exact values (wide accumulations, division
     stickies) contribute every bit to the draw.
     """
-    x = (_SR_KEY
+    x = (_SR_KEY.key
          ^ (discard * 0x9E3779B97F4A7C15)
          ^ (-0x61C8864680B583EB if sign else 0)) & _M64
     while sig:

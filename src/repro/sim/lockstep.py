@@ -11,10 +11,11 @@ arrays after batches with different histories re-converge.
 Dispatch reuses the predecoded basic blocks of :mod:`repro.sim.blocks`:
 each block is bound once into a list of batched entry closures plus a
 terminator, then executed once per batch instead of once per point.
-Floating-point traffic goes through :mod:`repro.fp.batch` (vectorized IEEE
-RNE with exact flag computation) when the format/rounding mode qualifies;
-everything else falls back to the scalar core, executed per lane on a
-scratch machine.
+Every kind binds from its :mod:`repro.sim.semantics` row, one binder per
+operand shape: uniform operands take the row's scalar compute once,
+divergent ones the row's numpy batch form where it has one (for FP,
+:mod:`repro.fp.batch`: vectorized IEEE RNE with exact flag computation),
+and everything else runs lanewise over the same scalar compute.
 
 Divergence (different branch outcomes) splits a batch into sub-batches.
 Live batches are scheduled min-PC-first off a heap; batches that meet at
@@ -37,17 +38,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..fp import arith, batch as fpbatch, compare, registry, simd
-from ..fp.convert import fcvt_f2f as _fcvt_scalar
-from ..fp.formats import FORMATS_BY_SUFFIX
+from ..fp import batch as fpbatch
+from ..fp.flags import GuestIllegal
 from ..fp.rounding import RoundingMode, set_sr_key
-from .blocks import _CSR_KINDS as _CSR_TERM_KINDS, _resolve_static_rm
 from .csr import (CSR_CYCLE, CSR_CYCLEH, CSR_FCSR, CSR_FFLAGS, CSR_FRM,
                   CSR_INSTRET, CSR_INSTRETH, CSR_MHARTID, MASK32, CsrFile,
                   _RM_BY_VALUE)
-from .executor import GUEST_FAULTS, _HANDLERS, _WIDTH_BYTES
-from .machine import Machine
-from .memory import Memory
+from .executor import GUEST_FAULTS
+from .semantics import (SEMANTICS, access_size, bind_in_xregs, formats,
+                        static_rm)
 from .simulator import (HALT_ADDRESS, STACK_TOP, RunResult, SimulationError,
                         Simulator)
 from .tracer import Trace
@@ -503,31 +502,10 @@ def _merge_batches(a: _Batch, b: _Batch) -> _Batch:
     return bt
 
 
-_I32 = np.int32
 _I64 = np.int64
-_U64 = np.uint64
 _RNE = RoundingMode.RNE
 _SR = RoundingMode.SR
-_SR_FRM = int(RoundingMode.SR)
 _SR_KEY_MASK = (1 << 64) - 1
-
-#: True while the engine runs lanes with *divergent* SR keys.  The
-#: batched binders compute one result per distinct operand vector, which
-#: is only correct under stochastic rounding when every lane draws from
-#: the same key; with per-lane keys any SR-rounded op drains the batch
-#: into scalar simulators (see ``_drain_all``, which installs each
-#: lane's key around its resume).
-_SR_NONUNIFORM = False
-
-
-def _s32(v: np.ndarray) -> np.ndarray:
-    if not v.flags.c_contiguous:
-        v = np.ascontiguousarray(v)
-    return v.view(_I32)
-
-
-def _signed(value: int) -> int:
-    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
 
 
 def _nop_entry(bt) -> None:
@@ -538,136 +516,9 @@ def _drain_entry(bt) -> None:
     raise _Drain()
 
 
-def _lanewise(n: int, fn):
-    bits = np.empty(n, dtype=_U32)
-    fl = np.empty(n, dtype=_U8)
-    for l in range(n):
-        b_, f_ = fn(l)
-        bits[l] = b_
-        fl[l] = f_
-    return bits, fl
-
-
-# ----------------------------------------------------------------------
-# Integer ALU recipes: uniform (python-int) and vector (uint32 array)
-# semantics side by side.  The uniform forms mirror the scalar fast
-# binders in blocks.py exactly.
-# ----------------------------------------------------------------------
-_RR_U = {
-    "add": lambda a, b: (a + b) & MASK32,
-    "sub": lambda a, b: (a - b) & MASK32,
-    "sll": lambda a, b: (a << (b & 31)) & MASK32,
-    "slt": lambda a, b: 1 if _signed(a) < _signed(b) else 0,
-    "sltu": lambda a, b: 1 if a < b else 0,
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: a >> (b & 31),
-    "sra": lambda a, b: (_signed(a) >> (b & 31)) & MASK32,
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "mul": lambda a, b: (a * b) & MASK32,
-    "mulh": lambda a, b: ((_signed(a) * _signed(b)) >> 32) & MASK32,
-    "mulhsu": lambda a, b: ((_signed(a) * b) >> 32) & MASK32,
-    "mulhu": lambda a, b: ((a * b) >> 32) & MASK32,
-}
-
-_RR_V = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "sll": lambda a, b: a << (b & _U32(31)),
-    "slt": lambda a, b: (_s32(a) < _s32(b)).astype(_U32),
-    "sltu": lambda a, b: (a < b).astype(_U32),
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: a >> (b & _U32(31)),
-    "sra": lambda a, b: (_s32(a) >> (b & _U32(31)).astype(_I32)).view(_U32),
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "mul": lambda a, b: a * b,
-    "mulh": lambda a, b: (
-        ((_s32(a).astype(_I64) * _s32(b).astype(_I64)) >> 32)
-        & 0xFFFFFFFF).astype(_U32),
-    "mulhsu": lambda a, b: (
-        ((_s32(a).astype(_I64) * b.astype(_I64)) >> 32)
-        & 0xFFFFFFFF).astype(_U32),
-    "mulhu": lambda a, b: (
-        (a.astype(_U64) * b.astype(_U64)) >> _U64(32)).astype(_U32),
-}
-
-_BR_U = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: _signed(a) < _signed(b),
-    "bge": lambda a, b: _signed(a) >= _signed(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
-}
-
-_BR_V = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: _s32(a) < _s32(b),
-    "bge": lambda a, b: _s32(a) >= _s32(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
-}
-
-_LOADS = {"lb": (1, 0x80), "lbu": (1, 0), "lh": (2, 0x8000),
-          "lhu": (2, 0), "lw": (4, 0)}
-_STORES = {"sb": 1, "sh": 2, "sw": 4}
-
-_SCALAR_FP3 = {"fadd": arith.fadd, "fsub": arith.fsub, "fmul": arith.fmul}
-_FMA_NEG = {"fmadd": (False, False), "fmsub": (False, True),
-            "fnmsub": (True, False), "fnmadd": (True, True)}
-_CMP_OPS = {"feq": ("eq", compare.feq), "flt": ("lt", compare.flt),
-            "fle": ("le", compare.fle)}
-_VEC3 = {"vfadd": (simd.vfadd, False, False),
-         "vfsub": (simd.vfsub, True, False),
-         "vfmul": (simd.vfmul, False, True)}
-
-#: Register-pure kinds executed per lane on the scratch machine via the
-#: generic handlers.  Correct by construction (same code path as the
-#: reference interpreter); these are rare in the paper's kernels.
-_SCRATCH_KINDS = frozenset({
-    "div", "divu", "rem", "remu",
-    "fdiv", "fsqrt", "fmin", "fmax", "fsgnj", "fsgnjn", "fsgnjx",
-    "fclass", "fmv_f_x", "fmv_x_f",
-    "fcvt_f_w", "fcvt_f_wu", "fcvt_w_f", "fcvt_wu_f",
-    "vfdiv", "vfmin", "vfmax", "vfsgnj", "vfsgnjn", "vfsgnjx", "vfsqrt",
-    "vfcvt_f_x", "vfcvt_x_f", "vfcvt_f2f", "vfcpka", "vfcpkb",
-    "vfdotpmx", "vfeq", "vflt", "vfle",
-})
-
-#: Scratch kinds whose handlers perform an FP rounding step (and so
-#: read the ambient stochastic-rounding key when ``frm`` selects SR).
-_ROUNDING_SCRATCH = frozenset({
-    "fdiv", "fsqrt", "fcvt_f_w", "fcvt_f_wu", "fcvt_w_f", "fcvt_wu_f",
-    "vfdiv", "vfsqrt", "vfcvt_f_x", "vfcvt_x_f", "vfcvt_f2f",
-    "vfcpka", "vfcpkb", "vfdotpmx",
-})
-
-
-def _rm_resolver(i):
-    """Per-execution rounding-mode getter, or None on a reserved static
-    encoding (which the scalar engine resolves as an exec-time trap)."""
-    usable, rm = _resolve_static_rm(i)
-    if not usable:
-        return None
-    if rm is not None:
-        if rm is _SR:
-            def static_sr(bt, rm=rm):
-                if _SR_NONUNIFORM:
-                    raise _Drain()  # per-lane keys: scalar core rounds
-                return rm
-            return static_sr
-        return lambda bt, rm=rm: rm
-
-    def dynamic(bt):
-        mode = _RM_BY_VALUE.get(bt.frm)
-        if mode is None:
-            raise _Drain()  # reserved frm: scalar core raises GuestIllegal
-        if mode is _SR and _SR_NONUNIFORM:
-            raise _Drain()  # per-lane keys: scalar core rounds
-        return mode
-    return dynamic
+def _lift(v):
+    """A batch value as numpy: uniform ints become uint32 scalars."""
+    return _U32(v & MASK32) if type(v) is int else v
 
 
 class _LockBlock:
@@ -692,10 +543,17 @@ class LockstepEngine:
                 "lockstep requires the merged register file at FLEN=32")
         self.tpl = template
         self._tpl_engine = template._engine()
-        self._scratch = Machine(Memory(), merged_regfile=True, flen=m.flen)
         self._blocks: Dict[int, object] = {}
         self._budget = 0
         self._sr_keys: List[int] = []
+        #: True while this run's lanes hold *different* SR keys.  The
+        #: batched binders compute one result per distinct operand
+        #: vector, which is only correct under stochastic rounding when
+        #: every lane draws from the same key; with per-lane keys any
+        #: SR-rounded op drains the batch into scalar simulators (see
+        #: ``_drain_all``, which installs each lane's key around its
+        #: resume).
+        self.sr_nonuniform = False
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -754,10 +612,8 @@ class LockstepEngine:
         heap = self._heap = []
         self._seq = 0
         self._push(bt)
-        global _SR_NONUNIFORM
-        prev_flag = _SR_NONUNIFORM
         prev_key = set_sr_key(keys[0] if keys else 0)
-        _SR_NONUNIFORM = len(set(keys)) > 1
+        self.sr_nonuniform = len(set(keys)) > 1
         try:
             with fpbatch.quiet_errors():
                 while heap:
@@ -776,7 +632,6 @@ class LockstepEngine:
                     # re-merge; otherwise run the tight loop.
                     self._run_batch(cur, out, single=bool(heap))
         finally:
-            _SR_NONUNIFORM = prev_flag
             set_sr_key(prev_key)
         return out
 
@@ -901,648 +756,136 @@ class LockstepEngine:
         return None if lb is _UNBUILDABLE else lb
 
     # ------------------------------------------------------------------
-    # Entry binders
+    # Binders: one per operand shape, every kind derived from its
+    # semantics row
     # ------------------------------------------------------------------
     def _bind_entry(self, i, epc: int):
-        kind = i.kind
-        if kind in _RR_U:
-            return _bind_int_rr(i, _RR_U[kind], _RR_V[kind])
-        if kind == "addi":
-            imm = i.imm
-            return _bind_int_imm(
-                i, lambda a, imm=imm: (a + imm) & MASK32,
-                lambda a, c=_U32(imm & MASK32): a + c)
-        if kind in ("andi", "ori", "xori"):
-            imm = i.imm & MASK32
-            op = {"andi": lambda a, b: a & b, "ori": lambda a, b: a | b,
-                  "xori": lambda a, b: a ^ b}[kind]
-            return _bind_int_imm(
-                i, lambda a, imm=imm, op=op: op(a, imm),
-                lambda a, c=_U32(imm), op=op: op(a, c))
-        if kind == "slti":
-            imm = i.imm
-            return _bind_int_imm(
-                i, lambda a, imm=imm: 1 if _signed(a) < imm else 0,
-                lambda a, c=_I32(imm): (_s32(a) < c).astype(_U32))
-        if kind == "sltiu":
-            imm = i.imm & MASK32
-            return _bind_int_imm(
-                i, lambda a, imm=imm: 1 if a < imm else 0,
-                lambda a, c=_U32(imm): (a < c).astype(_U32))
-        if kind == "slli":
-            sh = i.imm & 31
-            return _bind_int_imm(
-                i, lambda a, sh=sh: (a << sh) & MASK32,
-                lambda a, c=_U32(sh): a << c)
-        if kind == "srli":
-            sh = i.imm & 31
-            return _bind_int_imm(
-                i, lambda a, sh=sh: a >> sh,
-                lambda a, c=_U32(sh): a >> c)
-        if kind == "srai":
-            sh = i.imm & 31
-            return _bind_int_imm(
-                i, lambda a, sh=sh: (_signed(a) >> sh) & MASK32,
-                lambda a, c=_I32(sh): (_s32(a) >> c).view(_U32))
-        if kind == "lui":
-            return _bind_const(i.rd, (i.imm << 12) & MASK32)
-        if kind == "auipc":
-            return _bind_const(i.rd, (epc + (i.imm << 12)) & MASK32)
-        if kind in _LOADS:
-            size, sign_bits = _LOADS[kind]
-            return _bind_load(i, size, sign_bits)
-        if kind in _STORES:
-            size = _STORES[kind]
+        row = SEMANTICS.get(i.kind)
+        shape = row.shape if row is not None else None
+        if shape == "alu":
+            return _bind_alu(i, row)
+        if shape == "upper":
+            return _bind_const(i.rd, row.op(epc, i.imm) & MASK32)
+        if shape == "load":
+            return _bind_load(i, access_size(i.spec, 32),
+                              0x80 << (8 * row.size - 8) if row.signed
+                              else 0)
+        if shape == "store":
+            size = access_size(i.spec, 32)
             return _bind_store(i, size, (1 << (8 * size)) - 1)
-        if kind == "flw":
-            size = _WIDTH_BYTES(i.spec.fp_fmt)
-            return _bind_load(i, size, 0)
-        if kind == "fsw":
-            size = _WIDTH_BYTES(i.spec.fp_fmt)
-            return _bind_store(i, size, (1 << (8 * size)) - 1)
-        if kind == "fence":
-            return _nop_entry
-        if kind in _SCALAR_FP3:
-            return self._bind_fadd_like(i, kind)
-        if kind in _FMA_NEG:
-            return self._bind_fma_like(i, kind)
-        if kind == "fmulex":
-            return self._bind_fmulex(i)
-        if kind == "fmacex":
-            return self._bind_fmacex(i)
-        if kind in _CMP_OPS:
-            return self._bind_fcmp(i, kind)
-        if kind == "fcvt_f2f":
-            return self._bind_fcvt(i)
-        if kind in _VEC3:
-            return self._bind_vec_arith(i, kind)
-        if kind == "vfmac":
-            return self._bind_vfmac(i)
-        if kind == "vfdotpex":
-            return self._bind_vfdotpex(i)
-        if kind in _SCRATCH_KINDS:
-            return self._bind_scratch(i)
-        return _drain_entry  # ecall/ebreak/unknown: scalar core decides
+        if shape == "fp":
+            return self._bind_fp(i, row)
+        if shape == "sys" and i.spec.cf is None:
+            return _nop_entry  # fence
+        return _drain_entry  # unknown kinds: scalar core decides
 
-    # -- scratch fallback ----------------------------------------------
-
-    def _bind_scratch(self, i):
-        fn = _HANDLERS[i.kind]
+    def _bind_fp(self, i, row):
+        """FP kinds: uniform operands take the scalar compute; vector
+        operands take the row's batch form under RNE and patch the lanes
+        it cannot handle; anything else runs lanewise over the scalar
+        compute."""
+        fn, regs, masks, scale, dmask = bind_in_xregs(i)
+        F = formats(i.spec, 32)
+        umasks = [_U32(k) for k in masks]
+        vector = row.batch(F) if row.batch is not None else None
+        rounds, flagged = row.rounds, row.flags
+        static = None
+        if rounds:
+            try:
+                static = static_rm(i)
+            except GuestIllegal:
+                return _drain_entry  # the scalar core traps
         rd = i.rd
-        rs3 = getattr(i, "rs3", None)
-        srcs = tuple({r for r in (i.rs1, i.rs2, rs3, rd)
-                      if isinstance(r, int) and r})
-        scratch = self._scratch
-        # Rounding scratch ops consult the ambient SR key through the
-        # generic handlers; with divergent per-lane keys they must drain.
-        spec = i.spec
-        rounds = i.kind in _ROUNDING_SCRATCH
-        static_sr = (rounds and spec.rm_fixed is None and not spec.vec
-                     and i.rm == _SR_FRM)
+        engine = self
 
-        def run(bt, fn=fn, i=i, rd=rd, srcs=srcs, m=scratch):
-            if rounds and _SR_NONUNIFORM and (
-                    static_sr or bt.frm == _SR_FRM):
-                raise _Drain()
-            vals = [bt.xregs[r] for r in srcs]
-            csr = m.csr
-            if all(type(v) is int for v in vals):
-                x = m.xregs
-                for r, v in zip(srcs, vals):
-                    x[r] = v
-                csr.frm = bt.frm
-                csr.fflags = 0
-                try:
-                    fn(m, i)
-                except GUEST_FAULTS:
-                    raise _Drain()
-                bt.accrue(csr.fflags)
-                if rd:
-                    bt.xregs[rd] = x[rd]
-                return
-            outs = np.empty(bt.n, dtype=_U32)
-            fl = np.empty(bt.n, dtype=_U8)
-            x = m.xregs
-            for l in range(bt.n):
-                for r, v in zip(srcs, vals):
-                    x[r] = v if type(v) is int else int(v[l])
-                csr.frm = bt.frm
-                csr.fflags = 0
-                try:
-                    fn(m, i)
-                except GUEST_FAULTS:
-                    raise _Drain()
-                outs[l] = x[rd] if rd else 0
-                fl[l] = csr.fflags
-            bt.accrue(fl)
-            if rd:
-                bt.xregs[rd] = _devec(outs)
-        return run
-
-    # -- scalar FP, vectorized over the batch ---------------------------
-
-    def _bind_fadd_like(self, i, kind):
-        fmt = registry.by_suffix(i.spec.fp_fmt)
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        mask = fmt.bits_mask if fmt.width < 32 else MASK32
-        umask = _U32(mask)
-        vec_ok = fpbatch.batchable(fmt)
-        sop = _SCALAR_FP3[kind]
-        sub = kind == "fsub"
-        ismul = kind == "fmul"
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            rm = getrm(bt)
-            a = bt.xregs[rs1]
-            b = bt.xregs[rs2]
-            if type(a) is int and type(b) is int:
-                bits, fl = sop(fmt, a & mask, b & mask, rm)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & mask
-                return
-            av = bt.read_x_vec(rs1) & umask
-            bv = bt.read_x_vec(rs2) & umask
-            if vec_ok and rm is _RNE:
-                if ismul:
-                    bits, fl, fb = fpbatch.mul(fmt, av, bv)
+        def scalar(columns, rm):
+            """The scalar compute over operand columns: one int array
+            each of results and flags."""
+            try:
+                if rounds:
+                    outs = [fn(*ops, rm) for ops in zip(*columns)]
                 else:
-                    bits, fl, fb = fpbatch.add(fmt, av, bv, sub=sub)
-                if fb.any():
-                    for l in np.nonzero(fb)[0]:
-                        b_, f_ = sop(fmt, int(av[l]), int(bv[l]), rm)
-                        bits[l] = b_ & mask
-                        fl[l] = f_
-            else:
-                bits, fl = _lanewise(bt.n, lambda l: sop(
-                    fmt, int(av[l]), int(bv[l]), rm))
-                bits &= umask
-            bt.accrue(fl)
-            if rd:
-                bt.xregs[rd] = bits
-        return run
-
-    def _bind_fma_like(self, i, kind):
-        fmt = registry.by_suffix(i.spec.fp_fmt)
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        mask = fmt.bits_mask if fmt.width < 32 else MASK32
-        umask = _U32(mask)
-        vec_ok = fpbatch.batchable(fmt)
-        np_, na = _FMA_NEG[kind]
-        rd, rs1, rs2, rs3 = i.rd, i.rs1, i.rs2, i.rs3
+                    outs = [fn(*ops) for ops in zip(*columns)]
+            except GUEST_FAULTS:
+                raise _Drain() from None
+            if flagged:
+                outs = np.array(outs, dtype=_I64).reshape(-1, 2)
+                return outs[:, 0] & dmask, outs[:, 1]
+            return np.array(outs, dtype=_I64) & dmask, 0
 
         def run(bt):
-            rm = getrm(bt)
-            a, b, c = bt.xregs[rs1], bt.xregs[rs2], bt.xregs[rs3]
-            if type(a) is int and type(b) is int and type(c) is int:
-                bits, fl = arith.ffma(fmt, a & mask, b & mask, c & mask, rm,
-                                      negate_product=np_, negate_addend=na)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & mask
-                return
-            av = bt.read_x_vec(rs1) & umask
-            bv = bt.read_x_vec(rs2) & umask
-            cv = bt.read_x_vec(rs3) & umask
-            if vec_ok and rm is _RNE:
-                bits, fl, fb = fpbatch.fma(fmt, av, bv, cv,
-                                           negate_product=np_,
-                                           negate_addend=na)
-                if fb.any():
-                    for l in np.nonzero(fb)[0]:
-                        b_, f_ = arith.ffma(
-                            fmt, int(av[l]), int(bv[l]), int(cv[l]), rm,
-                            negate_product=np_, negate_addend=na)
-                        bits[l] = b_ & mask
-                        fl[l] = f_
+            rm = None
+            if rounds:
+                rm = static if static is not None else _RM_BY_VALUE.get(bt.frm)
+                # A reserved frm traps on the scalar core; with per-lane
+                # SR keys the scalar core rounds each lane.
+                if rm is None or (rm is _SR and engine.sr_nonuniform):
+                    raise _Drain()
+            x = bt.xregs
+            vals = [x[r] for r in regs]
+            for v in vals:
+                if type(v) is not int:
+                    break
             else:
-                bits, fl = _lanewise(bt.n, lambda l: arith.ffma(
-                    fmt, int(av[l]), int(bv[l]), int(cv[l]), rm,
-                    negate_product=np_, negate_addend=na))
-                bits &= umask
-            bt.accrue(fl)
-            if rd:
-                bt.xregs[rd] = bits
-        return run
-
-    def _bind_fmulex(self, i):
-        src = registry.by_suffix(i.spec.src_fmt)
-        dst = FORMATS_BY_SUFFIX["s"]
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        smask = src.bits_mask if src.width < 32 else MASK32
-        usmask = _U32(smask)
-        vec_ok = fpbatch.batchable(src)
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            rm = getrm(bt)
-            a, b = bt.xregs[rs1], bt.xregs[rs2]
-            if type(a) is int and type(b) is int:
-                bits, fl = arith.fmul_widen(src, dst, a & smask, b & smask,
-                                            rm)
-                bt.accrue(fl)
+                args = [v & k for v, k in zip(vals, masks)]
+                args[-1] *= scale
+                try:
+                    out = fn(*args, rm) if rounds else fn(*args)
+                except GUEST_FAULTS:
+                    raise _Drain() from None
+                if flagged:
+                    out, flags = out
+                    bt.accrue(flags)
                 if rd:
-                    bt.xregs[rd] = bits & MASK32
+                    x[rd] = out & dmask
                 return
-            av = bt.read_x_vec(rs1) & usmask
-            bv = bt.read_x_vec(rs2) & usmask
-            if vec_ok and rm is _RNE:
-                bits, fl, fb = fpbatch.mul(dst, av, bv, src=src)
-                if fb.any():
-                    for l in np.nonzero(fb)[0]:
-                        b_, f_ = arith.fmul_widen(src, dst, int(av[l]),
-                                                  int(bv[l]), rm)
-                        bits[l] = b_ & MASK32
-                        fl[l] = f_
+            arrays = [bt.read_x_vec(r) & k for r, k in zip(regs, umasks)]
+            if scale != 1:
+                arrays[-1] = arrays[-1] * _U32(scale)
+            if vector is not None and (not rounds or rm is _RNE):
+                bits, flags, fallback = vector(*arrays)
+                if fallback is not None and fallback.any():
+                    lanes = np.nonzero(fallback)[0]
+                    bits[lanes], flags[lanes] = scalar(
+                        [a[lanes].tolist() for a in arrays], rm)
             else:
-                bits, fl = _lanewise(bt.n, lambda l: arith.fmul_widen(
-                    src, dst, int(av[l]), int(bv[l]), rm))
-            bt.accrue(fl)
+                bits, flags = scalar([a.tolist() for a in arrays], rm)
+                bits = bits.astype(_U32)
+                flags = flags.astype(_U8) if flagged else 0
+            bt.accrue(flags)
             if rd:
-                bt.xregs[rd] = bits
-        return run
-
-    def _bind_fmacex(self, i):
-        src = registry.by_suffix(i.spec.src_fmt)
-        dst = FORMATS_BY_SUFFIX["s"]
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        smask = src.bits_mask if src.width < 32 else MASK32
-        usmask = _U32(smask)
-        vec_ok = fpbatch.batchable(src)
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            rm = getrm(bt)
-            a, b = bt.xregs[rs1], bt.xregs[rs2]
-            acc = bt.xregs[rd]
-            if type(a) is int and type(b) is int and type(acc) is int:
-                bits, fl = arith.fma_mixed(src, dst, a & smask, b & smask,
-                                           acc & MASK32, rm)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & MASK32
-                return
-            av = bt.read_x_vec(rs1) & usmask
-            bv = bt.read_x_vec(rs2) & usmask
-            cv = bt.read_x_vec(rd)
-            if vec_ok and rm is _RNE:
-                bits, fl, fb = fpbatch.fma(dst, av, bv, cv, src=src)
-                if fb.any():
-                    for l in np.nonzero(fb)[0]:
-                        b_, f_ = arith.fma_mixed(src, dst, int(av[l]),
-                                                 int(bv[l]), int(cv[l]), rm)
-                        bits[l] = b_ & MASK32
-                        fl[l] = f_
-            else:
-                bits, fl = _lanewise(bt.n, lambda l: arith.fma_mixed(
-                    src, dst, int(av[l]), int(bv[l]), int(cv[l]), rm))
-            bt.accrue(fl)
-            if rd:
-                bt.xregs[rd] = bits
-        return run
-
-    def _bind_fcmp(self, i, kind):
-        fmt = registry.by_suffix(i.spec.fp_fmt)
-        mask = fmt.bits_mask if fmt.width < 32 else MASK32
-        umask = _U32(mask)
-        vec_ok = fpbatch.batchable(fmt)
-        opname, sop = _CMP_OPS[kind]
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            a, b = bt.xregs[rs1], bt.xregs[rs2]
-            if type(a) is int and type(b) is int:
-                res, fl = sop(fmt, a & mask, b & mask)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = res & MASK32
-                return
-            av = bt.read_x_vec(rs1) & umask
-            bv = bt.read_x_vec(rs2) & umask
-            if vec_ok:
-                res, fl = fpbatch.cmp(fmt, opname, av, bv)
-            else:
-                res, fl = _lanewise(bt.n, lambda l: sop(
-                    fmt, int(av[l]), int(bv[l])))
-            bt.accrue(fl)
-            if rd:
-                bt.xregs[rd] = res
-        return run
-
-    def _bind_fcvt(self, i):
-        src = registry.by_suffix(i.spec.src_fmt)
-        dst = registry.by_suffix(i.spec.fp_fmt)
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        smask = src.bits_mask if src.width < 32 else MASK32
-        dmask = dst.bits_mask if dst.width < 32 else MASK32
-        usmask = _U32(smask)
-        vec_ok = fpbatch.batchable(src) and fpbatch.batchable(dst)
-        rd, rs1 = i.rd, i.rs1
-
-        def run(bt):
-            rm = getrm(bt)
-            a = bt.xregs[rs1]
-            if type(a) is int:
-                bits, fl = _fcvt_scalar(src, dst, a & smask, rm)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & dmask
-                return
-            av = bt.read_x_vec(rs1) & usmask
-            if vec_ok and rm is _RNE:
-                bits, fl, fb = fpbatch.cvt(src, dst, av)
-                if fb.any():
-                    for l in np.nonzero(fb)[0]:
-                        b_, f_ = _fcvt_scalar(src, dst, int(av[l]), rm)
-                        bits[l] = b_ & dmask
-                        fl[l] = f_
-            else:
-                bits, fl = _lanewise(bt.n, lambda l: _fcvt_scalar(
-                    src, dst, int(av[l]), rm))
-                bits &= _U32(dmask)
-            bt.accrue(fl)
-            if rd:
-                bt.xregs[rd] = bits
-        return run
-
-    # -- packed-SIMD, vectorized over the batch --------------------------
-
-    def _bind_vec_arith(self, i, kind):
-        fmt = registry.by_suffix(i.spec.fp_fmt)
-        if fmt.width >= 32:
-            return self._bind_scratch(i)
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        w = fmt.width
-        nl = 32 // w
-        fmt_mask = fmt.bits_mask
-        umask = _U32(fmt_mask)
-        repl = bool(i.spec.repl)
-        repl_factor = (sum(1 << (k * w) for k in range(nl)) if repl else None)
-        vec_ok = fpbatch.batchable(fmt)
-        sop, sub, ismul = _VEC3[kind]
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            rm = getrm(bt)
-            a, b = bt.xregs[rs1], bt.xregs[rs2]
-            if type(a) is int and type(b) is int:
-                beff = (b & fmt_mask) * repl_factor if repl else b
-                bits, fl = sop(fmt, 32, a, beff, rm)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & MASK32
-                return
-            av = bt.read_x_vec(rs1)
-            bv = bt.read_x_vec(rs2)
-            if vec_ok and rm is _RNE:
-                out = np.zeros(bt.n, dtype=_U32)
-                flt = np.zeros(bt.n, dtype=_U8)
-                fb_any = np.zeros(bt.n, dtype=bool)
-                for k in range(nl):
-                    ak = (av >> _U32(k * w)) & umask
-                    bk = (bv & umask) if repl else ((bv >> _U32(k * w))
-                                                   & umask)
-                    if ismul:
-                        bits_k, fl_k, fb_k = fpbatch.mul(fmt, ak, bk)
-                    else:
-                        bits_k, fl_k, fb_k = fpbatch.add(fmt, ak, bk,
-                                                         sub=sub)
-                    out |= bits_k << _U32(k * w)
-                    flt |= fl_k
-                    fb_any |= fb_k
-                if fb_any.any():
-                    for l in np.nonzero(fb_any)[0]:
-                        bfull = int(bv[l])
-                        beff = ((bfull & fmt_mask) * repl_factor
-                                if repl else bfull)
-                        b_, f_ = sop(fmt, 32, int(av[l]), beff, rm)
-                        out[l] = b_ & MASK32
-                        flt[l] = f_
-            else:
-                def one(l):
-                    bfull = int(bv[l])
-                    beff = ((bfull & fmt_mask) * repl_factor
-                            if repl else bfull)
-                    return sop(fmt, 32, int(av[l]), beff, rm)
-                out, flt = _lanewise(bt.n, one)
-            bt.accrue(flt)
-            if rd:
-                bt.xregs[rd] = out
-        return run
-
-    def _bind_vfmac(self, i):
-        fmt = registry.by_suffix(i.spec.fp_fmt)
-        if fmt.width >= 32:
-            return self._bind_scratch(i)
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        w = fmt.width
-        nl = 32 // w
-        fmt_mask = fmt.bits_mask
-        umask = _U32(fmt_mask)
-        repl = bool(i.spec.repl)
-        repl_factor = (sum(1 << (k * w) for k in range(nl)) if repl else None)
-        vec_ok = fpbatch.batchable(fmt)
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            rm = getrm(bt)
-            a, b = bt.xregs[rs1], bt.xregs[rs2]
-            acc = bt.xregs[rd]
-            if type(a) is int and type(b) is int and type(acc) is int:
-                beff = (b & fmt_mask) * repl_factor if repl else b
-                bits, fl = simd.vfmac(fmt, 32, acc, a, beff, rm)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & MASK32
-                return
-            av = bt.read_x_vec(rs1)
-            bv = bt.read_x_vec(rs2)
-            cv = bt.read_x_vec(rd)
-            if vec_ok and rm is _RNE:
-                out = np.zeros(bt.n, dtype=_U32)
-                flt = np.zeros(bt.n, dtype=_U8)
-                fb_any = np.zeros(bt.n, dtype=bool)
-                for k in range(nl):
-                    ak = (av >> _U32(k * w)) & umask
-                    bk = (bv & umask) if repl else ((bv >> _U32(k * w))
-                                                   & umask)
-                    ck = (cv >> _U32(k * w)) & umask
-                    bits_k, fl_k, fb_k = fpbatch.fma(fmt, ak, bk, ck)
-                    out |= bits_k << _U32(k * w)
-                    flt |= fl_k
-                    fb_any |= fb_k
-                if fb_any.any():
-                    for l in np.nonzero(fb_any)[0]:
-                        bfull = int(bv[l])
-                        beff = ((bfull & fmt_mask) * repl_factor
-                                if repl else bfull)
-                        b_, f_ = simd.vfmac(fmt, 32, int(cv[l]),
-                                            int(av[l]), beff, rm)
-                        out[l] = b_ & MASK32
-                        flt[l] = f_
-            else:
-                def one(l):
-                    bfull = int(bv[l])
-                    beff = ((bfull & fmt_mask) * repl_factor
-                            if repl else bfull)
-                    return simd.vfmac(fmt, 32, int(cv[l]), int(av[l]),
-                                      beff, rm)
-                out, flt = _lanewise(bt.n, one)
-            bt.accrue(flt)
-            if rd:
-                bt.xregs[rd] = out
-        return run
-
-    def _bind_vfdotpex(self, i):
-        src = registry.by_suffix(i.spec.src_fmt)
-        dst = FORMATS_BY_SUFFIX["s"]
-        if src.width >= 32:
-            return self._bind_scratch(i)
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        w = src.width
-        nl = 32 // w
-        fmt_mask = src.bits_mask
-        umask = _U32(fmt_mask)
-        repl = bool(i.spec.repl)
-        repl_factor = (sum(1 << (k * w) for k in range(nl)) if repl else None)
-        vec_ok = fpbatch.batchable(src)
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            rm = getrm(bt)
-            a, b = bt.xregs[rs1], bt.xregs[rs2]
-            acc = bt.xregs[rd]
-            if type(a) is int and type(b) is int and type(acc) is int:
-                beff = (b & fmt_mask) * repl_factor if repl else b
-                bits, fl = simd.vfdotpex(src, dst, 32, acc & MASK32, a,
-                                         beff, rm)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & MASK32
-                return
-            av = bt.read_x_vec(rs1)
-            bv = bt.read_x_vec(rs2)
-            cv = bt.read_x_vec(rd)
-            if vec_ok and rm is _RNE:
-                a_lanes = [(av >> _U32(k * w)) & umask for k in range(nl)]
-                if repl:
-                    b_lanes = [bv & umask for _ in range(nl)]
-                else:
-                    b_lanes = [(bv >> _U32(k * w)) & umask
-                               for k in range(nl)]
-                bits, fl, fb = fpbatch.dotp(src, dst, cv, a_lanes, b_lanes)
-                if fb.any():
-                    for l in np.nonzero(fb)[0]:
-                        bfull = int(bv[l])
-                        beff = ((bfull & fmt_mask) * repl_factor
-                                if repl else bfull)
-                        b_, f_ = simd.vfdotpex(src, dst, 32, int(cv[l]),
-                                               int(av[l]), beff, rm)
-                        bits[l] = b_ & MASK32
-                        fl[l] = f_
-            else:
-                def one(l):
-                    bfull = int(bv[l])
-                    beff = ((bfull & fmt_mask) * repl_factor
-                            if repl else bfull)
-                    return simd.vfdotpex(src, dst, 32, int(cv[l]),
-                                         int(av[l]), beff, rm)
-                bits, fl = _lanewise(bt.n, one)
-            bt.accrue(fl)
-            if rd:
-                bt.xregs[rd] = bits
+                x[rd] = bits
         return run
 
     # ------------------------------------------------------------------
     # Terminators
     # ------------------------------------------------------------------
     def _bind_term(self, term):
-        i, tpc, fallthrough = term[1], term[2], term[3]
-        kind = i.kind
-        if kind in _BR_U:
-            uf, vf = _BR_U[kind], _BR_V[kind]
-            rs1, rs2 = i.rs1, i.rs2
-            target = (tpc + i.imm) & MASK32
+        i, tpc, link = term[1], term[2], term[3]
+        row = SEMANTICS.get(i.kind)
+        shape = row.shape if row is not None else None
+        if shape == "branch":
+            return _bind_branch(i, row, (tpc + i.imm) & MASK32)
+        if shape == "jump":
+            return _bind_jump(i, row, tpc, link)
+        if shape == "csr":
+            return self._bind_csr_term(i, row)
+        return _drain_entry  # ecall/ebreak: scalar core decides
 
-            def run(bt, uf=uf, vf=vf, rs1=rs1, rs2=rs2, target=target):
-                a, b = bt.xregs[rs1], bt.xregs[rs2]
-                if type(a) is int and type(b) is int:
-                    return target if uf(a, b) else None
-                mask = vf(bt.read_x_vec(rs1), bt.read_x_vec(rs2))
-                if mask.all():
-                    return target
-                if not mask.any():
-                    return None
-                return _SplitMask(mask, target)
-            return run
-        if kind == "jal":
-            rd = i.rd
-            target = (tpc + i.imm) & MASK32
-            link = fallthrough
-
-            def run(bt, rd=rd, target=target, link=link):
-                if rd:
-                    bt.xregs[rd] = link
-                return target
-            return run
-        if kind == "jalr":
-            rd, rs1, imm = i.rd, i.rs1, i.imm
-            link = fallthrough
-
-            def run(bt, rd=rd, rs1=rs1, imm=imm, link=link):
-                base = bt.xregs[rs1]
-                if type(base) is not int:
-                    base = _devec(base)
-                    if type(base) is not int:
-                        raise _Drain()  # indirect-jump divergence
-                target = (base + imm) & ~1 & MASK32
-                if rd:
-                    bt.xregs[rd] = link
-                return target
-            return run
-        if kind in _CSR_TERM_KINDS:
-            return self._bind_csr_term(i)
-        return _drain_entry  # ecall/ebreak/other cf: scalar core decides
-
-    def _bind_csr_term(self, i):
-        num, kind, rd, rs1 = i.imm, i.kind, i.rd, i.rs1
+    def _bind_csr_term(self, i, row):
+        num, rd, rs1 = i.imm, i.rd, i.rs1
+        op = row.op
+        writes = not (row.skip_x0 and rs1 == 0)
+        immediate = i.spec.syntax[-1] == "zimm"
 
         def run(bt):
             old = self._csr_read(bt, num)
-            if kind == "csrrw":
-                self._csr_write(bt, num, bt.xregs[rs1] if rs1 else 0)
-            elif kind == "csrrs":
-                if rs1:
-                    self._csr_write(bt, num, _bits_or(old, bt.xregs[rs1]))
-            elif kind == "csrrc":
-                if rs1:
-                    self._csr_write(bt, num,
-                                    _bits_andnot(old, bt.xregs[rs1]))
-            elif kind == "csrrwi":
-                self._csr_write(bt, num, rs1)
-            elif kind == "csrrsi":
-                if rs1:
-                    self._csr_write(bt, num, _bits_or(old, rs1))
-            else:  # csrrci
-                if rs1:
-                    self._csr_write(bt, num, _bits_andnot(old, rs1))
+            if writes:
+                value = rs1 if immediate else bt.xregs[rs1]
+                if type(old) is int and type(value) is int:
+                    self._csr_write(bt, num, op(old, value))
+                else:
+                    self._csr_write(bt, num, op(_lift(old), _lift(value)))
             if rd:
                 bt.xregs[rd] = old
             return None
@@ -1704,28 +1047,67 @@ class LockstepEngine:
 # ----------------------------------------------------------------------
 # Module-level binder helpers (no engine state needed)
 # ----------------------------------------------------------------------
-def _bind_int_rr(i, uf, vf):
+def _bind_alu(i, row):
     rd, rs1, rs2 = i.rd, i.rs1, i.rs2
     if rd == 0:
         return _nop_entry
+    op, vector = row.op, row.batch
+    reg = "rs2" in i.spec.syntax
+    imm = i.imm & MASK32
+    imm_u32 = _U32(imm)
 
-    def run(bt, rd=rd, rs1=rs1, rs2=rs2, uf=uf, vf=vf):
-        a, b = bt.xregs[rs1], bt.xregs[rs2]
+    def run(bt):
+        x = bt.xregs
+        a = x[rs1]
+        b = x[rs2] if reg else imm
         if type(a) is int and type(b) is int:
-            bt.xregs[rd] = uf(a, b)
+            x[rd] = op(a, b) & MASK32
+        elif vector is not None:
+            x[rd] = vector(_lift(a), _lift(b) if reg else imm_u32)
         else:
-            bt.xregs[rd] = vf(bt.read_x_vec(rs1), bt.read_x_vec(rs2))
+            av, bv = np.broadcast_arrays(_lift(a), _lift(b))
+            x[rd] = np.array([op(int(p), int(q)) & MASK32
+                              for p, q in zip(av, bv)], dtype=_U32)
     return run
 
 
-def _bind_int_imm(i, uf, vf):
-    rd, rs1 = i.rd, i.rs1
-    if rd == 0:
-        return _nop_entry
+def _bind_branch(i, row, target):
+    rs1, rs2, op, vector = i.rs1, i.rs2, row.op, row.batch
 
-    def run(bt, rd=rd, rs1=rs1, uf=uf, vf=vf):
-        a = bt.xregs[rs1]
-        bt.xregs[rd] = uf(a) if type(a) is int else vf(a)
+    def run(bt):
+        a, b = bt.xregs[rs1], bt.xregs[rs2]
+        if type(a) is int and type(b) is int:
+            return target if op(a, b) else None
+        mask = vector(_lift(a), _lift(b))
+        if mask.all():
+            return target
+        if not mask.any():
+            return None
+        return _SplitMask(mask, target)
+    return run
+
+
+def _bind_jump(i, row, tpc, link):
+    rd, rs1, imm, op = i.rd, i.rs1, i.imm, row.op
+    indirect = "rs1" in i.spec.syntax
+
+    if not indirect:
+        target = op(tpc, 0, imm)
+
+        def run(bt):
+            if rd:
+                bt.xregs[rd] = link
+            return target
+        return run
+
+    def run(bt):
+        base = _devec(bt.xregs[rs1])
+        if type(base) is not int:
+            raise _Drain()  # indirect-jump divergence
+        target = op(tpc, base, imm)
+        if rd:
+            bt.xregs[rd] = link
+        return target
     return run
 
 
@@ -1780,23 +1162,6 @@ def _bind_store(i, size, mask):
             addrs = base + _U32(imm & MASK32)
             bt.mem.scatter(addrs, value, size, bt.midx)
     return run
-
-
-def _bits_or(a, b):
-    if type(a) is int and type(b) is int:
-        return a | b
-    av = a if type(a) is not int else _U32(a & MASK32)
-    bv = b if type(b) is not int else _U32(b & MASK32)
-    return av | bv
-
-
-def _bits_andnot(a, b):
-    """``a & ~b`` on 32-bit values (int or vector)."""
-    if type(a) is int and type(b) is int:
-        return a & ~b
-    av = a if type(a) is not int else _U32(a & MASK32)
-    bv = b if type(b) is not int else _U32(b & MASK32)
-    return av & ~bv
 
 
 def _clone_trace(p: Trace) -> Trace:

@@ -17,7 +17,6 @@ exception, so sweep drivers can record the outcome and move on.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
@@ -62,12 +61,6 @@ EXIT_REASONS = ("halt", "ecall", "ebreak", "trap", "budget_exceeded")
 
 #: Hook called before each instruction: ``hook(simulator, executed)``.
 StepHook = Callable[["Simulator", int], None]
-
-
-def _fast_path_default() -> bool:
-    """Resolve the ``REPRO_FAST_PATH`` environment knob (on by default)."""
-    value = os.environ.get("REPRO_FAST_PATH", "1").strip().lower()
-    return value not in ("0", "off", "false", "no")
 
 
 class SimulationError(ReproError):
@@ -133,11 +126,10 @@ class Simulator:
         self.program: Optional[Program] = None
         self._decode_cache: Dict[int, Tuple[Instr, int]] = {}
         #: Use the predecoded block engine when the run has no
-        #: step hook or profile sink.  ``None`` defers to the
-        #: ``REPRO_FAST_PATH`` environment variable (on by default);
-        #: the differential tests pin both values explicitly.
-        self.fast_path = (_fast_path_default() if fast_path is None
-                          else fast_path)
+        #: step hook or profile sink (``None`` means yes); ``False``
+        #: selects the reference loop, which the differential tests
+        #: compare against.
+        self.fast_path = fast_path is not False
         self._block_engine = None  # built lazily on first fast run
         if program is not None:
             self.load(program)

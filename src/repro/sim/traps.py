@@ -55,6 +55,14 @@ class ArchitecturalTrap(ReproError):
         super().__init__(detail or name)
 
 
+class EcallTrap(Exception):
+    """Raised by ``ecall``; the simulator treats it as program exit."""
+
+
+class EbreakTrap(Exception):
+    """Raised by ``ebreak`` (breakpoint)."""
+
+
 @dataclass(frozen=True)
 class TrapInfo:
     """Diagnostic record of one taken trap (mirrors the trap CSRs)."""

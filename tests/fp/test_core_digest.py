@@ -53,6 +53,9 @@ FLEN = 32
 MIXED = ((BINARY8, BINARY32), (BINARY16, BINARY32), (BINARY16ALT, BINARY32))
 
 EXPECTED = {
+    'divsqrt.mx8': '92c55336814935f7',
+    'divsqrt.posit16': '39cc7b77c9d50f50',
+    'divsqrt.posit8': '24137990e61aa8b9',
     'mixed.binary16.binary32': '9760cd4f3644d21b',
     'mixed.binary16alt.binary32': 'c9d9ad002ec04444',
     'mixed.binary8.binary32': '7862f18cc81fc2f8',
@@ -109,19 +112,18 @@ def _record(h, result):
 
 def _scalar(rec, fmt, rng):
     pool = _pool(fmt, rng)
-    # The guest codecs have no fixed precision, which the exact
-    # division and square root size their quotient/root from.
-    divides = hasattr(fmt, "precision")
     for rm in MODES:
         h = rec.section(f"scalar.{fmt.name}")
+        # Guest-format division and square root are pinned in sections
+        # of their own, added after the scalar ones.
+        hd = h if fmt.ieee else rec.section(f"divsqrt.{fmt.name}")
         a, b, c = (_pick(pool, rng, N_TUPLES) for _ in range(3))
         for x, y, z in zip(a, b, c):
             _record(h, arith.fadd(fmt, x, y, rm))
             _record(h, arith.fsub(fmt, x, y, rm))
             _record(h, arith.fmul(fmt, x, y, rm))
-            if divides:
-                _record(h, arith.fdiv(fmt, x, y, rm))
-                _record(h, arith.fsqrt(fmt, x, rm))
+            _record(hd, arith.fdiv(fmt, x, y, rm))
+            _record(hd, arith.fsqrt(fmt, x, rm))
             for neg_p in (False, True):
                 for neg_a in (False, True):
                     _record(h, arith.ffma(fmt, x, y, z, rm, neg_p, neg_a))
