@@ -7,8 +7,9 @@ conversion loop both ways and measures the difference the instruction
 makes.
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.compiler import compile_source
 from repro.energy import EnergyModel
 from repro.fp import BINARY32
@@ -64,7 +65,7 @@ def test_ablation_cast_and_pack(benchmark):
                           "energy_pj": without_energy.total},
         "cycle_saving": 1.0 - with_cpk.cycles / without_cpk.cycles,
     }
-    save_result("ablation_castpack", rows)
+    check_baseline(result_path("ablation_castpack"), rows)
     print("\nAblation -- cast-and-pack vs convert-then-assemble")
     print(f"  with vfcpka:    {with_cpk.cycles:6d} cycles, "
           f"{with_cpk.instret} instructions")

@@ -6,8 +6,9 @@ explicit conversion instruction cycles unnecessary", Section III-C),
 and confirms both produce bit-identical results.
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.compiler import compile_source
 from repro.fp import BINARY16, BINARY32
 from repro.fp.convert import from_double, to_double
@@ -62,7 +63,7 @@ def test_ablation_expanding_mac(benchmark):
                            "instret": without_ex.instret},
         "cycle_saving": 1.0 - with_ex.cycles / without_ex.cycles,
     }
-    save_result("ablation_expanding", rows)
+    check_baseline(result_path("ablation_expanding"), rows)
     print("\nAblation -- expanding MAC vs convert+fma")
     print(f"  with fmacex.s.h: {with_ex.cycles} cycles")
     print(f"  convert + mul + add: {without_ex.cycles} cycles")

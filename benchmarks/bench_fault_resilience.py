@@ -10,8 +10,9 @@ rates and the mean SQNR drop so the sweep is comparable across
 revisions.
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.faults import run_campaign
 
 KERNELS = ("gemm", "svm")
@@ -42,7 +43,7 @@ def test_fault_resilience(benchmark):
         for ftype in FTYPES
         for flips in FLIP_COUNTS
     ]
-    save_result("fault_resilience", rows)
+    check_baseline(result_path("fault_resilience"), rows)
 
     print("\nFault resilience -- QoR degradation vs flip count")
     print(f"  {'kernel':<6s}{'type':<11s}{'flips':>6s}{'masked':>8s}"

@@ -6,9 +6,10 @@ Our reproduction preserves the ordering and rough factors (see
 EXPERIMENTS.md for measured-vs-paper discussion).
 """
 
-from conftest import save_result
+from conftest import result_path
 
-from repro.harness.experiments import cached_run, fig1_speedup
+from repro.analysis.serialize import check_baseline
+from repro.harness.experiments import cached_run, clear_cache, fig1_speedup
 
 
 def _avg(rows, ftype, mode):
@@ -17,14 +18,17 @@ def _avg(rows, ftype, mode):
                 and r["ftype"] == ftype and r["mode"] == mode)
 
 
-def test_fig1_speedup(benchmark, fig1_rows):
+def test_fig1_speedup(benchmark):
+    rows = fig1_speedup()
     # Time one representative configuration end to end.
     benchmark.pedantic(
         lambda: cached_run("gemm", "float16", "auto").cycles,
         rounds=1, iterations=1,
     )
-    rows = fig1_rows
-    save_result("fig1_speedup", rows)
+    check_baseline(result_path("fig1_speedup"), rows)
+    # The batched lockstep sweep reproduces the scalar rows exactly.
+    clear_cache()
+    check_baseline(result_path("fig1_speedup"), fig1_speedup(lockstep=8))
 
     print("\nFig. 1 -- speedup vs float (measured / ideal)")
     benches = sorted({r["benchmark"] for r in rows} - {"average"})

@@ -8,8 +8,9 @@ because our baseline compiler leaves more non-memory overhead in all
 builds (EXPERIMENTS.md discusses this).
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.harness.experiments import (
     cached_run,
     fig2_latency_gains,
@@ -17,13 +18,13 @@ from repro.harness.experiments import (
 )
 
 
-def test_fig2_latency_speedup(benchmark, fig2_rows):
+def test_fig2_latency_speedup(benchmark):
+    rows = fig2_latency_speedup()
     benchmark.pedantic(
         lambda: cached_run("atax", "float16", "manual", 10).cycles,
         rounds=1, iterations=1,
     )
-    rows = fig2_rows
-    save_result("fig2_latency_speedup", rows)
+    check_baseline(result_path("fig2_latency_speedup"), rows)
 
     print("\nFig. 2 -- speedup vs float at each latency (manual builds)")
     benches = sorted({r["benchmark"] for r in rows})

@@ -8,8 +8,9 @@ than binary16, both save at every latency level, and the normalized
 energy stays below 1 throughout.
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.harness.experiments import (
     cached_run,
     fig3_average_savings,
@@ -17,13 +18,13 @@ from repro.harness.experiments import (
 )
 
 
-def test_fig3_energy(benchmark, fig3_rows):
+def test_fig3_energy(benchmark):
+    rows = fig3_energy()
     benchmark.pedantic(
         lambda: cached_run("syrk", "float8", "manual", 10).energy.total,
         rounds=1, iterations=1,
     )
-    rows = fig3_rows
-    save_result("fig3_energy", rows)
+    check_baseline(result_path("fig3_energy"), rows)
 
     print("\nFig. 3 -- energy normalized to float")
     benches = sorted({r["benchmark"] for r in rows})

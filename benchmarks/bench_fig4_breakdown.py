@@ -10,18 +10,19 @@ The paper's observations, all asserted here:
   overhead (via cast-and-pack/expanding ops) and reduces ALU work.
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.harness.experiments import cached_run, fig4_breakdown
 
 
-def test_fig4_breakdown(benchmark, fig4_data):
+def test_fig4_breakdown(benchmark):
+    data = fig4_breakdown()
     benchmark.pedantic(
         lambda: cached_run("svm_mixed", "float16", "manual").instret,
         rounds=1, iterations=1,
     )
-    data = fig4_data
-    save_result("fig4_breakdown", data)
+    check_baseline(result_path("fig4_breakdown"), data)
 
     categories = list(next(iter(data.values())).keys())
     print("\nFig. 4 -- SVM instruction breakdown (mixed precision)")

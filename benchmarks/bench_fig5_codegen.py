@@ -7,14 +7,15 @@ remove the conversion instructions, reducing by 25% the instruction
 count".
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.harness.experiments import fig5_codegen
 
 
 def test_fig5_codegen(benchmark):
     result = benchmark(fig5_codegen)
-    save_result("fig5_codegen", {
+    check_baseline(result_path("fig5_codegen"), {
         "auto_loop_instructions": result["auto_loop_instructions"],
         "manual_loop_instructions": result["manual_loop_instructions"],
         "reduction": result["reduction"],

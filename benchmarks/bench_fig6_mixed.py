@@ -5,18 +5,19 @@ allows speedup and energy savings comparable to those achievable with
 float16, but achieves the same accuracy of the original float version".
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.harness.experiments import cached_run, fig6_mixed_precision
 
 
-def test_fig6_mixed_precision(benchmark, fig6_rows):
+def test_fig6_mixed_precision(benchmark):
+    rows = fig6_mixed_precision()
     benchmark.pedantic(
         lambda: cached_run("svm_mixed", "float16", "auto").cycles,
         rounds=1, iterations=1,
     )
-    rows = fig6_rows
-    save_result("fig6_mixed_precision", rows)
+    check_baseline(result_path("fig6_mixed_precision"), rows)
 
     print("\nFig. 6 -- SVM precision schemes vs float")
     print(f"  {'scheme':<14s} {'speedup':>8s} {'energy':>8s} "

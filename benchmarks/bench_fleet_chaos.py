@@ -17,10 +17,9 @@ quarantines) so a silent loss of fault *coverage* -- a scenario that
 stops actually killing anyone -- also fails the gate.
 """
 
-import json
 import os
 
-from repro.analysis.serialize import read_canonical
+from repro.analysis.serialize import read_canonical, write_canonical
 from repro.serve.chaos import ChaosScenario, run_chaos_scenario
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -66,11 +65,9 @@ def collect():
 
 
 def test_fleet_chaos(capsys):
-    from conftest import save_result
-
-    baseline = read_canonical(BASELINE_PATH)  # before save_result writes
+    baseline = read_canonical(BASELINE_PATH)  # before this run writes
     report = collect()
-    save_result("BENCH_fleet_chaos", report)
+    write_canonical(BASELINE_PATH, report)
 
     coverage = report["coverage"]
     with capsys.disabled():
@@ -106,8 +103,4 @@ def test_fleet_chaos(capsys):
 
 if __name__ == "__main__":
     result = collect()
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(result, indent=2))
+    print(write_canonical(BASELINE_PATH, result).read_text(), end="")

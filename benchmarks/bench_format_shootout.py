@@ -9,24 +9,23 @@ build saves energy against the binary32 baseline.
 """
 
 import math
-import os
 
-from conftest import save_result
+from conftest import result_path
 
-from repro.analysis.serialize import read_canonical
+from repro.analysis.serialize import check_baseline
 from repro.harness.experiments import cached_run, format_shootout
 
 BENCH_ORDER = ["svm", "gemm", "atax", "syrk", "syr2k", "fdtd2d"]
 FTYPES = ("float8", "posit8", "mx8")
 
 
-def test_format_shootout(benchmark, shootout_rows):
+def test_format_shootout(benchmark):
+    rows = format_shootout()
     benchmark.pedantic(
         lambda: cached_run("gemm", "posit8", "scalar").sqnr_db(),
         rounds=1, iterations=1,
     )
-    rows = shootout_rows
-    save_result("format_shootout", rows)
+    check_baseline(result_path("format_shootout"), rows)
 
     def row(bench, ftype):
         return next(r for r in rows
@@ -54,25 +53,3 @@ def test_format_shootout(benchmark, shootout_rows):
         # binary8's 2-bit mantissa loses to both guests' encodings.
         assert row(bench, "posit8")["sqnr_db"] > f8, bench
         assert row(bench, "mx8")["sqnr_db"] > f8, bench
-
-
-#: Captured at import time, before save_result() refreshes the file --
-#: the comparison below must see what was committed, not what this
-#: session just wrote.
-_COMMITTED = read_canonical(os.path.join(
-    os.path.dirname(__file__), "results", "format_shootout.json"))
-
-
-def test_shootout_matches_committed_baseline(shootout_rows):
-    """Drift check: regenerated rows equal the committed snapshot.
-
-    The pipeline is deterministic (fixed seeds, exact bit-level
-    arithmetic), so any diff means a format's codec or the shared
-    machinery changed behaviour -- regenerate the baseline only with
-    an intentional change.
-    """
-    if _COMMITTED is None:
-        import pytest
-        pytest.skip("no committed baseline yet; this run generates it")
-    key = lambda r: (r["benchmark"], r["ftype"])  # noqa: E731
-    assert sorted(_COMMITTED, key=key) == sorted(shootout_rows, key=key)

@@ -21,12 +21,11 @@ host drift moves it further.  The lockstep/fast ratio is still
 reported.
 """
 
-import json
 import os
 import sys
 import time
 
-from repro.analysis.serialize import read_canonical
+from repro.analysis.serialize import read_canonical, write_canonical
 from repro.harness.experiments import clear_cache, fig1_points
 from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import run_kernel, run_kernel_batch
@@ -163,12 +162,10 @@ def collect():
 
 
 def test_host_perf(capsys):
-    from conftest import save_result
-
-    baseline = read_canonical(BASELINE_PATH)  # before save_result writes
+    baseline = read_canonical(BASELINE_PATH)  # before this run writes
     clear_cache()
     payload = collect()
-    save_result("BENCH_host_perf", payload)
+    write_canonical(BASELINE_PATH, payload)
 
     with capsys.disabled():
         print(f"\nhost perf: ref {payload['reference']['guest_mips']} MIPS, "
@@ -200,8 +197,4 @@ def test_host_perf(capsys):
 if __name__ == "__main__":
     clear_cache()
     result = collect()
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(result, indent=2))
+    print(write_canonical(BASELINE_PATH, result).read_text(), end="")

@@ -18,13 +18,12 @@ the committed ``results/BENCH_serve_load.json`` baseline gates on the
 ratio with a generous tolerance, and on a hard floor of 2x.
 """
 
-import json
 import os
 import statistics
 import threading
 import time
 
-from repro.analysis.serialize import read_canonical
+from repro.analysis.serialize import read_canonical, write_canonical
 from repro.serve import ReproServeApp, ServeClient, make_server
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -215,11 +214,9 @@ def collect():
 
 
 def test_serve_load(capsys):
-    from conftest import save_result
-
-    baseline = read_canonical(BASELINE_PATH)  # before save_result writes
+    baseline = read_canonical(BASELINE_PATH)  # before this run writes
     payload = collect()
-    save_result("BENCH_serve_load", payload)
+    write_canonical(BASELINE_PATH, payload)
 
     with capsys.disabled():
         print(f"\nserve load: cold {payload['cold']['rps']} rps "
@@ -255,8 +252,4 @@ def test_serve_load(capsys):
 
 if __name__ == "__main__":
     result = collect()
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(result, indent=2))
+    print(write_canonical(BASELINE_PATH, result).read_text(), end="")

@@ -4,8 +4,9 @@ Regenerates the table's rows from the live instruction registry and
 times the encode/decode machinery they rely on.
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.isa import decode, encode, spec_by_mnemonic
 
 #: (operation class, example mnemonic, extension) -- paper Table I.
@@ -39,7 +40,7 @@ def _regenerate():
 def test_table1_operations(benchmark):
     rows = benchmark(_regenerate)
     assert len(rows) == len(TABLE1)
-    save_result("table1_operations", rows)
+    check_baseline(result_path("table1_operations"), rows)
     print("\nTable I -- common operations in the smallFloat extensions")
     for row in rows:
         print(f"  {row['class']:<14s} {row['instruction']:<14s} "

@@ -1,7 +1,8 @@
 """Table II: supported vector formats as FLEN changes."""
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.harness.experiments import table2_vector_formats
 
 #: Paper Table II, verbatim.
@@ -16,7 +17,7 @@ EXPECTED = {
 def test_table2_vector_formats(benchmark):
     table = benchmark(table2_vector_formats)
     assert table == EXPECTED
-    save_result("table2_vector_formats", {str(k): v for k, v in table.items()})
+    check_baseline(result_path("table2_vector_formats"), table)
     print("\nTable II -- vector length n per format and FLEN")
     header = ["FLEN", "F", "Xf16", "Xf16alt", "Xf8"]
     print("  " + "  ".join(f"{h:>8s}" for h in header))

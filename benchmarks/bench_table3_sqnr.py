@@ -13,20 +13,21 @@ float16alt ~15-20 dB below it (3 fewer mantissa bits ~= 18 dB), float8
 far below both.
 """
 
-from conftest import save_result
+from conftest import result_path
 
+from repro.analysis.serialize import check_baseline
 from repro.harness.experiments import cached_run, table3_sqnr
 
 BENCH_ORDER = ["svm", "gemm", "atax", "syrk", "syr2k", "fdtd2d"]
 
 
-def test_table3_sqnr(benchmark, table3_rows):
+def test_table3_sqnr(benchmark):
+    rows = table3_sqnr()
     benchmark.pedantic(
         lambda: cached_run("fdtd2d", "float8", "scalar").sqnr_db(),
         rounds=1, iterations=1,
     )
-    rows = table3_rows
-    save_result("table3_sqnr", rows)
+    check_baseline(result_path("table3_sqnr"), rows)
 
     def value(bench, ftype):
         return next(r["sqnr_db"] for r in rows

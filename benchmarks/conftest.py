@@ -1,67 +1,15 @@
-"""Shared fixtures for the per-figure/table benchmark harness.
+"""Shared helper for the per-figure/table benchmark harness.
 
-Experiment data is computed once per session (the drivers memoize runs
-internally) so individual benchmarks stay fast; ``--benchmark-only``
-times the underlying simulation work via representative payloads.
+Every figure, table and ablation bench checks its payload against the
+snapshot committed under ``results/`` with
+:func:`repro.analysis.serialize.check_baseline`; none rewrites one.  To
+regenerate a snapshot, delete it, rerun its bench (which writes the
+file and fails) and review the diff.
 """
 
 import os
 
-import pytest
 
-from repro.analysis.serialize import write_canonical
-from repro.harness import experiments
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _results_dir():
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    yield
-
-
-def save_result(name, payload):
-    """Persist an experiment's rows next to the benchmarks.
-
-    Uses the one canonical serializer (sorted keys, stable layout) so
-    committed snapshots diff cleanly regardless of which bench or
-    regeneration path wrote them.
-    """
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
-    return str(write_canonical(path, payload))
-
-
-@pytest.fixture(scope="session")
-def fig1_rows():
-    return experiments.fig1_speedup()
-
-
-@pytest.fixture(scope="session")
-def fig2_rows():
-    return experiments.fig2_latency_speedup()
-
-
-@pytest.fixture(scope="session")
-def fig3_rows():
-    return experiments.fig3_energy()
-
-
-@pytest.fixture(scope="session")
-def table3_rows():
-    return experiments.table3_sqnr()
-
-
-@pytest.fixture(scope="session")
-def shootout_rows():
-    return experiments.format_shootout()
-
-
-@pytest.fixture(scope="session")
-def fig4_data():
-    return experiments.fig4_breakdown()
-
-
-@pytest.fixture(scope="session")
-def fig6_rows():
-    return experiments.fig6_mixed_precision()
+def result_path(name):
+    """The committed snapshot ``results/<name>.json``."""
+    return os.path.join(os.path.dirname(__file__), "results", f"{name}.json")

@@ -6,9 +6,11 @@ lint baseline covers and snapshots, per configuration, the analysis
 summary (site counts, widened headers, the largest finite error bound)
 plus every risk's identity.  The committed snapshot lives at
 ``benchmarks/results/absint_baseline.json``; the drift test in
-``tests/analysis/test_absint_baseline.py`` recomputes and diffs it, so
-a transfer-function or widening change shows up as a reviewable
-baseline diff rather than silent drift.
+``tests/analysis/test_absint_baseline.py`` recomputes it and checks it
+with :func:`repro.analysis.serialize.check_baseline`, so a
+transfer-function or widening change shows up as a reviewable baseline
+diff rather than silent drift.  To regenerate, delete the snapshot,
+rerun the test and review the diff.
 """
 
 from __future__ import annotations

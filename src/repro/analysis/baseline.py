@@ -7,10 +7,11 @@ covers the programs that run -- lints the assembled output and returns
 a deterministic summary: per-configuration finding counts by check and
 severity, plus each finding's identity (check, line, suggestion).
 The committed snapshot lives at ``benchmarks/results/lint_baseline.json``;
-CI regenerates it and the regression test in
-``tests/analysis/test_baseline.py`` diffs the two, so any codegen change
-that alters what the analyzer sees shows up as a reviewable baseline
-diff rather than silent drift.
+the regression test in ``tests/analysis/test_baseline.py`` recomputes
+it and checks it with :func:`repro.analysis.serialize.check_baseline`,
+so any codegen change that alters what the analyzer sees shows up as a
+reviewable baseline diff rather than silent drift.  To regenerate,
+delete the snapshot, rerun the test and review the diff.
 """
 
 from __future__ import annotations

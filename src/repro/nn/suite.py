@@ -1,8 +1,10 @@
 """The NN-suite QoR benchmark: one deterministic payload, committed.
 
-:func:`compute_nn_suite` produces ``benchmarks/results/nn_suite.json``
-(via ``benchmarks/bench_nn_suite.py``); ``tests/nn/test_suite_baseline``
-re-computes it and fails on any drift.  Sections:
+:func:`compute_nn_suite` produces ``benchmarks/results/nn_suite.json``;
+``tests/nn/test_suite_baseline`` recomputes it and checks it with
+:func:`repro.analysis.serialize.check_baseline`, failing on any drift.
+To regenerate, delete the snapshot, rerun the test and review the
+diff.  Sections:
 
 ``qor``
     SQNR and retired-instruction count for every NN kernel over every

@@ -4,10 +4,12 @@
 points through the profiler at L1 latency and distills each into a
 stable summary: cycle/instret/stall totals, the hottest loop and its
 cycle share, and the per-format flop counts.  The committed snapshot
-lives at ``benchmarks/results/profile_baseline.json``; CI regenerates
-it and ``tests/profile/test_baseline.py`` diffs the two, so compiler or
-timing changes that move cycles around show up as a reviewable baseline
-diff instead of silent drift (same contract as the lint baseline).
+lives at ``benchmarks/results/profile_baseline.json``;
+``tests/profile/test_baseline.py`` recomputes it and checks it with
+:func:`repro.analysis.serialize.check_baseline`, so compiler or timing
+changes that move cycles around show up as a reviewable baseline diff
+instead of silent drift.  To regenerate, delete the snapshot, rerun the
+test and review the diff.
 """
 
 from __future__ import annotations

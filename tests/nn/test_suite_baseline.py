@@ -1,15 +1,14 @@
 """The committed NN-suite snapshot matches what the suite computes today.
 
 ``benchmarks/results/nn_suite.json`` records the suite's QoR claims;
-drift in either direction fails here, forcing the diff into review.
-Regenerate with::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_nn_suite.py
+drift in either direction, in any section, fails here, forcing the diff
+into review.  To regenerate, delete the snapshot, rerun this test (it
+writes the file and fails) and review the diff.
 """
 
 import os
 
-from repro.analysis.serialize import read_canonical
+from repro.analysis.serialize import check_baseline, read_canonical
 from repro.nn.suite import compute_nn_suite
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -22,12 +21,7 @@ def _committed():
 
 
 def test_suite_matches_committed_snapshot():
-    committed = _committed()
-    current = compute_nn_suite()
-    for section in ("kernels", "qor", "expanding_vs_narrow", "sr_vs_rne",
-                    "fused_block", "differential"):
-        assert current[section] == committed[section], \
-            f"nn_suite drift in section {section!r}"
+    check_baseline(BASELINE_PATH, compute_nn_suite())
 
 
 def test_committed_expanding_beats_narrow_on_8bit():
@@ -38,11 +32,17 @@ def test_committed_expanding_beats_narrow_on_8bit():
 
 def test_committed_sr_beats_rne_sub16bit():
     sr = _committed()["sr_vs_rne"]
-    assert any(row["improves"] for ftype, row in sr.items()
-               if ftype in ("float8", "posit8", "float16alt"))
     assert sr["float8"]["improves"]
+    assert sr["posit8"]["improves"]
 
 
 def test_committed_lockstep_bit_identical():
     for name, row in _committed()["differential"].items():
         assert row["bit_identical"], name
+
+
+def test_committed_fused_block_holds_qor():
+    # The fused-block route exercises vfdotpmx and holds QoR.
+    for name, row in _committed()["fused_block"].items():
+        assert row["dotp_count"] > 0, name
+        assert row["sqnr_db"] > 15.0, name
