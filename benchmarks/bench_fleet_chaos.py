@@ -19,7 +19,7 @@ stops actually killing anyone -- also fails the gate.
 
 import os
 
-from repro.analysis.serialize import read_canonical, write_canonical
+from repro.analysis.serialize import committed_record, write_canonical
 from repro.serve.chaos import ChaosScenario, run_chaos_scenario
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -65,9 +65,8 @@ def collect():
 
 
 def test_fleet_chaos(capsys):
-    baseline = read_canonical(BASELINE_PATH)  # before this run writes
     report = collect()
-    write_canonical(BASELINE_PATH, report)
+    baseline = committed_record(BASELINE_PATH, report)
 
     coverage = report["coverage"]
     with capsys.disabled():
@@ -94,11 +93,10 @@ def test_fleet_chaos(capsys):
 
     # Regression gate vs the committed baseline: coverage counters may
     # wiggle (a kill can land between requests), but never to zero.
-    if baseline and "coverage" in baseline:
-        for key in ("kills_delivered", "entries_corrupted", "restarts"):
-            assert (coverage[key] > 0) == (baseline["coverage"][key] > 0), (
-                f"fault coverage changed for {key}: "
-                f"{baseline['coverage'][key]} -> {coverage[key]}")
+    for key in ("kills_delivered", "entries_corrupted", "restarts"):
+        assert (coverage[key] > 0) == (baseline["coverage"][key] > 0), (
+            f"fault coverage changed for {key}: "
+            f"{baseline['coverage'][key]} -> {coverage[key]}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import os
 import sys
 import time
 
-from repro.analysis.serialize import read_canonical, write_canonical
+from repro.analysis.serialize import committed_record, write_canonical
 from repro.harness.experiments import clear_cache, fig1_points
 from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import run_kernel, run_kernel_batch
@@ -162,10 +162,9 @@ def collect():
 
 
 def test_host_perf(capsys):
-    baseline = read_canonical(BASELINE_PATH)  # before this run writes
     clear_cache()
     payload = collect()
-    write_canonical(BASELINE_PATH, payload)
+    baseline = committed_record(BASELINE_PATH, payload)
 
     with capsys.disabled():
         print(f"\nhost perf: ref {payload['reference']['guest_mips']} MIPS, "
@@ -186,12 +185,11 @@ def test_host_perf(capsys):
 
     # Regression gate against the committed baseline (the ratio is
     # host-independent; absolute MIPS is informational).
-    if baseline and "speedup_guest_mips" in baseline:
-        floor = baseline["speedup_guest_mips"] * (1 - REGRESSION_TOLERANCE)
-        assert payload["speedup_guest_mips"] >= floor, (
-            f"fast-path speedup {payload['speedup_guest_mips']}x regressed "
-            f">{REGRESSION_TOLERANCE:.0%} vs baseline "
-            f"{baseline['speedup_guest_mips']}x")
+    floor = baseline["speedup_guest_mips"] * (1 - REGRESSION_TOLERANCE)
+    assert payload["speedup_guest_mips"] >= floor, (
+        f"fast-path speedup {payload['speedup_guest_mips']}x regressed "
+        f">{REGRESSION_TOLERANCE:.0%} vs baseline "
+        f"{baseline['speedup_guest_mips']}x")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import statistics
 import threading
 import time
 
-from repro.analysis.serialize import read_canonical, write_canonical
+from repro.analysis.serialize import committed_record, write_canonical
 from repro.serve import ReproServeApp, ServeClient, make_server
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -214,9 +214,8 @@ def collect():
 
 
 def test_serve_load(capsys):
-    baseline = read_canonical(BASELINE_PATH)  # before this run writes
     payload = collect()
-    write_canonical(BASELINE_PATH, payload)
+    baseline = committed_record(BASELINE_PATH, payload)
 
     with capsys.disabled():
         print(f"\nserve load: cold {payload['cold']['rps']} rps "
@@ -242,12 +241,11 @@ def test_serve_load(capsys):
 
     # Regression gate against the committed baseline (ratio only;
     # absolute rps is informational).
-    if baseline and "repeat_speedup_rps" in baseline:
-        floor = baseline["repeat_speedup_rps"] * (1 - REGRESSION_TOLERANCE)
-        assert payload["repeat_speedup_rps"] >= floor, (
-            f"repeat-workload speedup {payload['repeat_speedup_rps']}x "
-            f"regressed >{REGRESSION_TOLERANCE:.0%} vs baseline "
-            f"{baseline['repeat_speedup_rps']}x")
+    floor = baseline["repeat_speedup_rps"] * (1 - REGRESSION_TOLERANCE)
+    assert payload["repeat_speedup_rps"] >= floor, (
+        f"repeat-workload speedup {payload['repeat_speedup_rps']}x "
+        f"regressed >{REGRESSION_TOLERANCE:.0%} vs baseline "
+        f"{baseline['repeat_speedup_rps']}x")
 
 
 if __name__ == "__main__":

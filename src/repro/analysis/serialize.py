@@ -8,7 +8,10 @@ stringified rather than crashing the writer.
 
 :func:`check_baseline` is the only way a deterministic snapshot is
 compared.  To regenerate one, delete the file, rerun its test or bench
-(which writes it and fails), and review the ``git diff``.
+(which writes it and fails), and review the ``git diff``.  Host
+measurement records (``BENCH_*.json``) are not deterministic: their
+benches gate ratios against :func:`committed_record`, which never
+rewrites a committed record either.
 """
 
 from __future__ import annotations
@@ -40,6 +43,25 @@ def read_canonical(path: Union[str, Path]) -> Optional[object]:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         return None
+
+
+def committed_record(path: Union[str, Path], payload: object) -> object:
+    """The measurement record committed at ``path``, for a bench to
+    gate ``payload`` against.
+
+    The record is only read: a run never resets the baseline the next
+    run is gated against.  A missing record is written from
+    ``payload`` and the call fails, as in :func:`check_baseline`.  The
+    bench's ``__main__`` re-records on purpose.
+    """
+    path = Path(path)
+    committed = read_canonical(path)
+    if committed is None:
+        write_canonical(path, payload)
+        raise AssertionError(
+            f"{path.stem}: no committed record; wrote {path}, "
+            f"review and commit it")
+    return committed
 
 
 def check_baseline(path: Union[str, Path], payload: object) -> None:

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 from ..compiler import compile_cache_info
 from ..harness.parallel import DiskResultCache
 from ..harness.runner import SafeRunOutcome
+from ..sim import block_cache_info
 
 RESERVOIR_SIZE = 2048
 
@@ -189,6 +190,9 @@ class ServeMetrics:
                 # and the verify gate share it; fleet workers keep
                 # their own.
                 "compile_cache": compile_cache_info()._asdict(),
+                # This process's generated simulator blocks, shared the
+                # same way.
+                "block_cache": block_cache_info()._asdict(),
                 "cache": {
                     "hit_rate": (round(cache_hits / lookups, 4)
                                  if lookups else None),

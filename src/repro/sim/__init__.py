@@ -1,5 +1,7 @@
 """Instruction-set simulator with a RISCY-like cycle model."""
 
+from .blocks import (BLOCK_CACHE_SIZE, BlockCacheInfo, block_cache_clear,
+                     block_cache_info)
 from .csr import CsrFile, IllegalCsr
 from .executor import EbreakTrap, EcallTrap, execute
 from .machine import Machine
@@ -25,6 +27,10 @@ from .traps import (
 )
 
 __all__ = [
+    "BLOCK_CACHE_SIZE",
+    "BlockCacheInfo",
+    "block_cache_clear",
+    "block_cache_info",
     "CsrFile",
     "IllegalCsr",
     "EbreakTrap",

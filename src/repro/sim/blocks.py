@@ -1,27 +1,51 @@
-"""Predecoded basic-block fast path for the simulator.
+"""Predecoded basic-block fast path for the simulator: generated code.
 
 The reference interpreter in :mod:`repro.sim.simulator` pays, per
 retired instruction: a decode-cache lookup, a handler-table lookup, a
 seven-arm ``try/except`` fence, a ``TimingModel`` cost resolution, a
 :func:`~repro.sim.tracer.classify` call and five Counter updates.  None
 of that work depends on run-time state -- it is a pure function of the
-instruction word -- so this module resolves all of it once, at decode
-time, and caches the result as a *basic block*: a straight-line run of
-pre-bound closures ending at the first control-flow or CSR instruction.
+instruction words -- so this module resolves all of it once and caches
+the result as a *basic block*: a straight-line run of instructions
+ending at the first control-flow or CSR instruction, compiled into one
+Python function.
 
-Dispatch then executes whole blocks in a tight loop:
+Each block's function is generated from the :mod:`~repro.sim.semantics`
+rows of its instructions: integer ``alu`` kinds whose op is an
+``operator`` function are written inline (``x[5] = (x[6] + 12) &
+0xFFFFFFFF``), other ``alu`` ops, ``jalr`` targets and the signed
+branch compares call the row's op; ``upper`` kinds become constants;
+loads and stores call ``m.memory``; ``fp`` kinds call their
+:func:`~repro.sim.semantics.bind_in_xregs` compute with operand masks,
+the ``.r`` broadcast, the rounding mode and the ``fflags`` update
+written out.  CSR accesses, system instructions and the FP forms of the
+split register file or FLEN other than 32 call their reference handler.
+``x0`` destinations emit nothing.  The function also adds the block's
+static cycles and retire count to the :class:`~repro.sim.tracer.Trace`
+and returns the next PC, so dispatch is one call per block.
+
+Blocks are shared process-wide.  A block bakes in its start PC, its
+instruction words, the timing configuration's costs, FLEN and the
+register-file layout, and nothing else: the generated function takes
+the machine as an argument and closes over no machine or memory.  So
+every :class:`~repro.sim.simulator.Simulator` that runs the same text
+reuses the same blocks, found by that key in a bounded LRU
+(:data:`BLOCK_CACHE_SIZE`); a corrupted instruction word changes the
+key, so it can never hit a clean block.  Generated source is compiled
+once per distinct text (costs are arguments, not literals, so one text
+serves every timing configuration).  :func:`block_cache_info` reports
+the counters.  Each :class:`BlockEngine` keeps its own PC -> block view
+on top, which :meth:`BlockEngine.invalidate` drops.
+
+Dispatch executes whole blocks in a tight loop:
 
 * the exception fence is hoisted to block granularity (one ``try`` per
-  block instead of one per instruction);
+  block); generated code sets ``m.pc`` before every instruction that
+  can fault, so a mid-block fault resolves to its exact instruction;
 * per-instruction statistics are *deferred*: the hot loop only bumps a
-  per-block execution counter plus the two CSR-visible scalars
-  (``cycles``/``instret``), and the full per-mnemonic / per-category /
-  per-PC counters are materialized when the run ends;
-* every kind but CSR accesses and system instructions gets a closure
-  derived from its :mod:`~repro.sim.semantics` row, with operands,
-  immediates, masks, formats, a static rounding mode and (for
-  PC-relative instructions) absolute targets baked in, skipping the
-  generic operand-field attribute loads.
+  per-block execution counter, the generated code the two CSR-visible
+  scalars (``cycles``/``instret``), and the full per-mnemonic /
+  per-category / per-PC counters are materialized when the run ends.
 
 The result is bit-identical to the reference interpreter -- same
 cycles, instret, fcsr flags, exit reason, trap CSRs, and the same
@@ -34,7 +58,8 @@ consecutively.
 
 Blocks end at: control-flow instructions (kept as a *terminator* whose
 taken/not-taken costs are both precomputed), CSR accesses (they may
-read ``mcycle``/``minstret`` and so need exact intermediate counts),
+read ``mcycle``/``minstret`` and so need exact intermediate counts; the
+generated code adds the prefix's counts before calling them),
 undecodable or unimplemented instructions (the dispatcher falls back to
 the reference loop, which raises the architectural trap), and a length
 cap.  The engine also refuses to start a block that could cross the
@@ -44,8 +69,10 @@ exact per-instruction watchdog semantics.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional, Tuple
+import operator
+import threading
+from collections import Counter, OrderedDict
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..fp.flags import ALL as FFLAGS_MASK, GuestIllegal
 from ..isa.compressed import IllegalCompressed
@@ -61,16 +88,77 @@ from .tracer import classify
 #: work a mid-block trap has to replay.
 MAX_BLOCK_LEN = 64
 
+#: Blocks kept per process (and distinct generated sources); the least
+#: recently used one is dropped past this bound.
+BLOCK_CACHE_SIZE = 4096
+
 _SENTINEL = 0xFFFF_FF00  # HALT_ADDRESS (simulator.py re-exports it)
 
 
+class Memo:
+    """A bounded, thread-safe LRU map for the process-wide caches."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._data: "OrderedDict" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        """The value of ``key`` (counted as a hit), or None (a miss)."""
+        with self._lock:
+            value = self._data.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self._data.move_to_end(key)
+                self.hits += 1
+            return value
+
+    def put(self, key, value):
+        """Store ``value`` unless ``key`` is present; the stored value."""
+        with self._lock:
+            old = self._data.get(key)
+            if old is not None:
+                return old
+            self._data[key] = value
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+            return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+            self.hits = self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
+class Term(NamedTuple):
+    """A block's terminator: control flow, a CSR access or ecall/ebreak."""
+
+    instr: Instr
+    pc: int
+    fallthrough: int
+    cost_ntaken: int
+    cost_taken: int
+    mnemonic: str
+    category: str
+
+
 class Block:
-    """One predecoded straight-line run plus an optional terminator."""
+    """One predecoded straight-line run plus an optional terminator.
+
+    Immutable once built and shared by every simulator whose text
+    holds the same words at ``start``.
+    """
 
     __slots__ = (
         "start", "end", "extent", "entries", "costs", "index_of",
         "mnem_counts", "cat_counts", "pc_list", "mem_count",
-        "static_cycles", "n_entries", "term", "total_len",
+        "static_cycles", "n_entries", "term", "total_len", "run", "source",
     )
 
     def __init__(self, start: int):
@@ -80,11 +168,12 @@ class Block:
         #: One past the last byte of any parcel in the block (for
         #: address-ranged invalidation).
         self.extent = start
-        #: ``(fn, instr, pc)`` per straight-line instruction.
-        self.entries: List[Tuple] = []
+        #: ``(instr, pc)`` per straight-line instruction.
+        self.entries: List[Tuple[Instr, int]] = []
         #: Per-entry cycle cost (parallel to ``entries``).
         self.costs: List[int] = []
-        #: PC -> entry index, for mid-block fault recovery.
+        #: PC -> index (entries, then the terminator), for mid-block
+        #: fault recovery.
         self.index_of: Dict[int, int] = {}
         self.mnem_counts: Counter = Counter()
         self.cat_counts: Counter = Counter()
@@ -92,114 +181,99 @@ class Block:
         self.mem_count = 0
         self.static_cycles = 0
         self.n_entries = 0
-        #: ``(fn, instr, pc, fallthrough, cost_ntaken, cost_taken,
-        #: mnemonic, category)`` or ``None``.
-        self.term: Optional[Tuple] = None
+        self.term: Optional[Term] = None
         self.total_len = 0
+        #: The generated ``run(machine, trace, rec) -> next_pc``.
+        self.run = None
+        #: Its source text.
+        self.source = ""
+
+
+class BlockCacheInfo(NamedTuple):
+    """Counters of the process-wide block cache."""
+
+    hits: int       #: blocks found by key (a simulator's view missed)
+    misses: int     #: blocks built
+    entries: int    #: blocks held now
+    compiled: int   #: generated sources compiled (one per distinct text)
+    maxsize: int    #: the entry bound, :data:`BLOCK_CACHE_SIZE`
+
+
+_blocks = Memo(BLOCK_CACHE_SIZE)
+#: Generated source text -> the compiled factory of its block function.
+_factories = Memo(BLOCK_CACHE_SIZE)
+
+
+def block_cache_info() -> BlockCacheInfo:
+    """Hit, miss, entry and compile counts of the block cache."""
+    return BlockCacheInfo(hits=_blocks.hits, misses=_blocks.misses,
+                          entries=len(_blocks), compiled=_factories.misses,
+                          maxsize=BLOCK_CACHE_SIZE)
+
+
+def block_cache_clear() -> None:
+    """Drop every shared block and compiled source; zero the counters.
+
+    Simulators keep the blocks already in their own views.
+    """
+    _blocks.clear()
+    _factories.clear()
 
 
 class BlockEngine:
-    """Owns the block cache of one :class:`~repro.sim.simulator.Simulator`."""
+    """One :class:`~repro.sim.simulator.Simulator`'s view of the blocks."""
 
     def __init__(self, sim):
         self.sim = sim
-        self._cache: Dict[int, Block] = {}
+        self._view: Dict[int, Block] = {}
         self._timing_key = None
 
     # ------------------------------------------------------------------
-    # Cache maintenance
+    # View maintenance
     # ------------------------------------------------------------------
     def invalidate(self, addr: Optional[int] = None) -> None:
-        """Drop cached blocks (all of them, or those covering ``addr``).
+        """Drop blocks from this view (all of them, or those covering
+        ``addr``).
 
         Mirrors :meth:`Simulator.invalidate_decode`: a corrupted byte at
         ``addr`` can change any parcel starting at ``addr & ~1`` or two
         bytes earlier, so every block whose extent overlaps that window
-        is dropped and will be rebuilt from the (also invalidated)
-        decode cache on its next dispatch.
+        is dropped and looked up again, by its new words, on its next
+        dispatch.
         """
         if addr is None:
-            self._cache.clear()
+            self._view.clear()
             return
         low = (addr & ~1) - 2
-        stale = [start for start, block in self._cache.items()
+        stale = [start for start, block in self._view.items()
                  if block.start <= addr and low < block.extent]
         for start in stale:
-            del self._cache[start]
+            del self._view[start]
 
     def cached_blocks(self) -> int:
-        """Number of currently cached blocks (introspection/tests)."""
-        return len(self._cache)
+        """Number of blocks in this view (introspection/tests)."""
+        return len(self._view)
 
     def _check_timing_epoch(self) -> None:
-        """Flush every block if the timing configuration changed.
+        """Drop the view if the timing configuration changed.
 
-        Static costs are baked into blocks at decode time; mutating the
-        simulator's :class:`TimingConfig` between runs must not leave
-        stale costs behind.
+        Static costs are baked into blocks; mutating the simulator's
+        :class:`TimingConfig` between runs must not leave stale costs
+        behind.
         """
         key = self.sim.timing.config.snapshot_key()
         if key != self._timing_key:
-            self._cache.clear()
+            self._view.clear()
             self._timing_key = key
 
-    # ------------------------------------------------------------------
-    # Block construction
-    # ------------------------------------------------------------------
-    def _build(self, pc: int) -> Optional[Block]:
-        sim = self.sim
-        machine = sim.machine
-        timing = sim.timing
-        block = Block(pc)
-        addr = pc
-        while block.n_entries < MAX_BLOCK_LEN:
-            try:
-                instr, size = sim._fetch(addr)
-            except (UnknownInstruction, IllegalCompressed,
-                    MemoryAccessError):
-                # Undecodable or unfetchable: end the block here; the
-                # dispatcher falls back to the reference loop, which
-                # takes the architectural trap with exact semantics.
-                break
-            spec = instr.spec
-            row = SEMANTICS.get(spec.kind)
-            if row is None:
-                break  # reference loop raises the illegal-instr trap
-            fn = reference_handler(spec, machine.flen)
-            # CSR accesses terminate blocks too: they can observe the
-            # cycle and instret counters, which the fast path only keeps
-            # exact at block boundaries.
-            if spec.cf is not None or row.shape == "csr":
-                fast = _bind_fast(instr, machine, addr)
-                block.term = (
-                    fast if fast is not None else fn,
-                    instr, addr, (addr + size) & MASK32,
-                    timing.cycles(instr, taken=False),
-                    timing.cycles(instr, taken=True),
-                    instr.mnemonic, classify(instr),
-                )
-                block.extent = addr + size
-                break
-            fast = _bind_fast(instr, machine, addr)
-            category = classify(instr)
-            cost = timing.cycles(instr, taken=False)
-            block.index_of[addr] = block.n_entries
-            block.entries.append((fast if fast is not None else fn,
-                                  instr, addr))
-            block.costs.append(cost)
-            block.mnem_counts[instr.mnemonic] += 1
-            block.cat_counts[category] += 1
-            block.pc_list.append(addr)
-            if category in ("load", "store"):
-                block.mem_count += 1
-            block.static_cycles += cost
-            block.n_entries += 1
-            addr += size
-            block.end = addr & MASK32
-            block.extent = addr
-        block.total_len = block.n_entries + (1 if block.term else 0)
-        if block.total_len == 0:
-            return None
+    def block(self, pc: int) -> Optional[Block]:
+        """The block starting at ``pc``, or None when its first
+        instruction cannot be fetched, decoded or has no semantics."""
+        block = self._view.get(pc)
+        if block is None:
+            block = _block_at(self.sim, pc)
+            if block is not None:
+                self._view[pc] = block
         return block
 
     # ------------------------------------------------------------------
@@ -217,99 +291,73 @@ class BlockEngine:
         engine drains lanes this way), keeping budget accounting and
         the budget-exceeded message anchored to the original total.
         """
-        sim = self.sim
-        machine = sim.machine
+        machine = self.sim.machine
         self._check_timing_epoch()
-        cache = self._cache
+        view = self._view
         counts: Dict[int, List[int]] = {}  # start -> [execs, takens]
         order: List[int] = []
 
-        while machine.pc != _SENTINEL:
-            pc = machine.pc
+        pc = machine.pc
+        while pc != _SENTINEL:
             if executed >= max_instructions:
+                machine.pc = pc
                 self._flush(stats, counts, order)
                 return ("budget_exceeded",
                         f"exceeded {max_instructions} instructions at "
                         f"pc={pc:#x}", None), executed
-            block = cache.get(pc)
+            block = view.get(pc)
             if block is None:
-                block = self._build(pc)
+                block = self.block(pc)
                 if block is None:
                     break  # reference loop resolves the trap exactly
-                cache[pc] = block
             if executed + block.total_len > max_instructions:
                 break  # per-instruction watchdog needs the reference loop
             rec = counts.get(pc)
             if rec is None:
                 rec = counts[pc] = [0, 0]
                 order.append(pc)
-
-            # ----------------------------------------------------------
-            # Straight-line entries: handlers only, one shared fence.
-            # ----------------------------------------------------------
             try:
-                for fn, instr, epc in block.entries:
-                    machine.pc = epc
-                    fn(machine, instr)
+                pc = block.run(machine, stats, rec)
             except GUEST_FAULTS as exc:
-                idx = block.index_of[machine.pc]
-                self._flush(stats, counts, order)
-                self._record_entries(stats, block, idx)
-                faulting = block.entries[idx][1]
-                reason, trap_info, retires = sim._resolve_exec_fault(
-                    exc, faulting)
-                if retires:  # pragma: no cover - entries never ecall
-                    stats.record(faulting, 1, pc=machine.pc)
-                return (reason, "", trap_info), executed + idx
-
-            n = block.n_entries
-            stats.instret += n
-            stats.cycles += block.static_cycles
-            executed += n
-            term = block.term
-            if term is None:
-                machine.pc = block.end
-                rec[0] += 1
-                continue
-
-            # ----------------------------------------------------------
-            # Terminator: control flow or CSR access, cost depends on
-            # the taken path.  CSR reads of cycle/instret observe the
-            # exact counts because the prefix was just added above.
-            # ----------------------------------------------------------
-            (tfn, tinstr, tpc, fallthrough,
-             cost_nt, cost_tk, _mnem, _cat) = term
-            machine.pc = tpc
-            try:
-                next_pc = tfn(machine, tinstr)
-            except GUEST_FAULTS as exc:
-                # The prefix scalars were added above (CSR terminators
-                # must observe them); back them out before re-recording
-                # the prefix entry by entry.
-                stats.instret -= n
-                stats.cycles -= block.static_cycles
-                self._flush(stats, counts, order)
-                self._record_entries(stats, block, n)
-                reason, trap_info, retires = sim._resolve_exec_fault(
-                    exc, tinstr)
-                if retires:
-                    stats.record(tinstr, 1, pc=tpc)
-                return (reason, "", trap_info), executed
-            if next_pc is not None:
-                stats.cycles += cost_tk
-                rec[1] += 1
-                machine.pc = next_pc
-            else:
-                stats.cycles += cost_nt
-                machine.pc = fallthrough
-            stats.instret += 1
+                outcome, retired = self._fault(stats, counts, order,
+                                               block, exc)
+                return outcome, executed + retired
             rec[0] += 1
-            executed += 1
+            executed += block.total_len
 
+        machine.pc = pc
         self._flush(stats, counts, order)
-        if machine.pc == _SENTINEL:
+        if pc == _SENTINEL:
             return ("halt", "", None), executed
         return None, executed  # continue in the reference loop
+
+    def _fault(self, stats, counts, order, block: Block, exc):
+        """Resolve a guest fault raised inside ``block``.
+
+        Generated code set ``machine.pc`` to the faulting instruction.
+        Entries before it retired; a faulting terminator runs after the
+        prefix's counts were added (CSR reads must observe them), so
+        those are backed out before the prefix is re-recorded entry by
+        entry.  Returns ``(outcome, instructions retired in block)``.
+        """
+        sim = self.sim
+        pc = sim.machine.pc
+        idx = block.index_of[pc]
+        if idx == block.n_entries:
+            stats.instret -= idx
+            stats.cycles -= block.static_cycles
+            instr = block.term.instr
+        else:
+            instr = block.entries[idx][0]
+        self._flush(stats, counts, order)
+        costs = block.costs
+        for k in range(idx):
+            entry_instr, entry_pc = block.entries[k]
+            stats.record(entry_instr, costs[k], pc=entry_pc)
+        reason, trap_info, retires = sim._resolve_exec_fault(exc, instr)
+        if retires:  # ecall/ebreak terminators
+            stats.record(instr, 1, pc=pc)
+        return (reason, "", trap_info), idx
 
     # ------------------------------------------------------------------
     # Deferred-statistics materialization
@@ -326,12 +374,12 @@ class BlockEngine:
         by_mnem = stats.by_mnemonic
         by_cat = stats.by_category
         pc_counts = stats.pc_counts
-        cache = self._cache
+        view = self._view
         for start in order:
             execs, takens = counts[start]
             if not execs:
                 continue
-            block = cache[start]
+            block = view[start]
             for mnem, c in block.mnem_counts.items():
                 by_mnem[mnem] += c * execs
             for cat, c in block.cat_counts.items():
@@ -341,225 +389,324 @@ class BlockEngine:
             stats.mem_accesses += block.mem_count * execs
             term = block.term
             if term is not None:
-                mnem, cat = term[6], term[7]
-                by_mnem[mnem] += execs
-                by_cat[cat] += execs
-                pc_counts[term[2]] += execs
+                by_mnem[term.mnemonic] += execs
+                by_cat[term.category] += execs
+                pc_counts[term.pc] += execs
                 stats.branches_taken += takens
         counts.clear()
         order.clear()
 
-    def _record_entries(self, stats, block: Block, upto: int) -> None:
-        """Record entries ``[0, upto)`` one by one (mid-block faults)."""
-        costs = block.costs
-        for idx in range(upto):
-            fn, instr, pc = block.entries[idx]
-            stats.record(instr, costs[idx], pc=pc)
-
 
 # ----------------------------------------------------------------------
-# Per-instruction closures, one binder per operand shape
+# Block lookup and construction
 # ----------------------------------------------------------------------
-# Each binder takes ``(instr, row, machine, pc)`` and returns a drop-in
-# handler ``fn(machine, instr)`` with the operand fields, masks, formats,
-# static rounding mode and (for PC-relative instructions) the absolute
-# target closed over, or ``None`` to keep the reference handler.  FP
-# operands live in ``xregs`` only with the merged register file at
-# FLEN=32 (the default configuration); elsewhere FP kinds keep the
-# reference handler.  A dynamic rounding mode still reads ``fcsr.frm``
-# per execution: CSR writes terminate blocks, so frm is block-invariant
-# but not run-invariant.
-
-def _nop(m, i):
-    return None
-
-
-def _bind_alu(i, row, m, pc):
-    rd, rs1, op = i.rd, i.rs1, row.op
-    if rd == 0:
-        return _nop
-    if "rs2" in i.spec.syntax:
-        rs2 = i.rs2
-
-        def run(m, _i):
-            x = m.xregs
-            x[rd] = op(x[rs1], x[rs2]) & MASK32
-    else:
-        b = i.imm & MASK32
-
-        def run(m, _i):
-            x = m.xregs
-            x[rd] = op(x[rs1], b) & MASK32
-    return run
-
-
-def _bind_upper(i, row, m, pc):
-    rd = i.rd
-    if rd == 0:
-        return _nop
-    value = row.op(pc, i.imm) & MASK32
-
-    def run(m, _i):
-        m.xregs[rd] = value
-    return run
-
-
-def _fp_in_xregs(m) -> bool:
-    return m.merged_regfile and m.flen == 32
-
-
-def _bind_load(i, row, m, pc):
-    if i.spec.syntax[0] == "frd" and not _fp_in_xregs(m):
-        return None
-    size = access_size(i.spec, m.flen)
-    sign = 1 << (8 * size - 1) if row.signed else 0
-    rd, rs1, imm = i.rd, i.rs1, i.imm
-    mem = m.memory
-
-    def run(m, _i):
-        value = mem.read((m.xregs[rs1] + imm) & MASK32, size)
-        if value & sign:
-            value = (value - (sign << 1)) & MASK32
-        if rd:
-            m.xregs[rd] = value
-    return run
-
-
-def _bind_store(i, row, m, pc):
-    if i.spec.syntax[0] == "frs2" and not _fp_in_xregs(m):
-        return None
-    size = access_size(i.spec, m.flen)
-    rs1, rs2, imm = i.rs1, i.rs2, i.imm
-    mem = m.memory
-
-    def run(m, _i):
-        mem.write((m.xregs[rs1] + imm) & MASK32, m.xregs[rs2], size)
-    return run
-
-
-def _bind_branch(i, row, m, pc):
-    rs1, rs2, op = i.rs1, i.rs2, row.op
-    target = (pc + i.imm) & MASK32
-
-    def run(m, _i):
-        x = m.xregs
-        return target if op(x[rs1], x[rs2]) else None
-    return run
-
-
-def _bind_jump(i, row, m, pc):
-    rd, rs1, imm, op = i.rd, i.rs1, i.imm, row.op
-    link = (pc + getattr(i, "size", 4)) & MASK32
-    if "rs1" not in i.spec.syntax:
-        target = op(pc, 0, imm)
-
-        def run(m, _i):
-            if rd:
-                m.xregs[rd] = link
-            return target
-        return run
-
-    def run(m, _i):
-        target = op(pc, m.xregs[rs1], imm)
-        if rd:
-            m.xregs[rd] = link
-        return target
-    return run
-
-
-def _bind_fp(i, row, m, pc):
-    if not _fp_in_xregs(m):
-        return None
-    fn, regs, masks, scale, dmask = bind_in_xregs(i)
-    rounds, flagged = row.rounds, row.flags
-    rm = None
-    if rounds:
+def _block_at(sim, pc: int) -> Optional[Block]:
+    """The shared block at ``pc`` for ``sim``'s current text, built (and
+    its code generated) on a miss."""
+    fetched = []  # (instr, pc, size, row)
+    words = []
+    terminated = False
+    addr = pc
+    while len(fetched) < MAX_BLOCK_LEN:
         try:
-            rm = static_rm(i)
-        except GuestIllegal as exc:
-            return _raiser(str(exc))
-    dynamic = rounds and rm is None
-    rd = i.rd
-
-    # One closure per operand count: building an operand list per
-    # execution costs about 0.2 us, some 15% of a binary16 fadd.
-    if len(regs) == 1:
-        (r1,), (k1,) = regs, masks
-
-        def run(m, _i):
-            x = m.xregs
-            a = x[r1] & k1
-            if dynamic:
-                out = fn(a, m.csr.rounding_mode)
-            elif rounds:
-                out = fn(a, rm)
-            else:
-                out = fn(a)
-            if flagged:
-                out, flags = out
-                m.csr.fflags |= flags & FFLAGS_MASK
-            if rd:
-                x[rd] = out & dmask
-    elif len(regs) == 2:
-        (r1, r2), (k1, k2) = regs, masks
-
-        def run(m, _i):
-            x = m.xregs
-            a = x[r1] & k1
-            b = (x[r2] & k2) * scale
-            if dynamic:
-                out = fn(a, b, m.csr.rounding_mode)
-            elif rounds:
-                out = fn(a, b, rm)
-            else:
-                out = fn(a, b)
-            if flagged:
-                out, flags = out
-                m.csr.fflags |= flags & FFLAGS_MASK
-            if rd:
-                x[rd] = out & dmask
-    else:
-        (r1, r2, r3), (k1, k2, k3) = regs, masks
-
-        def run(m, _i):
-            x = m.xregs
-            a = x[r1] & k1
-            b = x[r2] & k2
-            c = (x[r3] & k3) * scale
-            if dynamic:
-                out = fn(a, b, c, m.csr.rounding_mode)
-            elif rounds:
-                out = fn(a, b, c, rm)
-            else:
-                out = fn(a, b, c)
-            if flagged:
-                out, flags = out
-                m.csr.fflags |= flags & FFLAGS_MASK
-            if rd:
-                x[rd] = out & dmask
-    return run
-
-
-def _raiser(message: str):
-    """A handler for a reserved static rounding mode: it traps when it
-    executes, exactly like the reference handler."""
-    def run(m, _i):
-        raise GuestIllegal(message)
-    return run
-
-
-_BINDERS = {"alu": _bind_alu, "upper": _bind_upper, "load": _bind_load,
-            "store": _bind_store, "branch": _bind_branch,
-            "jump": _bind_jump, "fp": _bind_fp}
-
-
-def _bind_fast(instr: Instr, machine, pc: int):
-    """Specialized closure for ``instr``, or ``None`` for the reference
-    handler (CSR accesses and system instructions keep it).  Loads and
-    stores read ``machine.memory`` eagerly -- the simulator never swaps
-    its memory object after construction."""
-    row = SEMANTICS[instr.kind]
-    binder = _BINDERS.get(row.shape)
-    if binder is None:
+            instr, size, raw = sim._fetch(addr)
+        except (UnknownInstruction, IllegalCompressed, MemoryAccessError):
+            # Undecodable or unfetchable: end the block here; the
+            # dispatcher falls back to the reference loop, which takes
+            # the architectural trap with exact semantics.
+            break
+        row = SEMANTICS.get(instr.spec.kind)
+        if row is None:
+            break  # reference loop raises the illegal-instruction trap
+        fetched.append((instr, addr, size, row))
+        words.append(raw)
+        addr += size
+        # CSR accesses terminate blocks too: they can observe the cycle
+        # and instret counters, which the fast path only keeps exact at
+        # block boundaries.
+        if instr.spec.cf is not None or row.shape == "csr":
+            terminated = True
+            break
+    if not fetched:
         return None
-    return binder(instr, row, machine, pc)
+    machine = sim.machine
+    key = (pc, tuple(words), sim.timing.config.snapshot_key(),
+           machine.flen, machine.merged_regfile)
+    block = _blocks.get(key)
+    if block is None:
+        block = _blocks.put(key, _build(pc, fetched, terminated, sim.timing,
+                                        machine.flen,
+                                        machine.merged_regfile))
+    return block
+
+
+def _build(pc: int, fetched, terminated: bool, timing, flen: int,
+           merged: bool) -> Block:
+    block = Block(pc)
+    gen = _Codegen(flen, merged)
+    body = fetched[:-1] if terminated else fetched
+    for instr, addr, size, row in body:
+        category = classify(instr)
+        cost = timing.cycles(instr, taken=False)
+        block.index_of[addr] = block.n_entries
+        block.entries.append((instr, addr))
+        block.costs.append(cost)
+        block.mnem_counts[instr.mnemonic] += 1
+        block.cat_counts[category] += 1
+        block.pc_list.append(addr)
+        if category in ("load", "store"):
+            block.mem_count += 1
+        block.static_cycles += cost
+        block.n_entries += 1
+        block.end = (addr + size) & MASK32
+        block.extent = addr + size
+        gen.entry(instr, row, addr)
+    n = block.n_entries
+    if terminated:
+        instr, addr, size, row = fetched[-1]
+        block.index_of[addr] = n
+        block.term = Term(instr, addr, (addr + size) & MASK32,
+                          timing.cycles(instr, taken=False),
+                          timing.cycles(instr, taken=True),
+                          instr.mnemonic, classify(instr))
+        block.extent = addr + size
+        gen.terminator(block.term, row, n, block.static_cycles)
+    else:
+        gen.fallthrough(block.end, n, block.static_cycles)
+    block.total_len = n + (1 if terminated else 0)
+    block.source, block.run = gen.finish()
+    return block
+
+
+# ----------------------------------------------------------------------
+# Code generation, one emitter per operand shape
+# ----------------------------------------------------------------------
+# Operators written inline: the expression computing ``op(a, b)``, and
+# whether the result may leave 32 bits (and so needs the mask).
+_INLINE_ALU = {
+    operator.add: ("{a} + {b}", True),
+    operator.sub: ("{a} - {b}", True),
+    operator.mul: ("{a} * {b}", True),
+    operator.lshift: ("{a} << {b}", True),
+    operator.lt: ("{a} < {b}", True),  # bool -> int through the mask
+    operator.xor: ("{a} ^ {b}", False),
+    operator.or_: ("{a} | {b}", False),
+    operator.and_: ("{a} & {b}", False),
+    operator.rshift: ("{a} >> {b}", False),
+}
+#: Operators with ``op(a, 0) == a``.
+_IDENTITY_ZERO = (operator.add, operator.sub, operator.xor, operator.or_,
+                  operator.lshift, operator.rshift)
+_INLINE_COND = {
+    operator.eq: "{a} == {b}",
+    operator.ne: "{a} != {b}",
+    operator.lt: "{a} < {b}",
+    operator.ge: "{a} >= {b}",
+}
+
+
+def _x(reg: int) -> str:
+    """Source reading integer register ``reg`` (x0 reads as 0)."""
+    return f"x[{reg}]" if reg else "0"
+
+
+def _address(i: Instr) -> str:
+    """Source computing a load or store's effective address."""
+    if not i.rs1:
+        return str(i.imm & MASK32)
+    if not i.imm:
+        return _x(i.rs1)
+    return f"({_x(i.rs1)} + {i.imm}) & {MASK32}"
+
+
+class _Codegen:
+    """Accumulates one block function's source and its constants.
+
+    The source depends only on the block's PC, words, FLEN and register
+    file layout; everything else (costs, compute functions, reference
+    handlers, instructions) is an argument of the generated factory, so
+    equal texts share one compiled code object.
+    """
+
+    def __init__(self, flen: int, merged: bool):
+        self.flen = flen
+        self.fp_in_x = merged and flen == 32
+        self.lines: List[str] = []
+        self.consts: list = []
+        self.uses_mem = False
+        self.uses_csr = False
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def emit(self, line: str, depth: int = 0) -> None:
+        self.lines.append("    " * depth + line)
+
+    # ------------------------------------------------------------------
+    def entry(self, i: Instr, row, pc: int) -> None:
+        shape = row.shape
+        if shape == "alu":
+            self._alu(i, row)
+        elif shape == "upper":
+            if i.rd:
+                self.emit(f"x[{i.rd}] = {row.op(pc, i.imm) & MASK32}")
+        elif shape == "load" and (self.fp_in_x
+                                  or i.spec.syntax[0] != "frd"):
+            self._load(i, row, pc)
+        elif shape == "store" and (self.fp_in_x
+                                   or i.spec.syntax[0] != "frs2"):
+            self.uses_mem = True
+            self.emit(f"m.pc = {pc}")
+            self.emit(f"mem.write({_address(i)}, {_x(i.rs2)}, "
+                      f"{access_size(i.spec, self.flen)})")
+        elif shape == "fp" and self.fp_in_x:
+            self._fp(i, row, pc)
+        else:
+            self._reference(i, pc)
+
+    def _reference(self, i: Instr, pc: int, result: str = "") -> None:
+        handler = self.const(reference_handler(i.spec, self.flen))
+        self.emit(f"m.pc = {pc}")
+        self.emit(f"{result}{handler}(m, {self.const(i)})")
+
+    def _alu(self, i: Instr, row) -> None:
+        if not i.rd:
+            return  # pure compute into x0
+        reg = "rs2" in i.spec.syntax
+        if not i.rs1 and not (reg and i.rs2):
+            # Constant operands (``li``): fold at build time.
+            b = 0 if reg else i.imm & MASK32
+            self.emit(f"x[{i.rd}] = {row.op(0, b) & MASK32}")
+            return
+        a = _x(i.rs1)
+        b = _x(i.rs2) if reg else str(i.imm & MASK32)
+        inline = _INLINE_ALU.get(row.op)
+        if b == "0" and row.op in _IDENTITY_ZERO:
+            value, masked = a, False  # ``mv``: a 32-bit value already
+        elif inline is None:
+            value, masked = f"{self.const(row.op)}({a}, {b})", True
+        else:
+            value, masked = inline[0].format(a=a, b=b), inline[1]
+        if masked:
+            value = f"({value}) & {MASK32}"
+        self.emit(f"x[{i.rd}] = {value}")
+
+    def _load(self, i: Instr, row, pc: int) -> None:
+        self.uses_mem = True
+        size = access_size(i.spec, self.flen)
+        self.emit(f"m.pc = {pc}")
+        read = f"mem.read({_address(i)}, {size})"
+        if not i.rd:
+            self.emit(read)  # still faults
+        elif row.signed:
+            sign = 1 << (8 * size - 1)
+            self.emit(f"x[{i.rd}] = (({read} ^ {sign}) - {sign}) & {MASK32}")
+        else:
+            self.emit(f"x[{i.rd}] = {read}")
+
+    def _fp(self, i: Instr, row, pc: int) -> None:
+        fn, regs, masks, scale, dmask = bind_in_xregs(i)
+        self.emit(f"m.pc = {pc}")
+        rm = None
+        if row.rounds:
+            try:
+                rm = static_rm(i)
+            except GuestIllegal as exc:
+                # A reserved static rounding mode traps when it executes.
+                self.emit(f"raise {self.const(GuestIllegal)}"
+                          f"({self.const(str(exc))})")
+                return
+        args = []
+        for reg, mask in zip(regs, masks):
+            arg = _x(reg)
+            if mask != MASK32 and reg:
+                arg = f"({arg} & {mask})"
+            args.append(arg)
+        if scale != 1:
+            args[-1] = f"{args[-1]} * {scale}"
+        if row.rounds:
+            self.uses_csr = self.uses_csr or rm is None
+            args.append("csr.rounding_mode" if rm is None
+                        else self.const(rm))
+        call = f"{self.const(fn)}({', '.join(args)})"
+        if row.flags:
+            self.uses_csr = True
+            self.emit(f"r, f = {call}")
+            self.emit("if f:")
+            self.emit(f"csr.fflags |= f & {FFLAGS_MASK}", 1)
+            call = "r"
+        if i.rd:
+            self.emit(f"x[{i.rd}] = {call} & {dmask}")
+        elif call != "r":
+            self.emit(call)  # may still fault
+
+    # ------------------------------------------------------------------
+    def fallthrough(self, end: int, n: int, static: int) -> None:
+        self.emit(f"st.instret += {n}")
+        self.emit(f"st.cycles += {self.const(static)}")
+        self.emit(f"return {end}")
+
+    def terminator(self, term: Term, row, n: int, static: int) -> None:
+        i = term.instr
+        if row.shape == "branch":
+            a, b = _x(i.rs1), _x(i.rs2)
+            inline = _INLINE_COND.get(row.op)
+            cond = (inline.format(a=a, b=b) if inline is not None
+                    else f"{self.const(row.op)}({a}, {b})")
+            self.emit(f"st.instret += {n + 1}")
+            self.emit(f"if {cond}:")
+            self._taken(str((term.pc + i.imm) & MASK32),
+                        static + term.cost_taken, 1)
+            self.emit(f"st.cycles += {self.const(static + term.cost_ntaken)}")
+            self.emit(f"return {term.fallthrough}")
+        elif row.shape == "jump":
+            if "rs1" in i.spec.syntax:
+                # The target reads rs1 before the link may overwrite it.
+                self.emit(f"t = {self.const(row.op)}"
+                          f"({term.pc}, {_x(i.rs1)}, {i.imm})")
+                target = "t"
+            else:
+                target = str(row.op(term.pc, 0, i.imm))
+            if i.rd:
+                self.emit(f"x[{i.rd}] = {term.fallthrough}")
+            self.emit(f"st.instret += {n + 1}")
+            self._taken(target, static + term.cost_taken, 0)
+        else:
+            # CSR accesses and ecall/ebreak: the reference handler, after
+            # the prefix's counts (CSR reads of cycle/instret see them).
+            if n:
+                self.emit(f"st.instret += {n}")
+                self.emit(f"st.cycles += {self.const(static)}")
+            self._reference(i, term.pc, result="t = ")
+            self.emit("st.instret += 1")
+            self.emit("if t is not None:")
+            self._taken("t", term.cost_taken, 1)
+            self.emit(f"st.cycles += {self.const(term.cost_ntaken)}")
+            self.emit(f"return {term.fallthrough}")
+
+    def _taken(self, target: str, cycles: int, depth: int) -> None:
+        self.emit(f"st.cycles += {self.const(cycles)}", depth)
+        self.emit("rec[1] += 1", depth)
+        self.emit(f"return {target}", depth)
+
+    # ------------------------------------------------------------------
+    def finish(self):
+        """``(source, function)``: compile the text once per process."""
+        prologue = ["x = m.xregs"]
+        if self.uses_mem:
+            prologue.append("mem = m.memory")
+        if self.uses_csr:
+            prologue.append("csr = m.csr")
+        params = ", ".join(f"k{n}" for n in range(len(self.consts)))
+        source = "\n".join(
+            [f"def _factory({params}):",
+             "    def _block(m, st, rec):"]
+            + ["        " + line for line in prologue + self.lines]
+            + ["    return _block", ""])
+        factory = _factories.get(source)
+        if factory is None:
+            namespace: dict = {}
+            exec(compile(source, "<block>", "exec"), namespace)
+            factory = _factories.put(source, namespace["_factory"])
+        return source, factory(*self.consts)

@@ -679,7 +679,7 @@ class LockstepEngine:
                 try:
                     entries[idx](bt)
                 except _Drain:
-                    bt.pc = sb.entries[idx][2]
+                    bt.pc = sb.entries[idx][1]
                     self._drain_all(bt, out, idx, sb)
                     drained = True
                     break
@@ -701,11 +701,11 @@ class LockstepEngine:
                     bt.instret -= n
                     bt.cycles -= sb.static_cycles
                     bt.executed -= n
-                    bt.pc = term[2]
+                    bt.pc = term.pc
                     self._drain_all(bt, out, n, sb)
                     return
 
-                cost_nt, cost_tk = term[4], term[5]
+                cost_nt, cost_tk = term.cost_ntaken, term.cost_taken
                 if isinstance(res, _SplitMask):
                     rec[0] += 1
                     bt.instret += 1
@@ -716,7 +716,7 @@ class LockstepEngine:
                     taken.pc = res.target
                     fall = bt.select(~res.mask)
                     fall.cycles += cost_nt
-                    fall.pc = term[3]
+                    fall.pc = term.fallthrough
                     self._push(taken)
                     self._push(fall)
                     return
@@ -726,7 +726,7 @@ class LockstepEngine:
                     bt.pc = res
                 else:
                     bt.cycles += cost_nt
-                    bt.pc = term[3]
+                    bt.pc = term.fallthrough
                 bt.instret += 1
                 rec[0] += 1
                 bt.executed += 1
@@ -743,12 +743,12 @@ class LockstepEngine:
     def _get_block(self, pc: int) -> Optional[_LockBlock]:
         lb = self._blocks.get(pc)
         if lb is None:
-            sb = self._tpl_engine._build(pc)
+            sb = self._tpl_engine.block(pc)
             if sb is None:
                 lb = _UNBUILDABLE
             else:
                 entries = [self._bind_entry(instr, epc)
-                           for (_fn, instr, epc) in sb.entries]
+                           for instr, epc in sb.entries]
                 term_fn = (self._bind_term(sb.term)
                            if sb.term is not None else None)
                 lb = _LockBlock(sb, entries, term_fn)
@@ -861,7 +861,7 @@ class LockstepEngine:
     # Terminators
     # ------------------------------------------------------------------
     def _bind_term(self, term):
-        i, tpc, link = term[1], term[2], term[3]
+        i, tpc, link = term.instr, term.pc, term.fallthrough
         row = SEMANTICS.get(i.kind)
         shape = row.shape if row is not None else None
         if shape == "branch":
@@ -975,9 +975,9 @@ class LockstepEngine:
                 pcs[pc] += execs
             t.mem_accesses += sb.mem_count * execs
             if sb.term is not None:
-                bm[sb.term[6]] += execs
-                bc[sb.term[7]] += execs
-                pcs[sb.term[2]] += execs
+                bm[sb.term.mnemonic] += execs
+                bc[sb.term.category] += execs
+                pcs[sb.term.pc] += execs
                 t.branches_taken += takens
         return t
 
@@ -1009,7 +1009,7 @@ class LockstepEngine:
                         else int(exec_base[ln])) + prefix
             if prefix:
                 for k in range(prefix):
-                    _fn, instr, epc = sblock.entries[k]
+                    instr, epc = sblock.entries[k]
                     t.record(instr, sblock.costs[k], pc=epc)
             sim = Simulator(merged_regfile=tpl.machine.merged_regfile,
                             flen=tpl.machine.flen,

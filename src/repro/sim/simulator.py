@@ -34,6 +34,7 @@ from ..isa.compressed import (
 from ..isa.disassembler import disassemble, format_instr
 from ..isa.encoding import is_compressed
 from ..isa.instructions import Instr, UnknownInstruction, decode
+from .blocks import BlockEngine, Memo
 from .csr import IllegalCsr
 from .executor import GUEST_FAULTS, EbreakTrap, EcallTrap, execute
 from .machine import MASK32, Machine
@@ -58,6 +59,15 @@ STACK_TOP = 0x00F0_0000
 
 #: Exit reasons a finished run can report.
 EXIT_REASONS = ("halt", "ecall", "ebreak", "trap", "budget_exceeded")
+
+#: Distinct fetched parcels and words kept decoded per process; the
+#: least recently used one is dropped past this bound.
+DECODE_CACHE_SIZE = 16384
+
+#: Fetched parcel or word -> ``(instr, size)``.  A compressed parcel
+#: (low bits not ``11``) and a 32-bit word never share a key.  Decoded
+#: instructions are shared by every simulator and must not be mutated.
+_decoded = Memo(DECODE_CACHE_SIZE)
 
 #: Hook called before each instruction: ``hook(simulator, executed)``.
 StepHook = Callable[["Simulator", int], None]
@@ -124,7 +134,9 @@ class Simulator:
         self.machine = Machine(memory, merged_regfile=merged_regfile, flen=flen)
         self.timing = TimingModel(timing_config)
         self.program: Optional[Program] = None
-        self._decode_cache: Dict[int, Tuple[Instr, int]] = {}
+        #: pc -> ``(instr, size, raw)``: this simulator's view of the
+        #: decoded text (``raw`` is the fetched parcel or word).
+        self._decode_cache: Dict[int, Tuple[Instr, int, int]] = {}
         #: Use the predecoded block engine when the run has no
         #: step hook or profile sink (``None`` means yes); ``False``
         #: selects the reference loop, which the differential tests
@@ -175,27 +187,19 @@ class Simulator:
             self._block_engine.invalidate(addr)
 
     # ------------------------------------------------------------------
-    def _fetch(self, pc: int) -> Tuple[Instr, int]:
+    def _fetch(self, pc: int) -> Tuple[Instr, int, int]:
         cached = self._decode_cache.get(pc)
         if cached is not None:
             return cached
-        parcel = self.machine.memory.read_u16(pc)
-        if is_compressed(parcel):
-            # Expand in the decoder (as RISCY does), but keep the
-            # canonical ``c.*`` mnemonic on the decoded instruction so
-            # traces stay faithful to the fetched stream; the spec's
-            # ``kind``/format metadata is the expanded instruction's,
-            # so classification falls through to it unchanged.
-            name, word = expand_with_mnemonic(parcel)
-            instr = decode(word)
-            instr.spec = compressed_alias_spec(name, instr.spec)
-            size = 2
-        else:
-            instr = decode(self.machine.memory.read_u32(pc))
-            size = 4
-        instr.size = size  # type: ignore[attr-defined]
-        self._decode_cache[pc] = (instr, size)
-        return instr, size
+        memory = self.machine.memory
+        raw = memory.read_u16(pc)
+        if not is_compressed(raw):
+            raw = memory.read_u32(pc)
+        decoded = _decoded.get(raw)
+        if decoded is None:
+            decoded = _decoded.put(raw, _decode(raw))
+        cached = self._decode_cache[pc] = (*decoded, raw)
+        return cached
 
     # ------------------------------------------------------------------
     def _take_trap(self, cause: int, tval: int, detail: str,
@@ -324,8 +328,6 @@ class Simulator:
     def _engine(self):
         """The lazily constructed block engine for this simulator."""
         if self._block_engine is None:
-            from .blocks import BlockEngine
-
             self._block_engine = BlockEngine(self)
         return self._block_engine
 
@@ -397,7 +399,7 @@ class Simulator:
 
             # Fetch + decode: undecodable or unfetchable words trap.
             try:
-                instr, size = self._fetch(machine.pc)
+                instr, size, _raw = self._fetch(machine.pc)
             except (UnknownInstruction, IllegalCompressed) as exc:
                 word = self._raw_parcel(machine.pc)
                 trap_info = self._take_trap(
@@ -446,3 +448,22 @@ class Simulator:
             return self.machine.memory.read_u32(pc)
         except MemoryAccessError:
             return 0
+
+
+def _decode(raw: int) -> Tuple[Instr, int]:
+    """Decode one fetched parcel or word: ``(instr, size)``."""
+    if is_compressed(raw):
+        # Expand in the decoder (as RISCY does), but keep the canonical
+        # ``c.*`` mnemonic on the decoded instruction so traces stay
+        # faithful to the fetched stream; the spec's ``kind``/format
+        # metadata is the expanded instruction's, so classification
+        # falls through to it unchanged.
+        name, word = expand_with_mnemonic(raw)
+        instr = decode(word)
+        instr.spec = compressed_alias_spec(name, instr.spec)
+        size = 2
+    else:
+        instr = decode(raw)
+        size = 4
+    instr.size = size  # type: ignore[attr-defined]
+    return instr, size

@@ -65,9 +65,10 @@ class TimingConfig:
     def snapshot_key(self):
         """Hashable fingerprint of every latency knob.
 
-        The block engine bakes static cycle costs into cached blocks;
-        it compares this key at the start of each run and flushes the
-        cache when the configuration was mutated in between.
+        The block engine bakes static cycle costs into its blocks: the
+        key is part of each shared block's cache key, and a simulator
+        whose configuration was mutated between runs drops its view of
+        the blocks at the start of the next run.
         """
         return (
             self.mem_latency,

@@ -1,4 +1,5 @@
-"""check_baseline: the one drift gate for every committed snapshot."""
+"""check_baseline: the one drift gate for every committed snapshot;
+committed_record: the read-only baseline of a host measurement."""
 
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.analysis.serialize import (
     check_baseline,
+    committed_record,
     dumps_canonical,
     write_canonical,
 )
@@ -86,3 +88,19 @@ def test_missing_file_is_written_canonically_and_fails(tmp_path):
     assert re.match(r"fresh: no committed snapshot", message)
     assert path.read_text() == dumps_canonical(payload)
     check_baseline(path, payload)
+
+
+def test_committed_record_is_read_and_never_rewritten(tmp_path):
+    path = _committed(tmp_path, {"ratio": 2.5}, name="BENCH_x")
+    before = path.read_bytes()
+    assert committed_record(path, {"ratio": 1.0}) == {"ratio": 2.5}
+    assert path.read_bytes() == before
+
+
+def test_missing_record_is_written_and_fails(tmp_path):
+    path = tmp_path / "results" / "BENCH_fresh.json"
+    with pytest.raises(AssertionError, match="BENCH_fresh: no committed "
+                       "record"):
+        committed_record(path, {"ratio": 3.0})
+    assert path.read_text() == dumps_canonical({"ratio": 3.0})
+    assert committed_record(path, {"ratio": 1.0}) == {"ratio": 3.0}

@@ -24,6 +24,7 @@ from repro.serve import ReproServeApp, ServeClient, ServeClientError
 from repro.serve.executor import KernelExecutor
 from repro.serve.jobs import Job, JobQueue
 from repro.serve.server import make_server
+from repro.sim import BLOCK_CACHE_SIZE
 
 
 class GatedRunner:
@@ -114,6 +115,20 @@ class TestKernelEndpoint:
             assert after["hits"] == before["hits"] + 1
             assert after["misses"] == before["misses"]
             assert after["lints"] == before["lints"]
+
+    def test_repeat_point_reuses_generated_blocks(self):
+        # A new seed runs the same text: every block comes from the
+        # process-wide block cache.
+        with serving(workers=2) as (app, client):
+            client.run_kernel("syrk", "float16", "scalar", seed=21)
+            before = client.metrics()["block_cache"]
+            client.run_kernel("syrk", "float16", "scalar", seed=22)
+            after = client.metrics()["block_cache"]
+            assert before["entries"] >= 1
+            assert before["maxsize"] == BLOCK_CACHE_SIZE
+            assert after["hits"] > before["hits"]
+            assert after["misses"] == before["misses"]
+            assert after["compiled"] == before["compiled"]
 
     def test_trap_free_outcome_statuses_are_results_not_errors(self):
         with serving(workers=1) as (app, client):

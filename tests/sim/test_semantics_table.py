@@ -10,6 +10,9 @@ all three engines -- random operands with zero, subnormal, infinity and
 NaN encodings, every static and dynamic rounding mode including
 stochastic rounding, lockstep at three lanes with divergent values and
 SR keys -- diffing registers, fcsr, memory, exit reason and the trace.
+At the merged register file with FLEN=32 the block engine's generated
+code must write every kind but CSR and system ones out, calling no
+reference handler.
 """
 
 import random
@@ -22,6 +25,7 @@ from repro.fp.rounding import set_sr_key
 from repro.isa import assemble
 from repro.isa.instructions import all_specs, encode
 from repro.sim import Simulator
+from repro.sim.executor import reference_handler
 from repro.sim.lockstep import Lane, run_lockstep
 from repro.sim.semantics import SEMANTICS, formats, fp_operands
 
@@ -273,3 +277,35 @@ def test_engines_agree_on_every_instruction(kind):
                                     frm, keys[index], fast=True)
                 assert block == ref, f"block engine: {label}"
                 assert _snapshot(batched[index]) == ref, f"lockstep: {label}"
+
+
+# ----------------------------------------------------------------------
+# The block engine's generated code writes every kind out
+# ----------------------------------------------------------------------
+def _block_of(spec, flen=32, merged=True):
+    """The block engine's block for ``spec`` followed by ``ret``."""
+    rng = random.Random(f"{SEED}-{spec.mnemonic}-block")
+    program = _program(spec, _fields(spec, rng, 0 if spec.has_rm else None))
+    sim = Simulator(program, flen=flen, merged_regfile=merged)
+    return sim._engine().block(0), reference_handler(spec, flen)
+
+
+def _closure(block):
+    return [cell.cell_contents for cell in block.run.__closure__ or ()]
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS_BY_KIND))
+def test_block_code_inlines_every_kind_at_merged_flen32(kind):
+    if SEMANTICS[kind].shape in ("csr", "sys"):
+        pytest.skip("CSR and system kinds call their reference handler")
+    for spec in SPECS_BY_KIND[kind]:
+        block, handler = _block_of(spec)
+        assert not any(value is handler for value in _closure(block)), (
+            spec.mnemonic, block.source)
+
+
+def test_block_code_calls_the_reference_for_other_fp_layouts():
+    spec = next(s for s in SPECS_BY_KIND["fadd"] if s.fp_fmt == "s")
+    for flen, merged in ((32, False), (64, True)):
+        block, handler = _block_of(spec, flen, merged)
+        assert any(value is handler for value in _closure(block))
