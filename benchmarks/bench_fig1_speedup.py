@@ -8,8 +8,10 @@ EXPERIMENTS.md for measured-vs-paper discussion).
 
 from conftest import result_path
 
-from repro.analysis.serialize import check_baseline
-from repro.harness.experiments import cached_run, clear_cache, fig1_speedup
+from repro.analysis.serialize import check_baseline, read_canonical
+from repro.harness import parallel
+from repro.harness.experiments import cached_run, fig1_points, fig1_speedup
+from repro.harness.parallel import SweepPoint, run_points
 
 
 def _avg(rows, ftype, mode):
@@ -18,7 +20,31 @@ def _avg(rows, ftype, mode):
                 and r["ftype"] == ftype and r["mode"] == mode)
 
 
-def test_fig1_speedup(benchmark):
+def check_lockstep_sweep(monkeypatch):
+    """Every Fig. 1 point at seeds 0 and 1, batched as two-lane lockstep
+    runs, reproduces the committed seed-0 cycle counts."""
+    def scalar_fallback(point, **overrides):
+        raise AssertionError(f"{point} left the lockstep path")
+
+    # run_points retries a point whose batch failed on the scalar path;
+    # here that would hide a lockstep defect, so it fails instead.
+    monkeypatch.setattr(parallel, "_run_point", scalar_fallback)
+    points = fig1_points()
+    outcomes = run_points(points + [p._replace(seed=1) for p in points],
+                          lockstep=2)
+    assert all(o.ok for o in outcomes.values())
+    committed = [r for r in read_canonical(result_path("fig1_speedup"))
+                 if r["benchmark"] != "average"]
+    assert len(committed) == len(points) - len({p.name for p in points})
+    for row in committed:
+        run = outcomes[SweepPoint(row["benchmark"], row["ftype"],
+                                  row["mode"])].run
+        base = outcomes[SweepPoint(row["benchmark"], "float", "scalar")].run
+        assert (run.cycles, base.cycles) == (
+            row["cycles"], row["base_cycles"]), row
+
+
+def test_fig1_speedup(benchmark, monkeypatch):
     rows = fig1_speedup()
     # Time one representative configuration end to end.
     benchmark.pedantic(
@@ -26,9 +52,7 @@ def test_fig1_speedup(benchmark):
         rounds=1, iterations=1,
     )
     check_baseline(result_path("fig1_speedup"), rows)
-    # The batched lockstep sweep reproduces the scalar rows exactly.
-    clear_cache()
-    check_baseline(result_path("fig1_speedup"), fig1_speedup(lockstep=8))
+    check_lockstep_sweep(monkeypatch)
 
     print("\nFig. 1 -- speedup vs float (measured / ideal)")
     benches = sorted({r["benchmark"] for r in rows} - {"average"})

@@ -63,8 +63,8 @@ def main() -> None:
           f"{time.perf_counter() - start:.2f}s, "
           f"{sum(1 for o in results.values() if o.status == 'ok')}"
           f"/{len(points)} ok")
-    print("  (CLI: repro experiments fig1 --lockstep 64; "
-          "serving: repro serve --lockstep 8)")
+    print("  (serving batches queued seed-varied points the same way: "
+          "repro serve --lockstep 8)")
 
 
 if __name__ == "__main__":

@@ -492,41 +492,34 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         print("Table II (lanes per format):")
         for flen, row in E.table2_vector_formats().items():
             print(f"  FLEN={flen}: {row}")
-    jobs = getattr(args, "jobs", 1)
-    cache_dir = getattr(args, "cache_dir", None)
-    lockstep = getattr(args, "lockstep", 0)
+    jobs, cache_dir = args.jobs, args.cache_dir
     if name in ("fig1", "all"):
         print("Fig. 1 (speedup averages):")
-        for row in E.fig1_speedup(jobs=jobs, cache_dir=cache_dir,
-                              lockstep=lockstep):
+        for row in E.fig1_speedup(jobs=jobs, cache_dir=cache_dir):
             if row["benchmark"] == "average":
                 print(f"  {row['ftype']:<12s} {row['mode']:<7s} "
                       f"{row['speedup']:.2f}x")
     if name in ("fig2", "all"):
         print("Fig. 2 (latency gains over L1):")
-        rows = E.fig2_latency_speedup(jobs=jobs, cache_dir=cache_dir,
-                                      lockstep=lockstep)
+        rows = E.fig2_latency_speedup(jobs=jobs, cache_dir=cache_dir)
         for ftype, gains in E.fig2_latency_gains(rows).items():
             print(f"  {ftype}: L2 {gains['L2_vs_L1']:+.1%}, "
                   f"L3 {gains['L3_vs_L1']:+.1%}")
     if name in ("fig3", "all"):
         print("Fig. 3 (energy savings vs float):")
-        rows = E.fig3_energy(jobs=jobs, cache_dir=cache_dir,
-                             lockstep=lockstep)
+        rows = E.fig3_energy(jobs=jobs, cache_dir=cache_dir)
         for ftype, savings in E.fig3_average_savings(rows).items():
             row = ", ".join(f"{k} {v:.0%}" for k, v in savings.items())
             print(f"  {ftype}: {row}")
     if name in ("table3", "all"):
         print("Table III (SQNR dB):")
-        for row in E.table3_sqnr(jobs=jobs, cache_dir=cache_dir,
-                             lockstep=lockstep):
+        for row in E.table3_sqnr(jobs=jobs, cache_dir=cache_dir):
             print(f"  {row['benchmark']:<8s} {row['ftype']:<12s} "
                   f"{row['sqnr_db']:6.1f}")
     if name in ("fig4", "all"):
         print("Fig. 4 (SVM instruction breakdown):")
         for variant, counts in E.fig4_breakdown(
-                jobs=jobs, cache_dir=cache_dir,
-                lockstep=lockstep).items():
+                jobs=jobs, cache_dir=cache_dir).items():
             print(f"  {variant}: {counts}")
     if name in ("fig5", "all"):
         result = E.fig5_codegen()
@@ -535,8 +528,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
               f"({result['reduction']:.0%} reduction)")
     if name in ("fig6", "all"):
         print("Fig. 6 (mixed precision):")
-        for row in E.fig6_mixed_precision(jobs=jobs, cache_dir=cache_dir,
-                                      lockstep=lockstep):
+        for row in E.fig6_mixed_precision(jobs=jobs, cache_dir=cache_dir):
             print(f"  {row['scheme']:<15s} speedup {row['speedup']:.2f}, "
                   f"energy {row['energy_normalized']:.2f}, "
                   f"error {row['classification_error']:.1%}")
@@ -828,10 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "fig3", "fig4", "fig5", "fig6"])
     p_exp.add_argument("--jobs", type=int, default=1,
                        help="compute sweep points in N worker processes")
-    p_exp.add_argument("--lockstep", type=int, default=0, metavar="N",
-                       help="batch seed-varied sweep points into lockstep "
-                            "runs of up to N lanes (bit-identical per "
-                            "point; 0 disables)")
     p_exp.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persistent per-point result cache "
                             "(default: $REPRO_RESULT_CACHE if set)")

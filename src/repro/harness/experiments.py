@@ -2,7 +2,12 @@
 
 Each function returns plain data (lists of dicts) so the benchmark
 suite, the examples and EXPERIMENTS.md all consume the same numbers.
-Results are memoized per configuration: several figures share runs.
+
+Every sweep driver builds its :class:`~repro.harness.parallel.SweepPoint`
+list once and runs it through one :func:`~repro.harness.parallel.
+run_points` call (``jobs`` worker processes; the disk cache of
+``cache_dir``, else of ``$REPRO_RESULT_CACHE``).  Outcomes are memoized
+per point for the life of the process: several figures share runs.
 
 Sweeps are crash-isolated: every point runs through
 :func:`~repro.harness.runner.run_kernel_safe` under an instruction
@@ -16,18 +21,13 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..fp.formats import supported_vector_formats
-from ..kernels import BENCHMARK_NAMES, KERNELS, KernelSpec
+from ..kernels import BENCHMARK_NAMES, KERNELS
 from ..sim.memory import LATENCY_LEVELS
-from .runner import (
-    KernelExecutionError,
-    KernelRun,
-    SafeRunOutcome,
-    run_kernel,
-    run_kernel_safe,
-)
+from .parallel import SweepPoint, resolve_cache, run_point, run_points
+from .runner import KernelExecutionError, KernelRun, SafeRunOutcome
 
 #: Lane counts per C type keyword at FLEN = 32.
 _LANES = {"float16": 2, "float16alt": 2, "float8": 4}
@@ -35,11 +35,11 @@ _LANES = {"float16": 2, "float16alt": 2, "float8": 4}
 #: Default per-point watchdog for figure sweeps.
 DEFAULT_POINT_BUDGET = 50_000_000
 
-_CACHE: Dict[Tuple, SafeRunOutcome] = {}
-_CACHE_LOCK = threading.Lock()
+_MEMO: Dict[SweepPoint, SafeRunOutcome] = {}
+_MEMO_LOCK = threading.Lock()
 
 
-def _reset_cache_in_child() -> None:
+def _reset_memo_in_child() -> None:
     """Give forked children a private, empty memo and a fresh lock.
 
     A child inheriting the parent's memo could serve rows the parent is
@@ -48,94 +48,61 @@ def _reset_cache_in_child() -> None:
     sweep workers therefore always start clean; shared points come from
     the keyed disk cache instead.
     """
-    global _CACHE_LOCK
-    _CACHE_LOCK = threading.Lock()
-    _CACHE.clear()
+    global _MEMO_LOCK
+    _MEMO_LOCK = threading.Lock()
+    _MEMO.clear()
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_reset_cache_in_child)
+    os.register_at_fork(after_in_child=_reset_memo_in_child)
 
 
-def safe_cached_run(
-    name: str, ftype: str, mode: str, mem_latency: int = 1, seed: int = 0,
-    instruction_budget: int = DEFAULT_POINT_BUDGET,
-) -> SafeRunOutcome:
-    """Memoized, crash-isolated :func:`run_kernel` for sweep points."""
-    key = (name, ftype, mode, mem_latency, seed, instruction_budget)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    outcome = run_kernel_safe(
-        KERNELS[name], ftype, mode, mem_latency=mem_latency, seed=seed,
-        max_instructions=instruction_budget,
-    )
-    # setdefault keeps the first writer's row, so concurrent callers of
-    # the same point always observe one identical object.
-    with _CACHE_LOCK:
-        return _CACHE.setdefault(key, outcome)
+def _sweep(points: List[SweepPoint], jobs: int = 1,
+           cache_dir: Optional[str] = None
+           ) -> Dict[SweepPoint, SafeRunOutcome]:
+    """The outcome of every point: memoized ones from this process,
+    the rest from one :func:`run_points` call."""
+    with _MEMO_LOCK:
+        found = {p: _MEMO[p] for p in points if p in _MEMO}
+    missing = [p for p in points if p not in found]
+    if missing:
+        results = run_points(missing, jobs=jobs,
+                             cache=resolve_cache(cache_dir))
+        # setdefault keeps the first writer's row, so concurrent callers
+        # of the same point always observe one identical object.
+        with _MEMO_LOCK:
+            for point, outcome in results.items():
+                found[point] = _MEMO.setdefault(point, outcome)
+    return found
 
 
-def prewarm(
-    points: Iterable[Tuple], jobs: int = 1,
-    cache_dir: Optional[str] = None, lockstep: int = 0,
-) -> int:
-    """Compute sweep points up front and seed the in-process memo.
-
-    ``points`` are ``(name, ftype, mode, mem_latency, seed, budget)``
-    tuples -- exactly the :func:`safe_cached_run` key.  With
-    ``jobs > 1`` the missing points fan out worker-per-point over a
-    process pool; with a cache directory (or ``REPRO_RESULT_CACHE``
-    set) finished points persist across processes.  Returns the number
-    of points that were actually computed (as opposed to served from
-    either cache).  ``lockstep >= 2`` batches seed-varied points into
-    shared lockstep runs (see :func:`repro.harness.parallel.run_points`).
-    """
-    from .parallel import SweepPoint, resolve_cache, run_points
-
-    cache = resolve_cache(cache_dir)
-    with _CACHE_LOCK:
-        missing = [SweepPoint(*p) for p in dict.fromkeys(points)
-                   if tuple(p) not in _CACHE]
-    before = cache.hits if cache is not None else 0
-    results = run_points(missing, jobs=jobs, cache=cache,
-                         lockstep=lockstep)
-    with _CACHE_LOCK:
-        for point, outcome in results.items():
-            _CACHE.setdefault(tuple(point), outcome)
-    served = cache.hits - before if cache is not None else 0
-    return len(results) - served
-
-
-def _maybe_prewarm(points: List[Tuple], jobs: int,
-                   cache_dir: Optional[str], lockstep: int = 0) -> None:
-    """Prewarm when parallelism, batching or a cache is in play."""
-    if jobs > 1 or lockstep >= 2 or cache_dir is not None or (
-            os.environ.get("REPRO_RESULT_CACHE", "").strip()):
-        prewarm(points, jobs=jobs, cache_dir=cache_dir, lockstep=lockstep)
-
-
-def cached_run(name: str, ftype: str, mode: str, mem_latency: int = 1,
-               seed: int = 0) -> KernelRun:
-    """Memoized :func:`run_kernel` (figures share configurations).
-
-    Raises :class:`KernelExecutionError` if the point did not complete;
-    sweep drivers use :func:`safe_cached_run` instead.
-    """
-    outcome = safe_cached_run(name, ftype, mode, mem_latency, seed)
+def _require(outcome: SafeRunOutcome, point: SweepPoint) -> KernelRun:
+    """The run of a point that must have completed."""
     if not outcome.ok:
         raise KernelExecutionError(
-            f"{name} [{ftype}, {mode}, latency={mem_latency}] ended with "
+            f"{point.name} [{point.ftype}, {point.mode}, "
+            f"latency={point.mem_latency}] ended with "
             f"{outcome.status}: {outcome.detail}",
             exit_reason=outcome.status, trap=outcome.trap,
         )
     return outcome.run
 
 
+def cached_run(name: str, ftype: str, mode: str, mem_latency: int = 1,
+               seed: int = 0) -> KernelRun:
+    """The memoized run of one point (figures share configurations).
+
+    Raises :class:`KernelExecutionError` if the point did not complete.
+    """
+    point = SweepPoint(name, ftype, mode, mem_latency, seed,
+                       DEFAULT_POINT_BUDGET)
+    return _require(_sweep([point])[point], point)
+
+
 def clear_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    """Forget every memoized point outcome of this process."""
+    with _MEMO_LOCK:
+        _MEMO.clear()
 
 
 def _point_row(outcome: SafeRunOutcome) -> Dict:
@@ -175,20 +142,20 @@ def fig1_points(
     ftypes: Tuple[str, ...] = ("float16", "float16alt", "float8"),
     seed: int = 0,
     instruction_budget: int = DEFAULT_POINT_BUDGET,
-) -> List[Tuple]:
-    """The exact point set :func:`fig1_speedup` will request."""
+) -> List[SweepPoint]:
+    """The exact point set :func:`fig1_speedup` runs."""
     benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    points: List[Tuple] = []
+    points: List[SweepPoint] = []
     for bench in benchmarks:
         spec = KERNELS[bench]
-        points.append((bench, "float", "scalar", 1, seed,
-                       instruction_budget))
+        points.append(SweepPoint(bench, "float", "scalar", 1, seed,
+                                 instruction_budget))
         for ftype in ftypes:
-            points.append((bench, ftype, "auto", 1, seed,
-                           instruction_budget))
+            points.append(SweepPoint(bench, ftype, "auto", 1, seed,
+                                     instruction_budget))
             if spec.manual_source_fn is not None:
-                points.append((bench, ftype, "manual", 1, seed,
-                               instruction_budget))
+                points.append(SweepPoint(bench, ftype, "manual", 1, seed,
+                                         instruction_budget))
     return points
 
 
@@ -199,7 +166,6 @@ def fig1_speedup(
     instruction_budget: int = DEFAULT_POINT_BUDGET,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    lockstep: int = 0,
 ) -> List[Dict]:
     """Speedup of each smallFloat type over float, auto vs manual.
 
@@ -209,46 +175,39 @@ def fig1_speedup(
     with their ``status``/``detail`` set and ``None`` metrics; the sweep
     itself always completes.
 
-    ``jobs`` computes the points worker-per-point in parallel first;
+    ``jobs`` computes the points in that many worker processes;
     ``cache_dir`` additionally persists them for other processes.
     """
     benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    _maybe_prewarm(fig1_points(benchmarks, ftypes, seed,
-                               instruction_budget), jobs, cache_dir, lockstep)
+    points = fig1_points(benchmarks, ftypes, seed, instruction_budget)
+    done = _sweep(points, jobs, cache_dir)
     rows: List[Dict] = []
     sums: Dict[Tuple[str, str], List[float]] = {}
-    for bench in benchmarks:
-        spec = KERNELS[bench]
-        base_outcome = safe_cached_run(bench, "float", "scalar", seed=seed,
-                                       instruction_budget=instruction_budget)
-        base = base_outcome.run if base_outcome.ok else None
-        for ftype in ftypes:
-            modes = ["auto"]
-            if spec.manual_source_fn is not None:
-                modes.append("manual")
-            for mode in modes:
-                row = {"benchmark": bench, "ftype": ftype, "mode": mode,
-                       "cycles": None, "base_cycles": None,
-                       "speedup": None, "ideal": None}
-                if base is None:
-                    row.update(status=base_outcome.status,
-                               detail=f"baseline: {base_outcome.detail}")
-                    rows.append(row)
-                    continue
-                outcome = safe_cached_run(
-                    bench, ftype, mode, seed=seed,
-                    instruction_budget=instruction_budget)
-                row.update(_point_row(outcome))
-                if outcome.ok:
-                    speedup = base.cycles / outcome.run.cycles
-                    row.update({
-                        "cycles": outcome.run.cycles,
-                        "base_cycles": base.cycles,
-                        "speedup": speedup,
-                        "ideal": ideal_speedup(base, _LANES[ftype]),
-                    })
-                    sums.setdefault((ftype, mode), []).append(speedup)
-                rows.append(row)
+    for point in points:
+        if point.mode == "scalar":  # each benchmark's float baseline
+            base_outcome = done[point]
+            base = base_outcome.run if base_outcome.ok else None
+            continue
+        row = {"benchmark": point.name, "ftype": point.ftype,
+               "mode": point.mode, "cycles": None, "base_cycles": None,
+               "speedup": None, "ideal": None}
+        if base is None:
+            row.update(status=base_outcome.status,
+                       detail=f"baseline: {base_outcome.detail}")
+            rows.append(row)
+            continue
+        outcome = done[point]
+        row.update(_point_row(outcome))
+        if outcome.ok:
+            speedup = base.cycles / outcome.run.cycles
+            row.update({
+                "cycles": outcome.run.cycles,
+                "base_cycles": base.cycles,
+                "speedup": speedup,
+                "ideal": ideal_speedup(base, _LANES[point.ftype]),
+            })
+            sums.setdefault((point.ftype, point.mode), []).append(speedup)
+        rows.append(row)
     for (ftype, mode), values in sorted(sums.items()):
         rows.append({
             "benchmark": "average",
@@ -267,24 +226,58 @@ def fig1_speedup(
 # ----------------------------------------------------------------------
 # Fig. 2 -- speedup for increasing memory latencies (manual builds)
 # ----------------------------------------------------------------------
+def _manual_benchmarks() -> List[str]:
+    """The paper benchmarks that have a hand-vectorized form."""
+    return [b for b in BENCHMARK_NAMES if KERNELS[b].manual_source_fn]
+
+
 def fig23_points(
     benchmarks: Optional[List[str]] = None,
     ftypes: Tuple[str, ...] = ("float16", "float8"),
     seed: int = 0,
-) -> List[Tuple]:
+) -> List[SweepPoint]:
     """The latency-sweep point set shared by Figs. 2 and 3."""
-    benchmarks = benchmarks or [
-        b for b in BENCHMARK_NAMES if KERNELS[b].manual_source_fn
-    ]
-    points: List[Tuple] = []
+    benchmarks = benchmarks or _manual_benchmarks()
+    points: List[SweepPoint] = []
     for bench in benchmarks:
         for latency in LATENCY_LEVELS.values():
-            points.append((bench, "float", "scalar", latency, seed,
-                           DEFAULT_POINT_BUDGET))
+            points.append(SweepPoint(bench, "float", "scalar", latency, seed,
+                                     DEFAULT_POINT_BUDGET))
             for ftype in ftypes:
-                points.append((bench, ftype, "manual", latency, seed,
-                               DEFAULT_POINT_BUDGET))
+                points.append(SweepPoint(bench, ftype, "manual", latency,
+                                         seed, DEFAULT_POINT_BUDGET))
     return points
+
+
+def _latency_rows(benchmarks, ftypes, seed, jobs, cache_dir,
+                  blank: Dict, score) -> List[Dict]:
+    """One Fig. 2/3 row per (benchmark, latency level, type).
+
+    ``blank`` holds the row's metric fields; a completed point fills
+    them with ``score(float_run, run)`` at the same latency.
+    """
+    benchmarks = benchmarks or _manual_benchmarks()
+    done = _sweep(fig23_points(benchmarks, ftypes, seed), jobs, cache_dir)
+    rows: List[Dict] = []
+    for bench in benchmarks:
+        for level, latency in LATENCY_LEVELS.items():
+            base = done[SweepPoint(bench, "float", "scalar", latency, seed,
+                                   DEFAULT_POINT_BUDGET)]
+            for ftype in ftypes:
+                row = {"benchmark": bench, "ftype": ftype, "level": level,
+                       "latency": latency, **blank}
+                if not base.ok:
+                    row.update(status=base.status,
+                               detail=f"baseline: {base.detail}")
+                    rows.append(row)
+                    continue
+                outcome = done[SweepPoint(bench, ftype, "manual", latency,
+                                          seed, DEFAULT_POINT_BUDGET)]
+                row.update(_point_row(outcome))
+                if outcome.ok:
+                    row.update(score(base.run, outcome.run))
+                rows.append(row)
+    return rows
 
 
 def fig2_latency_speedup(
@@ -293,39 +286,15 @@ def fig2_latency_speedup(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    lockstep: int = 0,
 ) -> List[Dict]:
     """Speedup vs the float baseline *at the same latency level*.
 
     Only manually vectorized builds, only float16 (float16alt behaves
     identically) -- exactly the paper's protocol from Fig. 2 on.
     """
-    benchmarks = benchmarks or [
-        b for b in BENCHMARK_NAMES if KERNELS[b].manual_source_fn
-    ]
-    _maybe_prewarm(fig23_points(benchmarks, ftypes, seed), jobs,
-                   cache_dir, lockstep)
-    rows: List[Dict] = []
-    for bench in benchmarks:
-        for level, latency in LATENCY_LEVELS.items():
-            base_outcome = safe_cached_run(bench, "float", "scalar",
-                                           latency, seed)
-            for ftype in ftypes:
-                row = {"benchmark": bench, "ftype": ftype, "level": level,
-                       "latency": latency, "speedup": None}
-                if not base_outcome.ok:
-                    row.update(status=base_outcome.status,
-                               detail=f"baseline: {base_outcome.detail}")
-                    rows.append(row)
-                    continue
-                outcome = safe_cached_run(bench, ftype, "manual",
-                                          latency, seed)
-                row.update(_point_row(outcome))
-                if outcome.ok:
-                    row["speedup"] = (base_outcome.run.cycles
-                                      / outcome.run.cycles)
-                rows.append(row)
-    return rows
+    return _latency_rows(
+        benchmarks, ftypes, seed, jobs, cache_dir, {"speedup": None},
+        lambda base, run: {"speedup": base.cycles / run.cycles})
 
 
 def fig2_latency_gains(rows: Optional[List[Dict]] = None) -> Dict[str, Dict[str, float]]:
@@ -359,38 +328,14 @@ def fig3_energy(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    lockstep: int = 0,
 ) -> List[Dict]:
     """Energy of the manual smallFloat builds normalized to float."""
-    benchmarks = benchmarks or [
-        b for b in BENCHMARK_NAMES if KERNELS[b].manual_source_fn
-    ]
-    _maybe_prewarm(fig23_points(benchmarks, ftypes, seed), jobs,
-                   cache_dir, lockstep)
-    rows: List[Dict] = []
-    for bench in benchmarks:
-        for level, latency in LATENCY_LEVELS.items():
-            base_outcome = safe_cached_run(bench, "float", "scalar",
-                                           latency, seed)
-            for ftype in ftypes:
-                row = {"benchmark": bench, "ftype": ftype, "level": level,
-                       "latency": latency, "energy_pj": None,
-                       "normalized": None}
-                if not base_outcome.ok:
-                    row.update(status=base_outcome.status,
-                               detail=f"baseline: {base_outcome.detail}")
-                    rows.append(row)
-                    continue
-                outcome = safe_cached_run(bench, ftype, "manual",
-                                          latency, seed)
-                row.update(_point_row(outcome))
-                if outcome.ok:
-                    run = outcome.run
-                    row["energy_pj"] = run.energy.total
-                    row["normalized"] = (run.energy.total
-                                         / base_outcome.run.energy.total)
-                rows.append(row)
-    return rows
+    return _latency_rows(
+        benchmarks, ftypes, seed, jobs, cache_dir,
+        {"energy_pj": None, "normalized": None},
+        lambda base, run: {"energy_pj": run.energy.total,
+                           "normalized": run.energy.total
+                           / base.energy.total})
 
 
 def fig3_average_savings(rows: Optional[List[Dict]] = None) -> Dict[str, Dict[str, float]]:
@@ -431,23 +376,22 @@ def table3_sqnr(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    lockstep: int = 0,
 ) -> List[Dict]:
     """SQNR (dB) of program outputs vs the binary64 reference."""
     benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    _maybe_prewarm(
-        [(bench, ftype, "scalar", 1, seed, DEFAULT_POINT_BUDGET)
-         for bench in benchmarks for ftype in ftypes],
-        jobs, cache_dir, lockstep)
+    points = [SweepPoint(bench, ftype, "scalar", 1, seed,
+                         DEFAULT_POINT_BUDGET)
+              for bench in benchmarks for ftype in ftypes]
+    done = _sweep(points, jobs, cache_dir)
     rows: List[Dict] = []
-    for bench in benchmarks:
-        for ftype in ftypes:
-            outcome = safe_cached_run(bench, ftype, "scalar", seed=seed)
-            row = {"benchmark": bench, "ftype": ftype, "sqnr_db": None}
-            row.update(_point_row(outcome))
-            if outcome.ok:
-                row["sqnr_db"] = outcome.run.sqnr_db()
-            rows.append(row)
+    for point in points:
+        outcome = done[point]
+        row = {"benchmark": point.name, "ftype": point.ftype,
+               "sqnr_db": None}
+        row.update(_point_row(outcome))
+        if outcome.ok:
+            row["sqnr_db"] = outcome.run.sqnr_db()
+        rows.append(row)
     return rows
 
 
@@ -460,7 +404,6 @@ def format_shootout(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    lockstep: int = 0,
 ) -> List[Dict]:
     """Accuracy vs energy for competing storage formats, per kernel.
 
@@ -472,15 +415,17 @@ def format_shootout(
     kernel (< 1.0 means the narrow format saves energy).
     """
     benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    _maybe_prewarm(
-        [(bench, ftype, "scalar", 1, seed, DEFAULT_POINT_BUDGET)
-         for bench in benchmarks for ftype in ("float",) + tuple(ftypes)],
-        jobs, cache_dir, lockstep)
+    points = [SweepPoint(bench, ftype, "scalar", 1, seed,
+                         DEFAULT_POINT_BUDGET)
+              for bench in benchmarks for ftype in ("float",) + tuple(ftypes)]
+    done = _sweep(points, jobs, cache_dir)
     rows: List[Dict] = []
     for bench in benchmarks:
-        base = safe_cached_run(bench, "float", "scalar", seed=seed)
+        base = done[SweepPoint(bench, "float", "scalar", 1, seed,
+                               DEFAULT_POINT_BUDGET)]
         for ftype in ftypes:
-            outcome = safe_cached_run(bench, ftype, "scalar", seed=seed)
+            outcome = done[SweepPoint(bench, ftype, "scalar", 1, seed,
+                                      DEFAULT_POINT_BUDGET)]
             row = {"benchmark": bench, "ftype": ftype, "sqnr_db": None,
                    "cycles": None, "energy_pj": None,
                    "energy_vs_float": None}
@@ -500,23 +445,28 @@ def format_shootout(
 # ----------------------------------------------------------------------
 # Fig. 4 -- SVM instruction-count breakdown under mixed precision
 # ----------------------------------------------------------------------
+def _svm_runs(variants: Dict[str, Tuple[str, str, str]], seed: int,
+              jobs: int, cache_dir: Optional[str]) -> Dict[str, KernelRun]:
+    """The run of each ``label -> (kernel, ftype, mode)`` SVM variant;
+    raises :class:`KernelExecutionError` if one did not complete."""
+    points = {label: SweepPoint(name, ftype, mode, 1, seed,
+                                DEFAULT_POINT_BUDGET)
+              for label, (name, ftype, mode) in variants.items()}
+    done = _sweep(list(points.values()), jobs, cache_dir)
+    return {label: _require(done[point], point)
+            for label, point in points.items()}
+
+
 def fig4_breakdown(seed: int = 0, jobs: int = 1,
-                   cache_dir: Optional[str] = None,
-                   lockstep: int = 0) -> Dict[str, Dict[str, int]]:
+                   cache_dir: Optional[str] = None
+                   ) -> Dict[str, Dict[str, int]]:
     """Instruction mixes: original float vs auto vs manual mixed SVM."""
-    _maybe_prewarm(
-        [("svm", "float", "scalar", 1, seed, DEFAULT_POINT_BUDGET),
-         ("svm_mixed", "float16", "auto", 1, seed, DEFAULT_POINT_BUDGET),
-         ("svm_mixed", "float16", "manual", 1, seed, DEFAULT_POINT_BUDGET)],
-        jobs, cache_dir, lockstep)
-    original = cached_run("svm", "float", "scalar", seed=seed)
-    auto = cached_run("svm_mixed", "float16", "auto", seed=seed)
-    manual = cached_run("svm_mixed", "float16", "manual", seed=seed)
-    return {
-        "original": dict(original.trace.merged_breakdown()),
-        "auto": dict(auto.trace.merged_breakdown()),
-        "manual": dict(manual.trace.merged_breakdown()),
-    }
+    runs = _svm_runs({"original": ("svm", "float", "scalar"),
+                      "auto": ("svm_mixed", "float16", "auto"),
+                      "manual": ("svm_mixed", "float16", "manual")},
+                     seed, jobs, cache_dir)
+    return {label: dict(run.trace.merged_breakdown())
+            for label, run in runs.items()}
 
 
 # ----------------------------------------------------------------------
@@ -575,41 +525,28 @@ def fig5_codegen() -> Dict[str, object]:
 # Fig. 6 -- mixed-precision case study: speedup, energy, accuracy
 # ----------------------------------------------------------------------
 def fig6_mixed_precision(seed: int = 0, jobs: int = 1,
-                         cache_dir: Optional[str] = None,
-                         lockstep: int = 0) -> List[Dict]:
+                         cache_dir: Optional[str] = None) -> List[Dict]:
     """Speedup/energy/accuracy of SVM precision schemes vs float.
 
     Rows: float (baseline), uniform float16, uniform float8, and the
     tuned mixed scheme (auto + manual).  The paper's claim: mixed
     precision matches float16's speedup and energy at float's accuracy.
     """
-    _maybe_prewarm(
-        [("svm", "float", "scalar", 1, seed, DEFAULT_POINT_BUDGET),
-         ("svm", "float16", "auto", 1, seed, DEFAULT_POINT_BUDGET),
-         ("svm", "float8", "auto", 1, seed, DEFAULT_POINT_BUDGET),
-         ("svm_mixed", "float16", "auto", 1, seed, DEFAULT_POINT_BUDGET),
-         ("svm_mixed", "float16", "manual", 1, seed, DEFAULT_POINT_BUDGET)],
-        jobs, cache_dir, lockstep)
-    base = cached_run("svm", "float", "scalar", seed=seed)
-    rows: List[Dict] = []
-
-    def add(label: str, run: KernelRun) -> None:
-        rows.append({
-            "scheme": label,
-            "cycles": run.cycles,
-            "speedup": base.cycles / run.cycles,
-            "energy_normalized": run.energy.total / base.energy.total,
-            "classification_error": run.classification_error(),
-            "sqnr_db": run.sqnr_db("scores"),
-        })
-
-    add("float", base)
-    add("float16", cached_run("svm", "float16", "auto", seed=seed))
-    add("float8", cached_run("svm", "float8", "auto", seed=seed))
-    add("mixed(auto)", cached_run("svm_mixed", "float16", "auto", seed=seed))
-    add("mixed(manual)",
-        cached_run("svm_mixed", "float16", "manual", seed=seed))
-    return rows
+    runs = _svm_runs({"float": ("svm", "float", "scalar"),
+                      "float16": ("svm", "float16", "auto"),
+                      "float8": ("svm", "float8", "auto"),
+                      "mixed(auto)": ("svm_mixed", "float16", "auto"),
+                      "mixed(manual)": ("svm_mixed", "float16", "manual")},
+                     seed, jobs, cache_dir)
+    base = runs["float"]
+    return [{
+        "scheme": label,
+        "cycles": run.cycles,
+        "speedup": base.cycles / run.cycles,
+        "energy_normalized": run.energy.total / base.energy.total,
+        "classification_error": run.classification_error(),
+        "sqnr_db": run.sqnr_db("scores"),
+    } for label, run in runs.items()]
 
 
 # ----------------------------------------------------------------------
@@ -628,11 +565,11 @@ def profile_sweep(
     Writes ``<bench>_<ftype>_<mode>.profile.json`` (the schema of
     ``repro profile --json``; see ``docs/profiling.md``) plus an
     ``index.json`` of summary rows into ``out_dir``, and returns the
-    rows.  Points that fail keep their ``status``/``detail`` and write
-    no payload -- the sweep itself always completes.
+    rows.  Every point runs crash-isolated through :func:`run_point`;
+    points that fail keep their ``status``/``detail`` and write no
+    payload -- the sweep itself always completes.
     """
     import json
-    import os
 
     os.makedirs(out_dir, exist_ok=True)
     benchmarks = benchmarks or list(BENCHMARK_NAMES)
@@ -643,19 +580,18 @@ def profile_sweep(
                 row = {"benchmark": bench, "ftype": ftype, "mode": mode,
                        "mem_latency": mem_latency, "cycles": None,
                        "file": None, "status": "ok", "detail": ""}
-                try:
-                    run = run_kernel(KERNELS[bench], ftype, mode,
-                                     mem_latency=mem_latency, seed=seed,
-                                     profile=True)
-                except KernelExecutionError as exc:
-                    row.update(status=exc.exit_reason, detail=str(exc))
+                outcome = run_point(
+                    SweepPoint(bench, ftype, mode, mem_latency, seed,
+                               DEFAULT_POINT_BUDGET), profile=True)
+                if not outcome.ok:
+                    row.update(_point_row(outcome))
                     rows.append(row)
                     continue
-                payload = run.profile.to_payload()
                 name = f"{bench}_{ftype}_{mode}.profile.json"
                 with open(os.path.join(out_dir, name), "w") as handle:
-                    json.dump(payload, handle, indent=2)
-                row.update(cycles=run.cycles, file=name)
+                    json.dump(outcome.run.profile.to_payload(), handle,
+                              indent=2)
+                row.update(cycles=outcome.run.cycles, file=name)
                 rows.append(row)
     with open(os.path.join(out_dir, "index.json"), "w") as handle:
         json.dump(rows, handle, indent=2)

@@ -65,7 +65,8 @@ STALE_TMP_SECONDS = 600.0
 
 
 class SweepPoint(NamedTuple):
-    """One sweep configuration (the in-memory memo key, made explicit)."""
+    """One sweep configuration: the key of the figure drivers' process
+    memo and, hashed by :func:`point_key`, of the disk cache."""
 
     name: str
     ftype: str

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -254,6 +254,70 @@ def build_points(ftypes: Sequence[str],
                     yield name, ftype, mode
 
 
+class _Staged(NamedTuple):
+    """One seed's drawn data and argument layout (see :func:`_stage_args`)."""
+
+    data: Dict
+    run_params: Dict[str, int]
+    regs: Dict[int, int]
+    stores: list
+    array_at: Dict[str, tuple]
+
+
+def _stage_seed(spec: KernelSpec, ftype: str,
+                params: Optional[Dict[str, int]], seed: int) -> _Staged:
+    """Draw ``seed``'s kernel data and lay out the arguments for it."""
+    run_params = dict(spec.params)
+    run_params.update(params or {})
+    data = spec.make_data(run_params, np.random.default_rng(seed))
+    return _Staged(data, run_params,
+                   *_stage_args(spec, ftype, run_params, data))
+
+
+#: One energy model prices every run; its per-mnemonic cache holds pure
+#: values, so threads filling it concurrently store the same numbers.
+_ENERGY = EnergyModel()
+
+
+def _score(spec: KernelSpec, ftype: str, mode: str, mem_latency: int,
+           kernel: CompiledKernel, staged: _Staged, result,
+           trap_ok: bool, **measured) -> KernelRun:
+    """Read back and score one finished simulation.
+
+    An abnormal exit raises :class:`KernelExecutionError` unless
+    ``trap_ok``.  ``measured`` holds the engine-specific fields
+    (``sim_seconds``, ``profile``).
+    """
+    if not result.ok and not trap_ok:
+        raise KernelExecutionError(
+            f"{spec.name} [{ftype}, {mode}] ended with "
+            f"{result.exit_reason}: {result.detail}",
+            exit_reason=result.exit_reason, trap=result.trap,
+        )
+    outputs = _read_outputs(spec, result.machine.memory, staged.array_at)
+    return KernelRun(
+        spec_name=spec.name,
+        ftype=ftype,
+        mode=mode,
+        mem_latency=mem_latency,
+        trace=result.trace,
+        energy=_ENERGY.estimate(result.trace, mem_latency),
+        outputs=outputs,
+        golden=spec.golden(staged.data, staged.run_params),
+        asm=kernel.asm,
+        exit_reason=result.exit_reason,
+        trap=result.trap,
+        arrays={
+            name: (addr, count * (4 if fmt is None else fmt.width // 8))
+            for name, (addr, count, fmt) in staged.array_at.items()
+        },
+        text_range=(kernel.program.text_base,
+                    4 * len(kernel.program.words)),
+        lint=kernel.lint_result,
+        **measured,
+    )
+
+
 def run_kernel(
     spec: KernelSpec,
     ftype: str = "float",
@@ -262,7 +326,6 @@ def run_kernel(
     params: Optional[Dict[str, int]] = None,
     seed: int = 0,
     max_instructions: int = 50_000_000,
-    energy_model: Optional[EnergyModel] = None,
     injector: Optional[Callable] = None,
     trap_ok: bool = False,
     profile: Union[bool, "ProfileConfig", None] = None,
@@ -295,11 +358,7 @@ def run_kernel(
     seeded by ``sr_key`` (see :func:`repro.fp.rounding.set_sr_key`).
     """
     kernel = build_kernel(spec, ftype, mode)
-    run_params = dict(spec.params)
-    run_params.update(params or {})
-    rng = np.random.default_rng(seed)
-    data = spec.make_data(run_params, rng)
-
+    staged = _stage_seed(spec, ftype, params, seed)
     sim = Simulator(kernel.program, mem_latency=mem_latency,
                     fast_path=fast_path)
 
@@ -313,62 +372,23 @@ def run_kernel(
             context={"kernel": spec.name, "ftype": ftype, "mode": mode,
                      "mem_latency": mem_latency, "seed": seed})
 
-    # ------------------------------------------------------------------
-    # Stage arguments
-    # ------------------------------------------------------------------
-    regs, stores, array_at = _stage_args(spec, ftype, run_params, data)
-    for addr, payload in stores:
+    for addr, payload in staged.stores:
         sim.machine.memory.write_block(addr, payload)
-
     if frm is not None:
         sim.machine.csr.frm = frm
     sim_start = time.perf_counter()
     prev_key = set_sr_key(sr_key)
     try:
-        result = sim.run(spec.entry, args=regs,
+        result = sim.run(spec.entry, args=staged.regs,
                          max_instructions=max_instructions,
                          step_hook=injector, profile=collector)
     finally:
         set_sr_key(prev_key)
     sim_seconds = time.perf_counter() - sim_start
-    if not result.ok and not trap_ok:
-        raise KernelExecutionError(
-            f"{spec.name} [{ftype}, {mode}] ended with "
-            f"{result.exit_reason}: {result.detail}",
-            exit_reason=result.exit_reason, trap=result.trap,
-        )
-
-    # ------------------------------------------------------------------
-    # Read outputs and score
-    # ------------------------------------------------------------------
-    outputs = _read_outputs(spec, sim.machine.memory, array_at)
-
-    golden = spec.golden(data, run_params)
-    model = energy_model or EnergyModel()
-    energy = model.estimate(result.trace, mem_latency)
-    arrays = {
-        name: (addr, count * (4 if fmt is None else fmt.width // 8))
-        for name, (addr, count, fmt) in array_at.items()
-    }
-    return KernelRun(
-        spec_name=spec.name,
-        ftype=ftype,
-        mode=mode,
-        mem_latency=mem_latency,
-        trace=result.trace,
-        energy=energy,
-        outputs=outputs,
-        golden=golden,
-        asm=kernel.asm,
-        exit_reason=result.exit_reason,
-        trap=result.trap,
-        arrays=arrays,
-        text_range=(kernel.program.text_base,
-                    4 * len(kernel.program.words)),
-        lint=kernel.lint_result,
-        profile=collector.finish() if collector is not None else None,
-        sim_seconds=sim_seconds,
-    )
+    return _score(spec, ftype, mode, mem_latency, kernel, staged, result,
+                  trap_ok, sim_seconds=sim_seconds,
+                  profile=collector.finish() if collector is not None
+                  else None)
 
 
 def run_kernel_batch(
@@ -379,7 +399,6 @@ def run_kernel_batch(
     params: Optional[Dict[str, int]] = None,
     seeds: Sequence[int] = (0,),
     max_instructions: int = 50_000_000,
-    energy_model: Optional[EnergyModel] = None,
     trap_ok: bool = False,
     frm: Optional[int] = None,
     sr_keys: Optional[Sequence[int]] = None,
@@ -411,17 +430,10 @@ def run_kernel_batch(
     if sr_keys is not None and len(sr_keys) != len(seeds):
         raise HarnessError(
             f"sr_keys has {len(sr_keys)} entries for {len(seeds)} seeds")
-    staged = []
-    lanes = []
-    for idx, seed in enumerate(seeds):
-        run_params = dict(spec.params)
-        run_params.update(params or {})
-        rng = np.random.default_rng(seed)
-        data = spec.make_data(run_params, rng)
-        regs, stores, array_at = _stage_args(spec, ftype, run_params, data)
-        staged.append((data, run_params, array_at))
-        lanes.append(Lane(regs, stores,
-                          sr_key=0 if sr_keys is None else sr_keys[idx]))
+    staged = [_stage_seed(spec, ftype, params, seed) for seed in seeds]
+    lanes = [Lane(s.regs, s.stores,
+                  sr_key=0 if sr_keys is None else sr_keys[idx])
+             for idx, s in enumerate(staged)]
 
     sim_start = time.perf_counter()
     results = run_lockstep(kernel.program, lanes, entry=spec.entry,
@@ -429,40 +441,9 @@ def run_kernel_batch(
                            mem_latency=mem_latency,
                            frm=0 if frm is None else frm)
     per_lane_seconds = (time.perf_counter() - sim_start) / len(lanes)
-
-    model = energy_model or EnergyModel()
-    runs: List[KernelRun] = []
-    for (data, run_params, array_at), result in zip(staged, results):
-        if not result.ok and not trap_ok:
-            raise KernelExecutionError(
-                f"{spec.name} [{ftype}, {mode}] ended with "
-                f"{result.exit_reason}: {result.detail}",
-                exit_reason=result.exit_reason, trap=result.trap,
-            )
-        outputs = _read_outputs(spec, result.machine.memory, array_at)
-        runs.append(KernelRun(
-            spec_name=spec.name,
-            ftype=ftype,
-            mode=mode,
-            mem_latency=mem_latency,
-            trace=result.trace,
-            energy=model.estimate(result.trace, mem_latency),
-            outputs=outputs,
-            golden=spec.golden(data, run_params),
-            asm=kernel.asm,
-            exit_reason=result.exit_reason,
-            trap=result.trap,
-            arrays={
-                name: (addr, count * (4 if fmt is None else fmt.width // 8))
-                for name, (addr, count, fmt) in array_at.items()
-            },
-            text_range=(kernel.program.text_base,
-                        4 * len(kernel.program.words)),
-            lint=kernel.lint_result,
-            profile=None,
-            sim_seconds=per_lane_seconds,
-        ))
-    return runs
+    return [_score(spec, ftype, mode, mem_latency, kernel, s, result,
+                   trap_ok, sim_seconds=per_lane_seconds)
+            for s, result in zip(staged, results)]
 
 
 # ----------------------------------------------------------------------

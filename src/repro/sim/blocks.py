@@ -72,7 +72,7 @@ from __future__ import annotations
 import operator
 import threading
 from collections import Counter, OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..fp.flags import ALL as FFLAGS_MASK, GuestIllegal
 from ..isa.compressed import IllegalCompressed
@@ -364,37 +364,44 @@ class BlockEngine:
     # ------------------------------------------------------------------
     def _flush(self, stats, counts: Dict[int, List[int]],
                order: List[int]) -> None:
-        """Materialize deferred counters into ``stats``.
-
-        Iterating blocks in first-execution order, entries before the
-        terminator, reproduces the reference interpreter's Counter
-        insertion order exactly (first executions retire consecutively,
-        and only first executions insert new keys).
-        """
-        by_mnem = stats.by_mnemonic
-        by_cat = stats.by_category
-        pc_counts = stats.pc_counts
+        """Materialize this run's deferred counters into ``stats``."""
         view = self._view
-        for start in order:
-            execs, takens = counts[start]
-            if not execs:
-                continue
-            block = view[start]
-            for mnem, c in block.mnem_counts.items():
-                by_mnem[mnem] += c * execs
-            for cat, c in block.cat_counts.items():
-                by_cat[cat] += c * execs
-            for pc in block.pc_list:
-                pc_counts[pc] += execs
-            stats.mem_accesses += block.mem_count * execs
-            term = block.term
-            if term is not None:
-                by_mnem[term.mnemonic] += execs
-                by_cat[term.category] += execs
-                pc_counts[term.pc] += execs
-                stats.branches_taken += takens
+        flush_counts(stats, ((view[start], *counts[start])
+                             for start in order))
         counts.clear()
         order.clear()
+
+
+def flush_counts(stats, executions: Iterable[Tuple["Block", int, int]]
+                 ) -> None:
+    """Add deferred per-block counters into the trace ``stats``.
+
+    ``executions`` yields ``(block, executions, taken terminators)`` in
+    first-execution order.  Iterating that order, entries before the
+    terminator, reproduces the reference interpreter's Counter
+    insertion order exactly (first executions retire consecutively,
+    and only first executions insert new keys).  The block engine and
+    every lockstep lane flush through here.
+    """
+    by_mnem = stats.by_mnemonic
+    by_cat = stats.by_category
+    pc_counts = stats.pc_counts
+    for block, execs, takens in executions:
+        if not execs:
+            continue
+        for mnem, c in block.mnem_counts.items():
+            by_mnem[mnem] += c * execs
+        for cat, c in block.cat_counts.items():
+            by_cat[cat] += c * execs
+        for pc in block.pc_list:
+            pc_counts[pc] += execs
+        stats.mem_accesses += block.mem_count * execs
+        term = block.term
+        if term is not None:
+            by_mnem[term.mnemonic] += execs
+            by_cat[term.category] += execs
+            pc_counts[term.pc] += execs
+            stats.branches_taken += takens
 
 
 # ----------------------------------------------------------------------

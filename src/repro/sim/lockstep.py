@@ -41,6 +41,7 @@ import numpy as np
 from ..fp import batch as fpbatch
 from ..fp.flags import GuestIllegal
 from ..fp.rounding import RoundingMode, set_sr_key
+from .blocks import flush_counts
 from .csr import (CSR_CYCLE, CSR_CYCLEH, CSR_FCSR, CSR_FFLAGS, CSR_FRM,
                   CSR_INSTRET, CSR_INSTRETH, CSR_MHARTID, MASK32, CsrFile,
                   _RM_BY_VALUE)
@@ -952,33 +953,17 @@ class LockstepEngine:
     # ------------------------------------------------------------------
     def _lane_proto(self, bt: _Batch, ln: int) -> Trace:
         """One lane's trace: counters flushed in that lane's
-        first-execution order, exactly like :meth:`BlockEngine._flush`."""
+        first-execution order, exactly as the block engine flushes."""
+        def lane(value):
+            return value if type(value) is int else int(value[ln])
+
         t = Trace()
-        t.instret = (bt.instret if type(bt.instret) is int
-                     else int(bt.instret[ln]))
-        t.cycles = (bt.cycles if type(bt.cycles) is int
-                    else int(bt.cycles[ln]))
-        bm, bc, pcs = t.by_mnemonic, t.by_category, t.pc_counts
+        t.instret = lane(bt.instret)
+        t.cycles = lane(bt.cycles)
         counts = bt.counts
-        for start in bt.orders[ln]:
-            rec = counts[start]
-            execs = rec[0] if type(rec[0]) is int else int(rec[0][ln])
-            if not execs:
-                continue
-            takens = rec[1] if type(rec[1]) is int else int(rec[1][ln])
-            sb = self._blocks[start].sblock
-            for mnem, c in sb.mnem_counts.items():
-                bm[mnem] += c * execs
-            for cat, c in sb.cat_counts.items():
-                bc[cat] += c * execs
-            for pc in sb.pc_list:
-                pcs[pc] += execs
-            t.mem_accesses += sb.mem_count * execs
-            if sb.term is not None:
-                bm[sb.term.mnemonic] += execs
-                bc[sb.term.category] += execs
-                pcs[sb.term.pc] += execs
-                t.branches_taken += takens
+        flush_counts(t, ((self._blocks[start].sblock,
+                          lane(counts[start][0]), lane(counts[start][1]))
+                         for start in bt.orders[ln]))
         return t
 
     def _drain_all(self, bt: _Batch, out, prefix: int = 0,

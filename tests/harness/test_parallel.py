@@ -3,8 +3,6 @@
 import os
 import pickle
 
-import pytest
-
 from repro import __version__
 from repro.harness.parallel import (
     RESULT_CACHE_SCHEMA,
@@ -246,11 +244,66 @@ def test_run_points_disk_cache_hit(tmp_path):
         assert first[point].run.trace.cycles == again[point].run.trace.cycles
 
 
-def test_prewarm_populates_memo():
+# ----------------------------------------------------------------------
+# Figure drivers: one run_points call behind the process memo
+# ----------------------------------------------------------------------
+def test_memoized_driver_call_runs_no_point(monkeypatch):
+    from repro.harness import experiments as E
+    from repro.harness import parallel
+
+    calls = []
+    real = parallel._run_point
+
+    def counting(point, **overrides):
+        calls.append(point)
+        return real(point, **overrides)
+
+    monkeypatch.setattr(parallel, "_run_point", counting)
+    E.clear_cache()
+    first = E.fig1_speedup(benchmarks=["gemm"], ftypes=("float16",))
+    assert calls == E.fig1_points(["gemm"], ("float16",))
+    calls.clear()
+    # A second call finds every point memoized and runs none.
+    assert E.fig1_speedup(benchmarks=["gemm"], ftypes=("float16",)) == first
+    assert E.cached_run("gemm", "float16", "auto").cycles == first[0]["cycles"]
+    assert calls == []
+
+
+def test_fig1_rows_same_serial_parallel_and_cached(tmp_path, monkeypatch):
     from repro.harness import experiments as E
 
-    E.clear_cache()
-    computed = E.prewarm([("gemm", "float16", "scalar", 1, 0, 50_000_000)])
-    assert computed == 1
-    # A second prewarm finds the memoized row and computes nothing.
-    assert E.prewarm([("gemm", "float16", "scalar", 1, 0, 50_000_000)]) == 0
+    monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+
+    def rows(**kwargs):
+        E.clear_cache()
+        return E.fig1_speedup(benchmarks=["gemm"], **kwargs)
+
+    serial = rows()
+    assert rows(jobs=2) == serial
+    assert rows(cache_dir=str(tmp_path)) == serial
+    assert len(os.listdir(tmp_path)) == len(E.fig1_points(["gemm"]))
+    assert rows(cache_dir=str(tmp_path)) == serial  # served from disk
+
+
+def test_profile_sweep_host_error_is_an_error_row(tmp_path, monkeypatch):
+    import json
+
+    from repro.harness import experiments as E
+    from repro.harness import runner
+
+    real = runner.run_kernel
+
+    def host_bug_on_float8(spec, ftype, mode, **kwargs):
+        if ftype == "float8":
+            raise RuntimeError("host bug")
+        return real(spec, ftype, mode, **kwargs)
+
+    monkeypatch.setattr(runner, "run_kernel", host_bug_on_float8)
+    rows = E.profile_sweep(str(tmp_path), benchmarks=["gemm"],
+                           modes=("scalar",))
+    assert [(r["ftype"], r["status"]) for r in rows] == [
+        ("float16", "ok"), ("float8", "error")]
+    assert rows[1]["detail"] == "RuntimeError: host bug"
+    assert rows[1]["file"] is None and rows[1]["cycles"] is None
+    assert (tmp_path / rows[0]["file"]).exists()
+    assert json.loads((tmp_path / "index.json").read_text()) == rows

@@ -1,6 +1,5 @@
 """The run harness: staging, measurement, and mode/latency effects."""
 
-import numpy as np
 import pytest
 
 from repro.harness import HarnessError, run_kernel
