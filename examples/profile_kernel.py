@@ -7,8 +7,10 @@ Run:  python examples/profile_kernel.py
 import json
 
 from repro.harness import run_kernel
+from repro.harness.runner import build_kernel
 from repro.kernels import KERNELS
-from repro.profile import render_text, to_chrome_trace, validate_payload
+from repro.profile import (TimelineRecorder, render_text, to_chrome_trace,
+                           validate_payload)
 
 
 def hot_spot_demo() -> None:
@@ -47,14 +49,19 @@ def roofline_demo() -> None:
 
 def export_demo() -> None:
     print("== Exports: schema-versioned JSON and a Chrome trace ==")
+    # The timeline recorder is a step hook: this run takes the reference
+    # loop, and the profile is built from its trace like any other.
+    timeline = TimelineRecorder(
+        build_kernel(KERNELS["svm"], "float8", "auto").program)
     run = run_kernel(KERNELS["svm"], ftype="float8", mode="auto",
-                     profile=True)
+                     profile=True, injector=timeline)
+    timeline.finish(run.trace)
     payload = validate_payload(run.profile.to_payload())
     print(f"  JSON payload: schema {payload['schema']}, "
           f"{len(payload['blocks'])} blocks, "
           f"{len(payload['loops'])} loops, "
           f"{len(json.dumps(payload))} bytes serialized")
-    trace = to_chrome_trace(run.profile)
+    trace = to_chrome_trace(run.profile, timeline)
     slices = sum(1 for e in trace["traceEvents"] if e["ph"] == "X")
     print(f"  Chrome trace: {slices} duration events "
           "(load in chrome://tracing or ui.perfetto.dev)")

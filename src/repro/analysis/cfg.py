@@ -216,8 +216,8 @@ class CFG:
         """Instruction address -> start of its containing block.
 
         A dictionary (rather than the linear :meth:`block_of` scan) so
-        per-retired-instruction consumers -- the cycle-attribution
-        profiler foremost -- pay one hash lookup per step.
+        per-PC and per-step consumers -- the cycle-attribution profile
+        and its timeline recorder -- pay one hash lookup each.
         """
         mapping: Dict[int, int] = {}
         for start in self.order:

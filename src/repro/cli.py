@@ -268,9 +268,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import json as _json
 
     from .harness import run_kernel
+    from .harness.runner import build_kernel
     from .kernels import KERNELS
-    from .profile import (ProfileConfig, annotate_disassembly, render_text,
-                          to_chrome_trace)
+    from .profile import (TimelineRecorder, annotate_disassembly,
+                          render_text, to_chrome_trace)
 
     if args.name not in KERNELS:
         print(f"unknown kernel {args.name!r}; choose from "
@@ -281,11 +282,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     mode = "auto" if args.mode == "vector" else args.mode
     if _unbuildable(KERNELS[args.name], args.ftype, mode):
         return 2
-    config = ProfileConfig(timeline=not args.no_timeline,
-                           max_timeline_events=args.max_timeline_events)
+    # The timeline needs per-step timestamps, so only --trace runs the
+    # reference loop under a step hook; the profile comes from the
+    # trace either way.
+    timeline = None
+    if args.trace:
+        timeline = TimelineRecorder(
+            build_kernel(KERNELS[args.name], args.ftype, mode).program,
+            max_events=args.max_timeline_events)
     run = run_kernel(KERNELS[args.name], args.ftype, mode,
                      mem_latency=args.latency, seed=args.seed,
-                     profile=config)
+                     profile=True, injector=timeline)
     profile = run.profile
 
     if args.json:
@@ -299,8 +306,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
         print(annotate_disassembly(profile, assemble(run.asm)))
     if args.trace:
+        timeline.finish(run.trace)
         with open(args.trace, "w") as handle:
-            _json.dump(to_chrome_trace(profile), handle)
+            _json.dump(to_chrome_trace(profile, timeline), handle)
         print(f"wrote Chrome trace to {args.trace} "
               "(load in chrome://tracing or ui.perfetto.dev)",
               file=sys.stderr)
@@ -742,11 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--trace", metavar="FILE",
                            help="write a Chrome trace_event timeline "
                                 "(chrome://tracing, Perfetto)")
-    p_profile.add_argument("--no-timeline", action="store_true",
-                           help="skip timeline capture (smaller, faster)")
     p_profile.add_argument("--max-timeline-events", type=int,
                            default=100_000,
-                           help="cap on captured block/stall events")
+                           help="cap on captured block/stall events "
+                                "(with --trace)")
     p_profile.set_defaults(func=_cmd_profile)
 
     p_lint = sub.add_parser(

@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Tuple
 from ..fp.formats import supported_vector_formats
 from ..kernels import BENCHMARK_NAMES, KERNELS
 from ..sim.memory import LATENCY_LEVELS
-from .parallel import SweepPoint, resolve_cache, run_point, run_points
-from .runner import KernelExecutionError, KernelRun, SafeRunOutcome
+from .parallel import SweepPoint, resolve_cache, run_points
+from .runner import (KernelExecutionError, KernelRun, SafeRunOutcome,
+                     kernel_profile)
 
 #: Lane counts per C type keyword at FLEN = 32.
 _LANES = {"float16": 2, "float16alt": 2, "float8": 4}
@@ -565,34 +566,36 @@ def profile_sweep(
     Writes ``<bench>_<ftype>_<mode>.profile.json`` (the schema of
     ``repro profile --json``; see ``docs/profiling.md``) plus an
     ``index.json`` of summary rows into ``out_dir``, and returns the
-    rows.  Every point runs crash-isolated through :func:`run_point`;
-    points that fail keep their ``status``/``detail`` and write no
-    payload -- the sweep itself always completes.
+    rows.  Every point runs crash-isolated through one
+    :func:`run_points` call (the disk cache of ``$REPRO_RESULT_CACHE``
+    applies) and is profiled afterwards from its trace; points that
+    fail keep their ``status``/``detail`` and write no payload -- the
+    sweep itself always completes.
     """
     import json
 
     os.makedirs(out_dir, exist_ok=True)
-    benchmarks = benchmarks or list(BENCHMARK_NAMES)
+    points = [SweepPoint(bench, ftype, mode, mem_latency, seed,
+                         DEFAULT_POINT_BUDGET)
+              for bench in benchmarks or BENCHMARK_NAMES
+              for ftype in ftypes for mode in modes]
+    done = run_points(points, cache=resolve_cache(None))
     rows: List[Dict] = []
-    for bench in benchmarks:
-        for ftype in ftypes:
-            for mode in modes:
-                row = {"benchmark": bench, "ftype": ftype, "mode": mode,
-                       "mem_latency": mem_latency, "cycles": None,
-                       "file": None, "status": "ok", "detail": ""}
-                outcome = run_point(
-                    SweepPoint(bench, ftype, mode, mem_latency, seed,
-                               DEFAULT_POINT_BUDGET), profile=True)
-                if not outcome.ok:
-                    row.update(_point_row(outcome))
-                    rows.append(row)
-                    continue
-                name = f"{bench}_{ftype}_{mode}.profile.json"
-                with open(os.path.join(out_dir, name), "w") as handle:
-                    json.dump(outcome.run.profile.to_payload(), handle,
-                              indent=2)
-                row.update(cycles=outcome.run.cycles, file=name)
-                rows.append(row)
+    for point in points:
+        outcome = done[point]
+        row = {"benchmark": point.name, "ftype": point.ftype,
+               "mode": point.mode, "mem_latency": mem_latency,
+               "cycles": None, "file": None, "status": "ok", "detail": ""}
+        if not outcome.ok:
+            row.update(_point_row(outcome))
+            rows.append(row)
+            continue
+        name = f"{point.name}_{point.ftype}_{point.mode}.profile.json"
+        with open(os.path.join(out_dir, name), "w") as handle:
+            json.dump(kernel_profile(outcome.run, seed).to_payload(),
+                      handle, indent=2)
+        row.update(cycles=outcome.run.cycles, file=name)
+        rows.append(row)
     with open(os.path.join(out_dir, "index.json"), "w") as handle:
         json.dump(rows, handle, indent=2)
     return rows

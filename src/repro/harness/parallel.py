@@ -34,6 +34,7 @@ import os
 import pickle
 import tempfile
 import time
+import warnings
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .. import __version__
@@ -44,7 +45,7 @@ from .runner import (HarnessError, SafeRunOutcome, build_inputs,
 #: Bump when the pickled payload layout (or anything it transitively
 #: contains) changes shape; old entries then miss instead of
 #: deserializing into the wrong schema.
-RESULT_CACHE_SCHEMA = 1
+RESULT_CACHE_SCHEMA = 2
 
 #: Version salt mixed into every fingerprint, key and payload.  A
 #: cached outcome embeds simulator behaviour (timing model, FP
@@ -252,8 +253,7 @@ def run_point(point: SweepPoint, **overrides) -> SafeRunOutcome:
     (the serving layer, ad-hoc scripts) that manage their own
     scheduling.  ``overrides`` are passed through to
     :func:`~repro.harness.runner.run_kernel_safe` -- notably
-    ``max_instructions`` (a deadline-derived budget cap) and
-    ``profile``.
+    ``max_instructions`` (a deadline-derived budget cap).
     """
     kwargs = dict(
         mem_latency=point.mem_latency, seed=point.seed,
@@ -341,8 +341,9 @@ def run_points(
     ``lockstep >= 2`` turns on batched execution: uncached points that
     differ only in seed share one lockstep run of up to ``lockstep``
     lanes (bit-identical per point to the scalar path).  Points whose
-    batch errors out host-side fall back to the scalar path, and
-    left-over singleton points use the normal worker pool.
+    batch errors out host-side fall back to the scalar path with a
+    :class:`RuntimeWarning` naming the batch error, and left-over
+    singleton points use the normal worker pool.
     """
     unique: List[SweepPoint] = []
     seen = set()
@@ -381,11 +382,20 @@ def run_points(
                 if len(chunk) < 2:
                     leftover.extend(chunk)
                     continue
+                failed = None
                 for point, outcome in run_group_lockstep(chunk).items():
                     if outcome.status == "error":
                         leftover.append(point)  # scalar-path retry
+                        failed = outcome.detail
                     else:
                         finish(point, outcome)
+                if failed is not None:
+                    warnings.warn(
+                        f"{chunk[0].name} [{chunk[0].ftype}, "
+                        f"{chunk[0].mode}]: lockstep batch of "
+                        f"{len(chunk)} failed ({failed}); re-running "
+                        "its points on the scalar path", RuntimeWarning,
+                        stacklevel=2)
         pending = leftover
 
     if jobs <= 1 or len(pending) <= 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -25,10 +25,11 @@ from ..fp.numpy_backend import from_bits, to_bits
 from ..kernels import KERNELS, MANUAL_FTYPES, KernelSpec
 from ..metrics import classification_error, sqnr_db
 from ..sim import Simulator, Trace
+from ..sim.timing import TimingConfig, TimingModel
 from ..sim.traps import TrapInfo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..profile import Profile, ProfileConfig
+    from ..profile import Profile
 
 #: Arrays are staged above the assembler's data section.
 ARRAY_BASE = 0x0020_0000
@@ -95,7 +96,8 @@ class KernelRun:
     lint: Optional[object] = None
     #: Aggregated cycle-attribution profile (a
     #: :class:`repro.profile.Profile`); ``None`` unless the run was
-    #: made with ``run_kernel(..., profile=...)``.
+    #: made with ``run_kernel(..., profile=True)``.  Any other run
+    #: profiles the same way through :func:`kernel_profile`.
     profile: Optional["Profile"] = None
     #: Host wall-clock seconds spent inside ``Simulator.run`` (the
     #: simulation phase only -- compile and staging excluded).  Host
@@ -286,7 +288,7 @@ def _score(spec: KernelSpec, ftype: str, mode: str, mem_latency: int,
 
     An abnormal exit raises :class:`KernelExecutionError` unless
     ``trap_ok``.  ``measured`` holds the engine-specific fields
-    (``sim_seconds``, ``profile``).
+    (``sim_seconds``).
     """
     if not result.ok and not trap_ok:
         raise KernelExecutionError(
@@ -328,7 +330,7 @@ def run_kernel(
     max_instructions: int = 50_000_000,
     injector: Optional[Callable] = None,
     trap_ok: bool = False,
-    profile: Union[bool, "ProfileConfig", None] = None,
+    profile: bool = False,
     fast_path: Optional[bool] = None,
     frm: Optional[int] = None,
     sr_key: int = 0,
@@ -346,11 +348,10 @@ def run_kernel(
     case the partial outputs are read back and returned as usual with
     ``exit_reason``/``trap`` recording what happened.
 
-    ``profile`` turns on cycle-attribution profiling: pass ``True`` for
-    the defaults or a :class:`repro.profile.ProfileConfig` to tune the
-    timeline capture.  The aggregated :class:`repro.profile.Profile`
-    lands on ``KernelRun.profile``.  When off (the default) the
-    simulator takes its pre-existing fast path, bit-for-bit.
+    ``profile=True`` attaches the run's cycle-attribution
+    :class:`repro.profile.Profile` as ``KernelRun.profile``.  It is
+    built after the run from the trace (:func:`kernel_profile`), so it
+    changes neither the engine that runs nor any counter.
 
     ``frm`` (if given) is written to ``fcsr.frm`` before the run, so
     compiled kernels -- whose FP ops carry ``rm=dyn`` -- round in that
@@ -361,17 +362,6 @@ def run_kernel(
     staged = _stage_seed(spec, ftype, params, seed)
     sim = Simulator(kernel.program, mem_latency=mem_latency,
                     fast_path=fast_path)
-
-    collector = None
-    if profile:
-        from ..profile import ProfileCollector, ProfileConfig
-
-        config = profile if isinstance(profile, ProfileConfig) else None
-        collector = ProfileCollector(
-            kernel.program, config=config,
-            context={"kernel": spec.name, "ftype": ftype, "mode": mode,
-                     "mem_latency": mem_latency, "seed": seed})
-
     for addr, payload in staged.stores:
         sim.machine.memory.write_block(addr, payload)
     if frm is not None:
@@ -381,14 +371,38 @@ def run_kernel(
     try:
         result = sim.run(spec.entry, args=staged.regs,
                          max_instructions=max_instructions,
-                         step_hook=injector, profile=collector)
+                         step_hook=injector)
     finally:
         set_sr_key(prev_key)
     sim_seconds = time.perf_counter() - sim_start
-    return _score(spec, ftype, mode, mem_latency, kernel, staged, result,
-                  trap_ok, sim_seconds=sim_seconds,
-                  profile=collector.finish() if collector is not None
-                  else None)
+    run = _score(spec, ftype, mode, mem_latency, kernel, staged, result,
+                 trap_ok, sim_seconds=sim_seconds)
+    if profile:
+        run.profile = kernel_profile(run, seed, spec)
+    return run
+
+
+def kernel_profile(run: KernelRun, seed: int,
+                   spec: Optional[KernelSpec] = None) -> "Profile":
+    """The cycle-attribution profile of a finished run, on any engine.
+
+    Works for a :func:`run_kernel` run, a :func:`run_kernel_batch` lane
+    or a cached outcome alike: the program comes from
+    :func:`build_kernel` (memoized, so it is the one that ran) and the
+    cycles from ``run.trace``.  ``seed`` labels the profile's context;
+    ``spec`` defaults to the registered kernel named ``run.spec_name``.
+    """
+    from ..profile import build_profile
+
+    program = build_kernel(spec or KERNELS[run.spec_name], run.ftype,
+                           run.mode).program
+    return build_profile(
+        program, run.trace,
+        TimingModel(TimingConfig(mem_latency=run.mem_latency)),
+        exit_reason=run.exit_reason,
+        context={"kernel": run.spec_name, "ftype": run.ftype,
+                 "mode": run.mode, "mem_latency": run.mem_latency,
+                 "seed": seed})
 
 
 def run_kernel_batch(
@@ -413,9 +427,9 @@ def run_kernel_batch(
     call; ``sim_seconds`` is the batch wall time divided by the lane
     count, so summed host-time accounting stays meaningful.
 
-    Features that hook individual instructions (``injector``,
-    ``profile``) are deliberately not offered here -- use
-    :func:`run_kernel` for those points.
+    A step hook (``injector``) is deliberately not offered here -- use
+    :func:`run_kernel` for those points.  Profile a lane after the run
+    with :func:`kernel_profile`; it matches the scalar run's profile.
 
     ``frm`` matches the :func:`run_kernel` parameter; ``sr_keys`` (one
     per seed, default all-zero) seed each lane's stochastic-rounding

@@ -1,10 +1,13 @@
-"""From per-PC counters to hot-spot structure.
+"""From a finished run's :class:`~repro.sim.tracer.Trace` to hot spots.
 
-``build_profile`` folds a finished
-:class:`~repro.profile.collector.ProfileCollector` onto the program's
-CFG: every executed PC lands in a basic block, every block in at most
-one innermost natural loop and one function, and the cycle totals roll
-up without double counting -- the invariant tests pin down that block,
+``build_profile`` is a pure function of the program, the run's trace
+and its timing model, so a run on any engine (reference loop, block
+engine, lockstep lane) profiles the same way.  Each executed PC is
+priced with :meth:`TimingModel.breakdown
+<repro.sim.timing.TimingModel.breakdown>` times its not-taken and taken
+retire counts, lands in a basic block, every block in at most one
+innermost natural loop and one function, and the cycle totals roll up
+without double counting -- the invariant tests pin down that block,
 loop-self, function and stall-cause totals each sum exactly to the
 run's ``cycles``/``instret``.
 """
@@ -12,13 +15,17 @@ run's ``cycles``/``instret``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..sim.memory import LATENCY_LEVELS
 from ..sim.timing import STALL_CAUSES
+from ..sim.tracer import classify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .collector import ProfileCollector
+    from ..isa.assembler import Program
+    from ..isa.instructions import Instr
+    from ..sim.timing import TimingModel
+    from ..sim.tracer import Trace
 
 #: Instruction categories counted as FP work in per-block breakdowns.
 FP_CATEGORIES = ("fp32", "fp16", "fp16alt", "fp8",
@@ -139,9 +146,6 @@ class Profile:
     #: Raw per-PC data for annotated disassembly:
     #: pc -> (mnemonic, instret, cycles, stalls dict).
     pc_table: Dict[int, tuple] = field(default_factory=dict)
-    block_events: List[tuple] = field(default_factory=list)
-    stall_events: List[tuple] = field(default_factory=list)
-    timeline_truncated: bool = False
 
     # ------------------------------------------------------------------
     @property
@@ -239,50 +243,131 @@ class Profile:
                 },
                 "intensity_total": self.roofline.intensity(),
             },
-            "timeline": {
-                "block_events": len(self.block_events),
-                "stall_events": len(self.stall_events),
-                "truncated": self.timeline_truncated,
-            },
         }
 
 
 # ----------------------------------------------------------------------
-def build_profile(collector: "ProfileCollector") -> Profile:
-    """Aggregate a finished collector onto its CFG."""
-    stall_totals = _empty_stalls()
-    for stat in collector.pc_stats.values():
-        for index, cause in enumerate(STALL_CAUSES):
-            stall_totals[cause] += stat[2 + index]
+#: Data bytes moved per access, by memory-instruction kind.
+_MEM_BYTES = {"lb": 1, "lbu": 1, "sb": 1, "lh": 2, "lhu": 2, "sh": 2,
+              "lw": 4, "sw": 4, "flw": 4, "fsw": 4}
 
+_ARITH_KINDS = {"fadd", "fsub", "fmul", "fdiv", "fsqrt", "fmulex"}
+_FMA_KINDS = {"fmadd", "fmsub", "fnmsub", "fnmadd", "fmacex"}
+_VEC_ARITH_KINDS = {"vfadd", "vfsub", "vfmul", "vfdiv", "vfsqrt"}
+
+
+def _fmt_info(suffix: str) -> Tuple[Optional[str], int]:
+    """(report name, storage width) of a format suffix, via the registry."""
+    from ..fp import registry
+
+    try:
+        fmt = registry.by_suffix(suffix)
+    except KeyError:
+        return None, 32
+    return fmt.name, fmt.width
+
+
+def _flops_of(instr: "Instr", flen: int) -> Tuple[Optional[str], int]:
+    """(format name, flops per retire) of one instruction.
+
+    FMA-shaped operations count two flops per element; comparisons,
+    min/max, sign injection, conversions and moves count zero (the
+    standard roofline convention).  Vector operations multiply by the
+    lane count at the machine's FLEN; expanding operations attribute
+    their flops to the *source* format, which is the one doing the
+    SIMD work.
+    """
+    spec = instr.spec
+    kind = spec.kind
+    fmt = spec.src_fmt or spec.fp_fmt
+    if fmt is None:
+        return None, 0
+    name, width = _fmt_info(fmt)
+    if kind in _ARITH_KINDS:
+        return name, 1
+    if kind in _FMA_KINDS:
+        return name, 2
+    lanes = max(1, flen // width)
+    if kind in _VEC_ARITH_KINDS:
+        return name, lanes
+    if kind in ("vfmac", "vfdotpex"):
+        return name, 2 * lanes
+    if kind == "vfdotpmx":
+        # One shared-exponent block: scale byte + the remaining lanes.
+        return name, 2 * max(1, (flen - 8) // width)
+    return name, 0
+
+
+def build_profile(program: Optional["Program"], trace: "Trace",
+                  timing: "TimingModel", flen: int = 32,
+                  exit_reason: Optional[str] = None,
+                  context: Optional[Dict[str, object]] = None,
+                  fetch: Optional[Callable[[int], "Instr"]] = None
+                  ) -> Profile:
+    """Attribute every cycle of a finished run.
+
+    ``trace`` must come from a run of ``program`` under ``timing`` and
+    FLEN ``flen`` on any engine; ``context`` labels the result (kernel,
+    ftype, mode...).  ``fetch(pc)`` decodes the instruction that
+    retired at ``pc``; it defaults to the fetch path of a simulator
+    with ``program`` loaded, so compressed parcels decode to their
+    canonical ``c.*`` instructions, which the CFG's 4-byte decode
+    cannot see.  A raw instruction stream (``program=None``) passes its
+    simulator's :meth:`~repro.sim.Simulator.instruction_at` and
+    profiles flat, with every PC unmapped.
+    """
+    if fetch is None:
+        from ..sim import Simulator
+
+        fetch = Simulator(program, flen=flen).instruction_at
+    mem_latency = timing.config.mem_latency
     level = next((name for name, lat in LATENCY_LEVELS.items()
-                  if lat == collector.mem_latency),
-                 f"custom({collector.mem_latency})")
+                  if lat == mem_latency), f"custom({mem_latency})")
 
+    cfg = None
+    pc_to_block: Dict[int, int] = {}
+    innermost: Dict[int, Optional[int]] = {}
+    depth: Dict[int, int] = {}
+    if program is not None:
+        from ..analysis.cfg import build_cfg
+
+        cfg = build_cfg(program)
+        pc_to_block = cfg.pc_block_map()
+        innermost, depth = cfg.loop_attribution()
+
+    stall_totals = _empty_stalls()
     blocks: Dict[int, BlockStat] = {}
     unmapped_cycles = 0
     unmapped_instret = 0
-    innermost: Dict[int, Optional[int]] = {}
-    depth: Dict[int, int] = {}
-    cfg = collector.cfg
-    if cfg is not None:
-        innermost, depth = cfg.loop_attribution()
-
     pc_table: Dict[int, tuple] = {}
     roofline = RooflineStat()
-    for pc, stat in collector.pc_stats.items():
-        mnemonic, category, fmt, flops, mem_bytes = collector.static_info[pc]
-        stalls = {cause: stat[2 + i] for i, cause in enumerate(STALL_CAUSES)}
-        pc_table[pc] = (mnemonic, stat[0], stat[1], stalls)
+    pc_counts = trace.pc_counts
+    # pc_counts is in first-retire order on every engine, which fixes
+    # the insertion order of the per-format and per-category dicts.
+    for pc, count in pc_counts.items():
+        instr = fetch(pc)
+        taken = trace.pc_taken.get(pc, 0)
+        cycles = 0
+        stalls = _empty_stalls()
+        for times, was_taken in ((count - taken, False), (taken, True)):
+            if times:
+                split = timing.breakdown(instr, taken=was_taken)
+                cycles += split.total * times
+                if split.stall:
+                    stalls[split.cause] += split.stall * times
+        for cause, value in stalls.items():
+            stall_totals[cause] += value
+        pc_table[pc] = (instr.mnemonic, count, cycles, stalls)
+        fmt, flops = _flops_of(instr, flen)
         if fmt is not None and flops:
             roofline.flops_by_format[fmt] = (
-                roofline.flops_by_format.get(fmt, 0) + flops * stat[0])
-        roofline.bytes_total += mem_bytes * stat[0]
+                roofline.flops_by_format.get(fmt, 0) + flops * count)
+        roofline.bytes_total += _MEM_BYTES.get(instr.kind, 0) * count
 
-        start = collector._pc_to_block.get(pc)
-        if start is None or cfg is None:
-            unmapped_cycles += stat[1]
-            unmapped_instret += stat[0]
+        start = pc_to_block.get(pc)
+        if start is None:
+            unmapped_cycles += cycles
+            unmapped_instret += count
             continue
         block = blocks.get(start)
         if block is None:
@@ -294,15 +379,16 @@ def build_profile(collector: "ProfileCollector") -> Profile:
                 function=cfg.function_of(start),
                 loop_header=innermost.get(start),
                 loop_depth=depth.get(start, 0),
-                visits=collector.block_visits.get(start, 0),
+                visits=pc_counts.get(start, 0),
             )
             blocks[start] = block
-        block.instret += stat[0]
-        block.cycles += stat[1]
+        block.instret += count
+        block.cycles += cycles
         for cause, value in stalls.items():
             block.stalls[cause] += value
+        category = classify(instr)
         if category in FP_CATEGORIES:
-            block.fp_ops[category] = block.fp_ops.get(category, 0) + stat[0]
+            block.fp_ops[category] = block.fp_ops.get(category, 0) + count
 
     # Loop rollup over the merged natural loops that actually ran.
     loops: List[LoopStat] = []
@@ -316,7 +402,7 @@ def build_profile(collector: "ProfileCollector") -> Profile:
                 depth=depth.get(loop.header, 1),
                 function=cfg.function_of(loop.header),
                 blocks=len(loop.body),
-                iterations=collector.block_visits.get(loop.header, 0),
+                iterations=pc_counts.get(loop.header, 0),
             )
             for b in body_stats:
                 row.total_cycles += b.cycles
@@ -335,7 +421,7 @@ def build_profile(collector: "ProfileCollector") -> Profile:
         row = functions.get(name)
         if row is None:
             entry = None
-            if cfg is not None and block.function is not None:
+            if block.function is not None:
                 entry = cfg.program.symbols.get(block.function)
             row = FunctionStat(name=name, entry=entry)
             functions[name] = row
@@ -345,14 +431,14 @@ def build_profile(collector: "ProfileCollector") -> Profile:
             row.stalls[cause] += value
 
     return Profile(
-        cycles=collector.total_cycles,
-        instret=collector.total_instret,
+        cycles=trace.cycles,
+        instret=trace.instret,
         stall_totals=stall_totals,
-        mem_latency=collector.mem_latency,
+        mem_latency=mem_latency,
         mem_level=level,
-        flen=collector.flen,
-        exit_reason=collector.exit_reason,
-        context=dict(collector.context),
+        flen=flen,
+        exit_reason=exit_reason,
+        context=dict(context or {}),
         blocks=list(blocks.values()),
         loops=loops,
         functions=list(functions.values()),
@@ -360,7 +446,4 @@ def build_profile(collector: "ProfileCollector") -> Profile:
         unmapped_cycles=unmapped_cycles,
         unmapped_instret=unmapped_instret,
         pc_table=pc_table,
-        block_events=list(collector.block_events),
-        stall_events=list(collector.stall_events),
-        timeline_truncated=collector.timeline_truncated,
     )

@@ -9,7 +9,8 @@ Four output forms, all derived from the same payload:
 * :func:`annotate_disassembly` -- the program's disassembly with
   per-instruction cycles/stalls in the margin.
 * :func:`to_chrome_trace` -- a Chrome ``trace_event`` timeline (one
-  slice per basic-block visit, one per memory stall) loadable in
+  slice per basic-block visit, one per memory stall, as captured by a
+  :class:`~repro.profile.timeline.TimelineRecorder`) loadable in
   ``chrome://tracing`` or https://ui.perfetto.dev.
 """
 
@@ -23,10 +24,14 @@ from ..sim.timing import STALL_CAUSES
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..isa.assembler import Program
     from .aggregate import Profile
+    from .timeline import TimelineRecorder
 
 #: Version of the ``repro profile --json`` payload.  Bump on any
 #: breaking change to the structure (see docs/profiling.md).
-PROFILE_SCHEMA_VERSION = 1
+PROFILE_SCHEMA_VERSION = 2
+
+#: Version of the Chrome-trace export (``otherData.version``).
+CHROME_TRACE_VERSION = 1
 
 
 class ProfilePayloadError(ValueError):
@@ -166,8 +171,12 @@ def annotate_disassembly(profile: "Profile",
 # ----------------------------------------------------------------------
 # Chrome trace_event timeline
 # ----------------------------------------------------------------------
-def to_chrome_trace(profile: "Profile") -> Dict[str, object]:
+def to_chrome_trace(profile: "Profile",
+                    timeline: "TimelineRecorder") -> Dict[str, object]:
     """A Chrome ``trace_event`` JSON object for the run's timeline.
+
+    ``timeline`` is the finished recorder of the same run; ``profile``
+    names its blocks.
 
     Timestamps are simulated cycles reported as microseconds (one
     cycle == 1 us), which keeps the viewer's zoom ruler meaningful.
@@ -185,7 +194,7 @@ def to_chrome_trace(profile: "Profile") -> Dict[str, object]:
         {"name": "thread_name", "ph": "M", "pid": pid, "tid": 1,
          "args": {"name": "memory stalls"}},
     ]
-    for block, t0, t1 in profile.block_events:
+    for block, t0, t1 in timeline.block_events:
         if t1 <= t0:
             continue
         events.append({
@@ -199,7 +208,7 @@ def to_chrome_trace(profile: "Profile") -> Dict[str, object]:
             "args": {"start": f"{block:#x}",
                      "function": block_functions.get(block)},
         })
-    for pc, t0, dur in profile.stall_events:
+    for pc, t0, dur in timeline.stall_events:
         if dur <= 0:
             continue
         events.append({
@@ -217,9 +226,9 @@ def to_chrome_trace(profile: "Profile") -> Dict[str, object]:
         "displayTimeUnit": "ms",
         "otherData": {
             "schema": "repro.profile.chrome-trace",
-            "version": PROFILE_SCHEMA_VERSION,
+            "version": CHROME_TRACE_VERSION,
             "context": dict(profile.context),
-            "truncated": profile.timeline_truncated,
+            "truncated": timeline.truncated,
         },
     }
 
@@ -230,7 +239,7 @@ def to_chrome_trace(profile: "Profile") -> Dict[str, object]:
 _TOTAL_KEYS = ("cycles", "instret", "base_cycles", "stalls",
                "unmapped_cycles", "unmapped_instret")
 _TOP_KEYS = ("schema", "context", "totals", "machine", "exit_reason",
-             "blocks", "loops", "functions", "roofline", "timeline")
+             "blocks", "loops", "functions", "roofline")
 _BLOCK_KEYS = ("start", "end", "name", "labels", "function",
                "loop_header", "loop_depth", "instret", "cycles",
                "visits", "stalls", "fp_ops")

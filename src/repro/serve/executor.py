@@ -164,9 +164,9 @@ class KernelExecutor:
 
         Each job resolves with the exact outcome its scalar execution
         would have produced (the engine is bit-identical per lane).
-        None of the jobs carries a deadline or a profile request
-        (:meth:`JobQueue.pop_compatible` guarantees it), so the budget
-        is each point's own and results are cacheable.  A host-side
+        None of the jobs carries a deadline (:meth:`JobQueue.
+        pop_compatible` guarantees it), so the budget is each point's
+        own and results are cacheable.  A host-side
         batch failure falls back to per-job scalar execution, so
         batching can never lose work.
         """
@@ -209,11 +209,7 @@ class KernelExecutor:
         budget = self.budget_for(job.point, remaining)
         deadline_limited = budget < job.point.instruction_budget
         try:
-            if job.profile:
-                outcome = self._runner(job.point, max_instructions=budget,
-                                       profile=True)
-            else:
-                outcome = self._runner(job.point, max_instructions=budget)
+            outcome = self._runner(job.point, max_instructions=budget)
         except BaseException as exc:  # belt and braces (runner is safe)
             outcome = SafeRunOutcome(
                 status="error",
@@ -230,17 +226,12 @@ class KernelExecutor:
                 f"(deadline-derived cap; estimate "
                 f"{self.mips_estimate():.2f} MIPS)")
             return
-        profile_payload = None
-        if job.profile and outcome.run is not None \
-                and outcome.run.profile is not None:
-            profile_payload = outcome.run.profile.to_payload()
-        if self.cache is not None and not job.profile \
-                and not deadline_limited:
+        if self.cache is not None and not deadline_limited:
             try:
                 self.cache.put(job.point, outcome)
             except Exception:
                 pass  # cache is an optimisation, never a failure source
-        job.resolve(outcome, profile_payload)
+        job.resolve(outcome)
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -166,28 +166,19 @@ def _worker_main(conn, parent_conn, worker_index: int,
             os._exit(0)
         if message is None:  # orderly shutdown
             os._exit(0)
-        task_id, point_tuple, max_instructions, want_profile = message
+        task_id, point_tuple, max_instructions = message
         point = SweepPoint(*point_tuple)
         if chaos_exit_seed is not None and point.seed == chaos_exit_seed:
             os._exit(CHAOS_EXIT_CODE)
         if chaos_latency_ms > 0.0:
             time.sleep(chaos_latency_ms / 1e3)
         try:
-            kwargs = {"max_instructions": max_instructions}
-            if want_profile:
-                kwargs["profile"] = True
-            outcome = run_point(point, **kwargs)
+            outcome = run_point(point, max_instructions=max_instructions)
         except BaseException as exc:  # belt and braces (runner is safe)
             outcome = SafeRunOutcome(
                 status="error",
                 detail=f"fleet worker: {type(exc).__name__}: {exc}")
-        profile_payload = None
-        if want_profile and outcome.run is not None \
-                and outcome.run.profile is not None:
-            # Ship the JSON projection, not the Profile object graph.
-            profile_payload = outcome.run.profile.to_payload()
-            outcome.run.profile = None
-        send(("done", task_id, outcome, profile_payload))
+        send(("done", task_id, outcome))
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +237,7 @@ class FleetSupervisor:
         self.breaker_trips = 0
         self.redeliveries = 0
         self.poisoned = 0
-        self._poison: Dict[tuple, int] = {}
+        self._poison: Dict[str, int] = {}
         self.slots: List[WorkerSlot] = [
             WorkerSlot(index=i) for i in range(max(1, workers))]
         self._threads: List[threading.Thread] = []
@@ -283,7 +274,7 @@ class FleetSupervisor:
                    deadline_remaining_s: Optional[float]) -> int:
         return self._estimator.budget_for(point, deadline_remaining_s)
 
-    def is_poisoned(self, key: tuple) -> bool:
+    def is_poisoned(self, key: str) -> bool:
         with self._state_lock:
             return key in self._poison
 
@@ -457,7 +448,7 @@ class FleetSupervisor:
             self._task_seq += 1
             task_id = self._task_seq
         try:
-            slot.conn.send((task_id, tuple(job.point), budget, job.profile))
+            slot.conn.send((task_id, tuple(job.point), budget))
         except (OSError, ValueError, BrokenPipeError):
             self._record_failure(slot, "send to worker failed")
             self._fail_job(job, "worker unreachable at dispatch")
@@ -515,7 +506,7 @@ class FleetSupervisor:
             self._fail_job(job, failure_reason or "no reply")
             return
 
-        _, _, outcome, profile_payload = reply
+        _, _, outcome = reply
         slot.consecutive_failures = 0
         slot.requests += 1
         slot.state = "idle"
@@ -530,13 +521,12 @@ class FleetSupervisor:
                 f"{self.mips_estimate():.2f} MIPS)")
             self.queue.finish(job)
             return
-        if self.cache is not None and not job.profile \
-                and not deadline_limited:
+        if self.cache is not None and not deadline_limited:
             try:
                 self.cache.put(job.point, outcome)
             except Exception:
                 pass  # cache is an optimisation, never a failure source
-        job.resolve(outcome, profile_payload)
+        job.resolve(outcome)
         self.queue.finish(job)
 
     def _reap_if_fleet_dead(self) -> None:

@@ -3,8 +3,8 @@
 One :class:`Job` is one unit of guest execution.  The queue gives the
 serving layer three properties the bare worker pool does not have:
 
-* **Coalescing** -- identical points (same cache key, same profile
-  flag) that are queued or running share a single execution; late
+* **Coalescing** -- identical points (same cache key) that are
+  queued or running share a single execution; late
   arrivals attach to the in-flight job and wake on the same event.
   Under a repeated-point load (the common case for a result service)
   this collapses a thundering herd to one simulation.
@@ -43,17 +43,15 @@ class Job:
     """One admitted execution request and its completion state."""
 
     def __init__(self, point: SweepPoint, priority: str = "interactive",
-                 deadline_at: Optional[float] = None,
-                 profile: bool = False):
+                 deadline_at: Optional[float] = None):
         self.point = point
         self.priority = priority
         #: Absolute ``time.monotonic()`` deadline, or ``None``.
         self.deadline_at = deadline_at
-        self.profile = profile
         #: Coalescing identity: the disk-cache key (program hash +
-        #: config + version salt) plus the profile flag, so a profiled
-        #: run never piggybacks a plain one or vice versa.
-        self.key: Tuple[str, bool] = (point_key(point), profile)
+        #: config + version salt).  A profiled request is the same
+        #: point: its profile is built from the outcome afterwards.
+        self.key: str = point_key(point)
         self.admitted_at = time.monotonic()
         #: How many *extra* requests attached to this execution.
         self.coalesced = 0
@@ -66,7 +64,6 @@ class Job:
         self._callbacks_lock = threading.Lock()
         self._callbacks: List = []
         self.outcome: Optional[SafeRunOutcome] = None
-        self.profile_payload: Optional[dict] = None
         #: Set instead of ``outcome`` when the deadline cancelled the
         #: run (maps to a structured 504).
         self.timeout_detail: Optional[str] = None
@@ -79,10 +76,8 @@ class Job:
     def timed_out(self) -> bool:
         return self.timeout_detail is not None
 
-    def resolve(self, outcome: SafeRunOutcome,
-                profile_payload: Optional[dict] = None) -> None:
+    def resolve(self, outcome: SafeRunOutcome) -> None:
         self.outcome = outcome
-        self.profile_payload = profile_payload
         self._done.set()
         self._fire_callbacks()
 
@@ -132,7 +127,7 @@ class JobQueue:
         self._ready = threading.Condition(self._lock)
         self._heap: List[Tuple[int, int, Job]] = []
         self._seq = itertools.count()
-        self._inflight: Dict[Tuple[str, bool], Job] = {}
+        self._inflight: Dict[str, Job] = {}
         self._queued = 0
         self._closed = False
 
@@ -184,7 +179,7 @@ class JobQueue:
                 return None
             verdicts: List[Tuple[Job, str]] = []
             fresh: List[Job] = []
-            matched: Dict[Tuple[str, bool], Job] = {}
+            matched: Dict[str, Job] = {}
             for job in jobs:
                 existing = self._inflight.get(job.key) or matched.get(job.key)
                 if existing is not None:
@@ -228,14 +223,13 @@ class JobQueue:
 
         Lockstep-compatible jobs share ``head``'s instruction stream --
         same kernel, FP type, vectorization mode, memory latency and
-        instruction budget, differing only in seed -- and carry neither
-        a profile request (profiling is per-run) nor a deadline (a
-        deadline-derived budget cap is per-job, which a shared batch
-        cannot honour).  Popped jobs stay in the coalescing index until
+        instruction budget, differing only in seed -- and carry no
+        deadline (a deadline-derived budget cap is per-job, which a
+        shared batch cannot honour).  Popped jobs stay in the coalescing index until
         :meth:`finish`, exactly like :meth:`pop`.  Admission is
         untouched: batching is a pop-time decision by the executor.
         """
-        if limit <= 0 or head.profile or head.deadline_at is not None:
+        if limit <= 0 or head.deadline_at is not None:
             return []
         h = head.point
         stream = (h.name, h.ftype, h.mode, h.mem_latency,
@@ -247,7 +241,7 @@ class JobQueue:
                 entry = heapq.heappop(self._heap)
                 job = entry[2]
                 p = job.point
-                if (not job.profile and job.deadline_at is None
+                if (job.deadline_at is None
                         and (p.name, p.ftype, p.mode, p.mem_latency,
                              p.instruction_budget) == stream):
                     taken.append(job)

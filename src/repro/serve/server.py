@@ -13,7 +13,8 @@ Endpoints::
     GET  /metrics           queue depth, cache hit rate, guest MIPS,
                             latency percentiles, per-kernel counters
     POST /v1/kernel         run one point; ?profile=1 attaches a
-                            repro.profile JSON payload; ?verify=1 gates
+                            repro.profile JSON payload (built from the
+                            outcome, however it was served); ?verify=1 gates
                             admission on the static precision verifier
                             (422 with findings when it proves the
                             configuration unsafe)
@@ -41,6 +42,7 @@ from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
 from ..harness.parallel import SweepPoint, resolve_cache
+from ..harness.runner import SafeRunOutcome, kernel_profile
 from .executor import KernelExecutor
 from .fleet import FleetConfig, FleetSupervisor
 from .jobs import ADMIT_CLOSED, ADMIT_COALESCED, ADMIT_FULL, Job, JobQueue
@@ -57,6 +59,19 @@ MAX_SYNC_WAIT_SECONDS = 300.0
 
 #: Completed sweep jobs retained for polling (oldest evicted first).
 MAX_RETAINED_JOBS = 256
+
+
+def _result_payload(outcome: SafeRunOutcome,
+                    request: KernelRequest) -> Dict:
+    """A response's ``result``: the outcome, plus its profile when the
+    request asked for one.  The profile is built here from the run's
+    trace, so executed, coalesced, lockstep-batched and cached outcomes
+    all profile the same way."""
+    profile = None
+    if request.profile and outcome.run is not None:
+        profile = kernel_profile(outcome.run,
+                                 request.point.seed).to_payload()
+    return outcome_payload(outcome, profile)
 
 
 class SweepJob:
@@ -279,7 +294,7 @@ class ReproServeApp:
                         "cached_verdict": from_cache}
 
         # Cache-first admission: hits never touch the queue.
-        if not request.profile and self.cache is not None:
+        if self.cache is not None:
             cached = self.cache.get(point)
             if cached is not None:
                 self.metrics.record_served(
@@ -289,7 +304,7 @@ class ReproServeApp:
                     "schema": SERVE_SCHEMA_VERSION,
                     "served_from": "cache",
                     "point": point_payload(point),
-                    "result": outcome_payload(cached),
+                    "result": _result_payload(cached, request),
                 }
                 if verified is not None:
                     payload["verified"] = verified
@@ -302,8 +317,7 @@ class ReproServeApp:
                 "breaker; restart the server")
 
         job = Job(point, priority=request.priority,
-                  deadline_at=self._deadline_at(request.deadline_ms),
-                  profile=request.profile)
+                  deadline_at=self._deadline_at(request.deadline_ms))
         job, verdict = self.queue.submit(job)
         if verdict == ADMIT_FULL:
             self.metrics.count_shed()
@@ -340,7 +354,7 @@ class ReproServeApp:
             "schema": SERVE_SCHEMA_VERSION,
             "served_from": source,
             "point": point_payload(point),
-            "result": outcome_payload(job.outcome, job.profile_payload),
+            "result": _result_payload(job.outcome, request),
         }
         if verified is not None:
             payload["verified"] = verified

@@ -386,6 +386,7 @@ def flush_counts(stats, executions: Iterable[Tuple["Block", int, int]]
     by_mnem = stats.by_mnemonic
     by_cat = stats.by_category
     pc_counts = stats.pc_counts
+    pc_taken = stats.pc_taken
     for block, execs, takens in executions:
         if not execs:
             continue
@@ -401,7 +402,9 @@ def flush_counts(stats, executions: Iterable[Tuple["Block", int, int]]
             by_mnem[term.mnemonic] += execs
             by_cat[term.category] += execs
             pc_counts[term.pc] += execs
-            stats.branches_taken += takens
+            if takens:
+                stats.branches_taken += takens
+                pc_taken[term.pc] += takens
 
 
 # ----------------------------------------------------------------------

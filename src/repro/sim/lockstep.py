@@ -1158,6 +1158,7 @@ def _clone_trace(p: Trace) -> Trace:
     t.mem_accesses = p.mem_accesses
     t.branches_taken = p.branches_taken
     t.pc_counts.update(p.pc_counts)
+    t.pc_taken.update(p.pc_taken)
     return t
 
 

@@ -19,10 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - the sim layer never imports it
-    from ..profile.collector import ProfileCollector as ProfileSink
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .. import ReproError
 from ..isa.assembler import Program
@@ -39,7 +36,7 @@ from .csr import IllegalCsr
 from .executor import GUEST_FAULTS, EbreakTrap, EcallTrap, execute
 from .machine import MASK32, Machine
 from .memory import Memory, MemoryAccessError
-from .timing import CycleBreakdown, TimingConfig, TimingModel
+from .timing import TimingConfig, TimingModel
 from .tracer import Trace
 from .traps import (
     CAUSE_ILLEGAL_INSTRUCTION,
@@ -138,7 +135,7 @@ class Simulator:
         #: decoded text (``raw`` is the fetched parcel or word).
         self._decode_cache: Dict[int, Tuple[Instr, int, int]] = {}
         #: Use the predecoded block engine when the run has no
-        #: step hook or profile sink (``None`` means yes); ``False``
+        #: step hook (``None`` means yes); ``False``
         #: selects the reference loop, which the differential tests
         #: compare against.
         self.fast_path = fast_path is not False
@@ -201,6 +198,12 @@ class Simulator:
         cached = self._decode_cache[pc] = (*decoded, raw)
         return cached
 
+    def instruction_at(self, pc: int) -> Instr:
+        """The instruction a fetch at ``pc`` decodes (RVC expanded under
+        its ``c.*`` mnemonic); raises like a fetch on an unmapped or
+        undecodable address."""
+        return self._fetch(pc)[0]
+
     # ------------------------------------------------------------------
     def _take_trap(self, cause: int, tval: int, detail: str,
                    instr: Optional[Instr] = None) -> TrapInfo:
@@ -228,7 +231,6 @@ class Simulator:
         max_instructions: int = 50_000_000,
         trace: Optional[Trace] = None,
         step_hook: Optional[StepHook] = None,
-        profile: Optional["ProfileSink"] = None,
     ) -> RunResult:
         """Run from ``entry`` until the sentinel return address.
 
@@ -239,15 +241,12 @@ class Simulator:
 
         ``step_hook(sim, executed)`` is invoked before every fetch --
         the fault-injection subsystem uses it to flip architectural bits
-        at a scheduled instruction index.
-
-        ``profile`` is an optional cycle-attribution sink (a
-        :class:`repro.profile.ProfileCollector`): when given, each
-        retired instruction is reported with its stall cause from
-        :meth:`TimingModel.breakdown` instead of an opaque total.  The
-        hook is guarded -- when ``profile`` is ``None`` the loop takes
-        the exact pre-existing path, so profiling adds zero overhead
-        (and zero cycle-count drift) to unprofiled runs.
+        at a scheduled instruction index, and the Chrome-trace timeline
+        recorder to timestamp blocks.  A run with a hook takes the
+        reference loop; without one it takes the block engine.  Either
+        way the returned :class:`Trace` is the same, and
+        :func:`repro.profile.build_profile` attributes its cycles after
+        the run.
 
         The returned :class:`RunResult` always reflects how the run
         ended; guest faults surface as ``exit_reason='trap'`` with a
@@ -265,12 +264,10 @@ class Simulator:
         stats = trace if trace is not None else Trace()
         machine.csr.cycle_source = lambda: stats.cycles
         machine.csr.instret_source = lambda: stats.instret
-        if profile is not None:
-            profile.begin(self)
 
         executed = 0
         outcome = None
-        if self.fast_path and step_hook is None and profile is None:
+        if self.fast_path and step_hook is None:
             # Block dispatch: bit-identical statistics, deferred until
             # the engine returns.  A ``None`` outcome means the engine
             # hit something it does not handle (undecodable word,
@@ -279,11 +276,9 @@ class Simulator:
             outcome, executed = self._engine().run(stats, max_instructions)
         if outcome is None:
             outcome = self._run_reference(
-                stats, executed, max_instructions, step_hook, profile)
+                stats, executed, max_instructions, step_hook)
         exit_reason, detail, trap_info = outcome
 
-        if profile is not None:
-            profile.end(exit_reason)
         if trap_info is not None:
             detail = str(trap_info)
         return RunResult(trace=stats, exit_reason=exit_reason,
@@ -317,7 +312,7 @@ class Simulator:
                 stats, max_instructions, executed=executed)
         if outcome is None:
             outcome = self._run_reference(
-                stats, executed, max_instructions, None, None)
+                stats, executed, max_instructions, None)
         exit_reason, detail, trap_info = outcome
         if trap_info is not None:
             detail = str(trap_info)
@@ -374,7 +369,6 @@ class Simulator:
         executed: int,
         max_instructions: int,
         step_hook: Optional[StepHook],
-        profile: Optional["ProfileSink"],
     ) -> Tuple[str, str, Optional[TrapInfo]]:
         """The per-instruction interpreter (ground truth for the fast path).
 
@@ -420,19 +414,12 @@ class Simulator:
                 exit_reason, trap_info, retires = self._resolve_exec_fault(
                     exc, instr)
                 if retires:
-                    if profile is not None:
-                        profile.on_retire(pc_before, instr, CycleBreakdown(1))
                     stats.record(instr, 1, pc=pc_before)
                 break
             # Any redirect counts as taken (even a branch to pc+4: the
             # pipeline still flushes).
             taken = next_pc is not None
-            if profile is None:
-                cost = self.timing.cycles(instr, taken=taken)
-            else:
-                split = self.timing.breakdown(instr, taken=taken)
-                cost = split.total
-                profile.on_retire(pc_before, instr, split)
+            cost = self.timing.cycles(instr, taken=taken)
             stats.record(instr, cost, taken, pc=pc_before)
             machine.pc = next_pc if next_pc is not None else fallthrough
             executed += 1

@@ -93,8 +93,8 @@ class CycleBreakdown:
     ``total == base + stall`` always, and ``base`` is 1 for every
     instruction in this single-issue model; ``cause`` is one of
     :data:`STALL_CAUSES` when ``stall > 0`` and ``None`` otherwise.
-    The profiler aggregates these; :meth:`TimingModel.cycles` keeps
-    returning the opaque total for the unprofiled fast path.
+    The profiler prices each executed PC with these after the run;
+    the engines charge :meth:`TimingModel.cycles`, the opaque total.
     """
 
     total: int

@@ -109,6 +109,10 @@ class Trace:
     #: the static analyzer's trace-validation mode uses it to confirm
     #: that a statically flagged instruction is dynamically reachable.
     pc_counts: Counter = field(default_factory=Counter)
+    #: Taken redirects per instruction address (branches and jumps).
+    #: With ``pc_counts`` it prices every retire after the run, which is
+    #: how :mod:`repro.profile` attributes cycles from any engine.
+    pc_taken: Counter = field(default_factory=Counter)
 
     def record(self, instr: Instr, cycles: int, taken: bool = False,
                pc: Optional[int] = None) -> None:
@@ -119,10 +123,12 @@ class Trace:
         self.by_category[category] += 1
         if category in ("load", "store"):
             self.mem_accesses += 1
-        if taken:
-            self.branches_taken += 1
         if pc is not None:
             self.pc_counts[pc] += 1
+        if taken:
+            self.branches_taken += 1
+            if pc is not None:
+                self.pc_taken[pc] += 1
 
     def executed(self, pc: int) -> int:
         """How many times the instruction at ``pc`` retired."""

@@ -307,3 +307,33 @@ def test_profile_sweep_host_error_is_an_error_row(tmp_path, monkeypatch):
     assert rows[1]["file"] is None and rows[1]["cycles"] is None
     assert (tmp_path / rows[0]["file"]).exists()
     assert json.loads((tmp_path / "index.json").read_text()) == rows
+
+
+def test_cache_entry_from_schema_1_misses(tmp_path):
+    # Schema 1 outcomes pickle a Trace without per-PC taken counts,
+    # which a profile needs: they must miss, not be served.
+    cache = DiskResultCache(str(tmp_path))
+    with open(cache.path_for(POINT), "wb") as handle:
+        pickle.dump({"schema": 1, "version": __version__,
+                     "point": tuple(POINT),
+                     "outcome": SafeRunOutcome(status="ok")}, handle)
+    assert RESULT_CACHE_SCHEMA == 2
+    assert cache.get(POINT) is None
+
+
+def test_lockstep_batch_failure_warns_and_falls_back(monkeypatch):
+    import pytest
+
+    from repro.harness import parallel
+
+    def broken_batch(*args, **kwargs):
+        raise RuntimeError("lane state corrupted")
+
+    monkeypatch.setattr(parallel, "run_kernel_batch", broken_batch)
+    points = [SweepPoint("atax", "float16", "auto", seed=seed)
+              for seed in (0, 1)]
+    with pytest.warns(RuntimeWarning, match="lane state corrupted"):
+        results = run_points(points, lockstep=2)
+    assert all(results[p].ok for p in points)  # rerun on the scalar path
+    assert results[points[1]].run.cycles \
+        == run_point(points[1]).run.cycles

@@ -1,9 +1,26 @@
-"""Collector behaviour: guarding, overhead, timeline, raw streams."""
+"""Post-run profiles: no drift, context, timeline, raw streams, loops."""
+
+import json
+
+import pytest
 
 from repro.harness import run_kernel
+from repro.harness.runner import build_kernel
+from repro.isa import assemble
 from repro.kernels import KERNELS
-from repro.profile import ProfileCollector, ProfileConfig
+from repro.profile import TimelineRecorder, build_profile
 from repro.sim import Simulator
+
+
+def timeline_run(name, ftype, mode, mem_latency=1, max_events=100_000):
+    """A profiled run with a timeline recorder as its step hook."""
+    recorder = TimelineRecorder(build_kernel(KERNELS[name], ftype,
+                                             mode).program, max_events)
+    run = run_kernel(KERNELS[name], ftype=ftype, mode=mode,
+                     mem_latency=mem_latency, profile=True,
+                     injector=recorder)
+    recorder.finish(run.trace)
+    return run, recorder
 
 
 class TestGuardedHook:
@@ -12,7 +29,7 @@ class TestGuardedHook:
         assert run.profile is None
 
     def test_profiled_run_matches_unprofiled_cycles_exactly(self):
-        """The guarded hook must add zero cycle-count drift."""
+        """Profiling is computed after the run: zero cycle-count drift."""
         plain = run_kernel(KERNELS["gemm"], ftype="float16", mode="auto")
         profiled = run_kernel(KERNELS["gemm"], ftype="float16", mode="auto",
                               profile=True)
@@ -42,35 +59,36 @@ class TestContext:
 
 
 class TestTimeline:
-    def test_block_events_cover_the_run(self, gemm_profile):
-        assert gemm_profile.block_events
-        for block, t0, t1 in gemm_profile.block_events:
-            assert 0 <= t0 <= t1 <= gemm_profile.cycles
+    def test_block_events_cover_the_run(self):
+        run, recorder = timeline_run("gemm", "float16", "auto")
+        assert recorder.block_events and not recorder.truncated
+        for block, t0, t1 in recorder.block_events:
+            assert 0 <= t0 <= t1 <= run.cycles
+        assert recorder.block_events[-1][2] == run.cycles
 
     def test_event_cap_truncates(self):
-        config = ProfileConfig(max_timeline_events=4)
-        run = run_kernel(KERNELS["gemm"], ftype="float16", mode="auto",
-                         profile=config)
-        assert len(run.profile.block_events) <= 4
-        assert run.profile.timeline_truncated
+        run, recorder = timeline_run("gemm", "float16", "auto",
+                                     max_events=4)
+        assert len(recorder.block_events) == 4
+        assert recorder.truncated
         # Truncation only loses timeline detail, never accounting.
         assert run.profile.instret + run.profile.stall_cycles \
             == run.profile.cycles
 
-    def test_timeline_off_collects_no_events(self):
-        run = run_kernel(KERNELS["atax"], ftype="float16", mode="scalar",
-                         profile=ProfileConfig(timeline=False))
-        assert run.profile.block_events == []
-        assert run.profile.stall_events == []
-        assert not run.profile.timeline_truncated
+    def test_timeline_off_collects_no_events(self, gemm_profile):
+        """Without a recorder there is no timeline, and recording one
+        (on the reference loop) leaves the profile unchanged."""
+        payload = gemm_profile.to_payload()
+        assert "timeline" not in payload
+        run, _ = timeline_run("gemm", "float16", "auto")
+        assert json.dumps(run.profile.to_payload()) == json.dumps(payload)
 
     def test_mem_stall_events_at_high_latency(self):
-        run = run_kernel(KERNELS["atax"], ftype="float16", mode="scalar",
-                         mem_latency=10, profile=True)
-        profile = run.profile
-        assert profile.stall_events
-        total = sum(dur for _, _, dur in profile.stall_events)
-        assert total == profile.stall_totals["mem"]
+        run, recorder = timeline_run("atax", "float16", "scalar",
+                                     mem_latency=10)
+        assert recorder.stall_events
+        total = sum(dur for _, _, dur in recorder.stall_events)
+        assert total == run.profile.stall_totals["mem"]
 
 
 class TestRawStreams:
@@ -81,9 +99,10 @@ class TestRawStreams:
         mem.write_u16(0x0, 0x4515)  # c.li a0, 5
         mem.write_u16(0x2, 0x0505)  # c.addi a0, 1
         mem.write_u16(0x4, 0x8082)  # c.jr ra (halt)
-        collector = ProfileCollector()
-        result = sim.run(0, profile=collector)
-        profile = collector.finish()
+        result = sim.run(0)
+        profile = build_profile(None, result.trace, sim.timing,
+                                exit_reason=result.exit_reason,
+                                fetch=sim.instruction_at)
         assert profile.cycles == result.cycles
         assert profile.instret == result.instret == 3
         assert profile.blocks == [] and profile.loops == []
@@ -94,6 +113,29 @@ class TestRawStreams:
         assert profile.pc_table[0x0][0] == "c.li"
         assert profile.pc_table[0x2][0] == "c.addi"
         assert profile.pc_table[0x4][0] == "c.jr"
+
+
+class TestLoopCounts:
+    @pytest.mark.parametrize("fast_path", [True, False],
+                             ids=["block", "reference"])
+    def test_single_block_loop_counts_every_iteration(self, fast_path):
+        """A loop whose body is one CFG block still counts each pass."""
+        program = assemble("li t0, 10\n"
+                           "loop:\n"
+                           "addi t0, t0, -1\n"
+                           "bnez t0, loop\n"
+                           "ret\n")
+        sim = Simulator(program, fast_path=fast_path)
+        result = sim.run(0)
+        assert result.trace.pc_counts[0x4] == 10
+        assert result.trace.pc_taken[0x8] == 9
+        profile = build_profile(program, result.trace, sim.timing,
+                                exit_reason=result.exit_reason)
+        (loop,) = profile.loops
+        assert (loop.name, loop.iterations) == ("loop@0x4", 10)
+        body = next(b for b in profile.blocks if b.start == 0x4)
+        assert body.visits == 10
+        assert profile.instret + profile.stall_cycles == profile.cycles
 
 
 class TestRoofline:

@@ -4,15 +4,20 @@ import json
 
 import pytest
 
+from repro.harness import run_kernel
+from repro.harness.runner import build_kernel
 from repro.isa import assemble
+from repro.kernels import KERNELS
 from repro.profile import (
     PROFILE_SCHEMA_VERSION,
     ProfilePayloadError,
+    TimelineRecorder,
     annotate_disassembly,
     render_text,
     to_chrome_trace,
     validate_payload,
 )
+from repro.profile.export import CHROME_TRACE_VERSION
 
 
 @pytest.fixture()
@@ -79,23 +84,34 @@ class TestTextReport:
         assert text.count("loop@") == 1
 
 
-class TestChromeTrace:
-    def test_trace_is_loadable_json(self, gemm_profile):
-        trace = json.loads(json.dumps(to_chrome_trace(gemm_profile)))
-        assert isinstance(trace["traceEvents"], list)
-        assert trace["otherData"]["version"] == PROFILE_SCHEMA_VERSION
+@pytest.fixture(scope="module")
+def chrome_trace():
+    """``(trace, profile)`` of one gemm float16/auto timeline run."""
+    timeline = TimelineRecorder(
+        build_kernel(KERNELS["gemm"], "float16", "auto").program)
+    run = run_kernel(KERNELS["gemm"], ftype="float16", mode="auto",
+                     profile=True, injector=timeline)
+    timeline.finish(run.trace)
+    return to_chrome_trace(run.profile, timeline), run.profile
 
-    def test_duration_events_stay_inside_the_run(self, gemm_profile):
-        trace = to_chrome_trace(gemm_profile)
+
+class TestChromeTrace:
+    def test_trace_is_loadable_json(self, chrome_trace):
+        trace = json.loads(json.dumps(chrome_trace[0]))
+        assert isinstance(trace["traceEvents"], list)
+        assert trace["otherData"]["version"] == CHROME_TRACE_VERSION
+
+    def test_duration_events_stay_inside_the_run(self, chrome_trace):
+        trace, profile = chrome_trace
         slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert slices
         for event in slices:
             assert event["dur"] > 0
             assert 0 <= event["ts"] <= event["ts"] + event["dur"] \
-                <= gemm_profile.cycles
+                <= profile.cycles
 
-    def test_threads_are_named(self, gemm_profile):
-        trace = to_chrome_trace(gemm_profile)
+    def test_threads_are_named(self, chrome_trace):
+        trace = chrome_trace[0]
         names = {e["args"]["name"] for e in trace["traceEvents"]
                  if e["name"] == "thread_name"}
         assert names == {"basic blocks", "memory stalls"}

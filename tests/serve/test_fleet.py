@@ -141,7 +141,7 @@ class TestFailover:
             assert snapshot["redeliveries"] == 1  # deliveries 1 -> 2
             from repro.harness.parallel import point_key
             assert app.executor.is_poisoned(
-                (point_key(kernel_request(4242).point), False))
+                point_key(kernel_request(4242).point))
 
             # Resubmission is answered instantly from quarantine -- no
             # further worker is sacrificed.

@@ -1,6 +1,6 @@
 """Queue semantics: coalescing, priorities, bounds, drain mode."""
 
-from repro.harness.parallel import SweepPoint
+from repro.harness.parallel import SweepPoint, point_key
 from repro.harness.runner import SafeRunOutcome
 from repro.serve.jobs import (
     ADMIT_CLOSED,
@@ -39,12 +39,21 @@ def test_coalescing_covers_running_jobs():
     assert verdict == ADMIT_NEW and fresh is not job
 
 
-def test_profile_flag_separates_coalescing_keys():
-    queue = JobQueue(max_depth=4)
-    _, verdict = queue.submit(Job(GEMM, profile=False))
-    assert verdict == ADMIT_NEW
-    _, verdict = queue.submit(Job(GEMM, profile=True))
-    assert verdict == ADMIT_NEW  # a profiled run never piggybacks
+def test_job_key_is_the_point_key():
+    # A profiled request is the same point as a plain one: the profile
+    # is built from the shared outcome, so they coalesce.
+    assert Job(GEMM).key == point_key(GEMM)
+
+
+def test_pop_compatible_takes_seed_variants_of_the_head_stream():
+    queue = JobQueue(max_depth=8)
+    head, _ = queue.submit(Job(GEMM))
+    seed1, _ = queue.submit(Job(GEMM._replace(seed=1)))
+    queue.submit(Job(ATAX))
+    queue.submit(Job(GEMM._replace(seed=2), deadline_at=1e12))
+    assert queue.pop(0.01) is head
+    assert queue.pop_compatible(head, 4) == [seed1]
+    assert queue.depth == 2  # atax and the deadline-bound job stay
 
 
 def test_full_queue_refuses_admission():

@@ -143,11 +143,30 @@ class TestKernelEndpoint:
         with serving(workers=1) as (app, client):
             response = client.run_kernel("gemm", "float16", "auto",
                                          profile=True)
+            assert response["served_from"] == "executed"
             validate_payload(response["result"]["profile"])
-            # Profiled runs bypass the cache in both directions.
+            # A profiled run is cached like any other, and a repeat
+            # profiles the cached outcome to the same payload.
             again = client.run_kernel("gemm", "float16", "auto",
                                       profile=True)
-            assert again["served_from"] == "executed"
+            assert again["served_from"] == "cache"
+            assert again["result"]["profile"] \
+                == response["result"]["profile"]
+
+    def test_profiled_request_is_served_from_cache(self):
+        from repro.profile import validate_payload
+
+        with serving(workers=1) as (app, client):
+            plain = client.run_kernel("atax", "float16", "scalar")
+            assert "profile" not in plain["result"]
+            profiled = client.run_kernel("atax", "float16", "scalar",
+                                         profile=True)
+            assert profiled["served_from"] == "cache"
+            validate_payload(profiled["result"]["profile"])
+            direct = run_kernel(KERNELS["atax"], "float16", "scalar",
+                                profile=True)
+            assert profiled["result"]["profile"] \
+                == direct.profile.to_payload()
 
     def test_profile_query_parameter(self):
         import json
@@ -179,6 +198,38 @@ class TestKernelEndpoint:
 # ----------------------------------------------------------------------
 # Coalescing: concurrent identical requests share one execution
 # ----------------------------------------------------------------------
+class TestLockstepBatching:
+    def test_profiled_seed_variants_share_one_batch(self):
+        from repro.profile import validate_payload
+        from repro.serve.metrics import ServeMetrics
+        from repro.serve.schema import KernelRequest
+        from repro.serve.server import _result_payload
+
+        queue = JobQueue(max_depth=4)
+        points = [SweepPoint("atax", "float16", "auto", seed=seed)
+                  for seed in (0, 1)]
+        # Both jobs are queued before the worker starts, so its first
+        # pop finds the second as a lockstep-compatible peer.
+        jobs = [queue.submit(Job(point))[0] for point in points]
+        metrics = ServeMetrics()
+        executor = KernelExecutor(queue, workers=1, metrics=metrics,
+                                  lockstep=2)
+        try:
+            assert all(job.wait(60.0) for job in jobs)
+        finally:
+            queue.close()
+            executor.drain(timeout=10.0)
+        assert (metrics.lockstep_batches, metrics.lockstep_lanes,
+                metrics.lockstep_fallbacks) == (1, 2, 0)
+        for point, job in zip(points, jobs):
+            result = _result_payload(job.outcome,
+                                     KernelRequest(point, profile=True))
+            validate_payload(result["profile"])
+            direct = run_kernel(KERNELS["atax"], "float16", "auto",
+                                seed=point.seed, profile=True)
+            assert result["profile"] == direct.profile.to_payload()
+
+
 class TestCoalescing:
     def test_concurrent_identical_requests_share_one_execution(self):
         runner = GatedRunner()

@@ -33,6 +33,8 @@ def assert_traces_identical(ref, fast, label=""):
     assert ref.mem_accesses == fast.mem_accesses, f"{label}: mem_accesses"
     assert ref.branches_taken == fast.branches_taken, (
         f"{label}: branches_taken")
+    assert sorted(ref.pc_taken.items()) == sorted(fast.pc_taken.items()), (
+        f"{label}: pc_taken")
 
 
 def assert_results_identical(ref_sim, ref_res, fast_sim, fast_res, label=""):

@@ -161,6 +161,7 @@ def snapshot(result):
                   list(trace.by_mnemonic.items()),
                   list(trace.by_category.items()),
                   list(trace.pc_counts.items()),
+                  sorted(trace.pc_taken.items()),
                   trace.mem_accesses, trace.branches_taken),
         "pc": machine.pc,
         "xregs": list(machine.xregs),

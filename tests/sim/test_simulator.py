@@ -6,7 +6,6 @@ from repro.fp import BINARY16, BINARY32
 from repro.fp.convert import from_double, to_double
 from repro.isa import assemble
 from repro.sim import SimulationError, Simulator
-from repro.sim.simulator import HALT_ADDRESS
 
 
 def run_asm(src, args=None, **kw):

@@ -2,8 +2,6 @@
 with ``exit_reason='trap'`` and latched mcause/mepc/mtval -- no host
 exception escapes ``Simulator.run``."""
 
-import pytest
-
 from repro.isa import assemble
 from repro.sim import (
     CAUSE_ILLEGAL_INSTRUCTION,

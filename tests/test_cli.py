@@ -181,6 +181,13 @@ class TestProfile:
     def test_unknown_kernel(self, capsys):
         assert main(["profile", "nonesuch"]) == 1
 
+    def test_no_timeline_flag_is_gone(self, capsys):
+        # A timeline is only recorded with --trace, so there is nothing
+        # to switch off.
+        with pytest.raises(SystemExit) as info:
+            main(["profile", "gemm", "--no-timeline"])
+        assert info.value.code == 2
+
     def test_kernel_profile_flag(self, capsys):
         assert main(["kernel", "gemm", "--profile"]) == 0
         out = capsys.readouterr().out
