@@ -54,6 +54,7 @@ from ..fp import registry
 from ..fp.formats import FORMATS_BY_SUFFIX
 from ..fp.registry import NumberFormat
 from ..isa.assembler import Program
+from ..sim.semantics import SEMANTICS
 from .cfg import CFG, BasicBlock, Site, build_cfg
 from .dataflow import (
     CALLEE_SAVED,
@@ -547,7 +548,6 @@ _FMA_KINDS = {"fmadd": (False, False), "fmsub": (False, True),
 _INT_RESULT_KINDS = {"feq", "flt", "fle", "vfeq", "vflt", "vfle",
                      "fclass", "fcvt_w_f", "fcvt_wu_f", "vfcvt_x_f",
                      "fmv_x_f"}
-_STORE_KINDS = {"fsw", "sw", "sh", "sb"}
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +575,7 @@ def transfer_site(site: Site, env: Env, config: AbsintConfig,
                 env.pop(reg)
         return
 
-    if spec.kind in _STORE_KINDS:
+    if SEMANTICS[spec.kind].shape == "store":
         # smallFloat values live in the integer register file, so a
         # plain sb/sh/sw is how a tracked value reaches memory; record
         # it for the error-budget check (None = not an FP value).
@@ -1072,7 +1072,7 @@ def collect_risks(result: AbsintResult,
                         else:
                             cancel_best[fn] = (best[0], best[1], count)
             if (config.error_budget is not None
-                    and (site.kind in _STORE_KINDS
+                    and (site.shape == "store"
                          or site.kind == "fmv_x_f")):
                 stored = state.store_value
                 if stored is not None:

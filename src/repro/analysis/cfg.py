@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..isa.assembler import Program
 from ..isa.instructions import Instr, UnknownInstruction, decode
+from ..sim.semantics import SEMANTICS
 
 #: Block terminator classes a :class:`BasicBlock` can end with.
 TERMINATORS = ("fallthrough", "branch", "jump", "call", "return",
@@ -50,6 +51,10 @@ class Site:
     @property
     def kind(self) -> str:
         return self.instr.kind if self.instr is not None else ""
+
+    @property
+    def shape(self) -> str:
+        return SEMANTICS[self.instr.kind].shape if self.instr else ""
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..isa.instructions import Instr
+from ..sim.semantics import SEMANTICS
 from .cfg import CFG, BasicBlock, Site
 
 # ----------------------------------------------------------------------
@@ -26,9 +27,9 @@ _READS_RS3 = {"frs3"}
 
 #: Instruction kinds that read their destination as an accumulator
 #: (fmacex/vfmac/vfdotpex) or partially update it (vfcpka/vfcpkb fill
-#: a lane pair and preserve the rest).
-ACCUMULATE_KINDS = {"fmacex", "vfmac", "vfdotpex", "vfdotpmx",
-                    "vfcpka", "vfcpkb"}
+#: a lane pair and preserve the rest): the semantics rows with ``acc``.
+ACCUMULATE_KINDS = frozenset(kind for kind, row in SEMANTICS.items()
+                             if row.acc)
 
 #: ABI state defined at a function entry in this model: x0, ra, sp and
 #: the argument registers a0-a7 (the harness passes kernel arguments
@@ -325,15 +326,14 @@ def result_format(instr: Instr) -> Optional[Format]:
     if spec.fp_fmt is None:
         return None
     kind = spec.kind
-    if kind in ("flw", "fsw", "fmv_x_f", "fmv_f_x"):
+    row = SEMANTICS[kind]
+    if row.shape in ("load", "store") or kind in ("fmv_x_f", "fmv_f_x"):
         return None  # width-only operations: no element format evidence
     if kind in ("fle", "flt", "feq", "vfeq", "vflt", "vfle", "fclass",
                 "fcvt_w_f", "fcvt_wu_f", "vfcvt_x_f"):
         return None  # integer result
-    if kind in ("fmulex", "fmacex"):
+    if row.cls == "expand":
         return ("s", False)  # expanding: binary32 scalar result
-    if kind in ("vfdotpex", "vfdotpmx"):
-        return ("s", False)  # expanding dot product: scalar accumulator
     return (spec.fp_fmt, bool(spec.vec))
 
 
@@ -348,6 +348,7 @@ def operand_formats(instr: Instr) -> Dict[int, Format]:
     if spec.fp_fmt is None:
         return out
     kind = spec.kind
+    row = SEMANTICS[kind]
     vec = bool(spec.vec)
     elem = spec.fp_fmt
 
@@ -358,31 +359,22 @@ def operand_formats(instr: Instr) -> Dict[int, Format]:
     if kind in ("fcvt_f2f", "vfcvt_f2f"):
         put(instr.rs1, (spec.src_fmt or elem, vec))
         return out
-    if kind in ("fmulex", "fmacex"):
+    if row.cls == "expand":
+        # Sources in the source format (vector ones packed, a ``.r``
+        # rs2 scalar); an accumulating form reads the binary32 rd.
         src = spec.src_fmt or elem
-        put(instr.rs1, (src, False))
-        put(instr.rs2, (src, False))
-        if kind == "fmacex":
+        put(instr.rs1, (src, vec))
+        put(instr.rs2, (src, vec and not spec.repl))
+        if row.acc:
             put(instr.rd, ("s", False))
-        return out
-    if kind == "vfdotpex":
-        src = spec.src_fmt or elem
-        put(instr.rs1, (src, True))
-        put(instr.rs2, (src, not spec.repl))
-        put(instr.rd, ("s", False))
-        return out
-    if kind == "vfdotpmx":
-        src = spec.src_fmt or elem
-        put(instr.rs1, (src, True))
-        put(instr.rs2, (src, True))
-        put(instr.rd, ("s", False))
         return out
     if kind in ("vfcpka", "vfcpkb"):
         put(instr.rs1, ("s", False))
         put(instr.rs2, ("s", False))
         return out
-    if kind in ("flw", "fsw", "fmv_x_f", "fmv_f_x", "fcvt_f_w", "fcvt_f_wu",
-                "vfcvt_f_x", "vfcvt_x_f"):
+    if row.shape in ("load", "store") or kind in (
+            "fmv_x_f", "fmv_f_x", "fcvt_f_w", "fcvt_f_wu", "vfcvt_f_x",
+            "vfcvt_x_f"):
         return out  # loads/stores/raw moves: width only, no format demand
     # Generic scalar/vector FP operations: every FP source operand is
     # expected in the operation's format; replicating variants read

@@ -299,10 +299,6 @@ class _Context:
 # ----------------------------------------------------------------------
 # Checks
 # ----------------------------------------------------------------------
-_STORE_KINDS = {"sb", "sh", "sw", "fsw"}
-_LOAD_KINDS = {"lb", "lbu", "lh", "lhu", "lw", "flw"}
-
-
 def _check_use_before_def(ctx: _Context) -> List[LintFinding]:
     findings = []
     seen: Set[Tuple[int, int]] = set()
@@ -318,7 +314,7 @@ def _check_use_before_def(ctx: _Context) -> List[LintFinding]:
                     continue
                 # A store of a callee-saved register in the entry block
                 # is the standard prologue spill; not a bug.
-                if site.kind in _STORE_KINDS and reg in CALLEE_SAVED \
+                if site.shape == "store" and reg in CALLEE_SAVED \
                         and reg == site.instr.rs2:
                     continue
                 seen.add((site.addr, reg))
@@ -634,9 +630,9 @@ def _check_uninitialized_load(ctx: _Context) -> List[LintFinding]:
             hit = reserved_range(addr)
             if hit is None:
                 continue
-            if instr.spec.kind in _STORE_KINDS:
+            if site.shape == "store":
                 stored_into.add(hit)
-            elif instr.spec.kind in _LOAD_KINDS:
+            elif site.shape == "load":
                 loads.append((site, addr, hit))
     findings = []
     symbol_of = {addr: name for name, addr in program.symbols.items()}

@@ -48,9 +48,6 @@ from .astnodes import (
 )
 from .intrinsics import INTRINSICS
 from .typesys import (
-    FLOAT,
-    INT,
-    VOID,
     FloatType,
     IntType,
     PtrType,

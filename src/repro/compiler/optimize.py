@@ -21,7 +21,6 @@ from .astnodes import (
     ExprStmt,
     FloatLit,
     For,
-    Function,
     If,
     Index,
     IntLit,

@@ -30,7 +30,7 @@ from .astnodes import (
     While,
 )
 from .lexer import Token, tokenize
-from .typesys import TYPE_KEYWORDS, PtrType, Type, VOID
+from .typesys import TYPE_KEYWORDS, PtrType, Type
 
 
 class ParseError(ReproError):

@@ -9,7 +9,7 @@ attributes to conversions is visible in the generated code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .astnodes import (
     Assign,

@@ -21,7 +21,6 @@ exactly the GCC extension's behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .. import ReproError
 from ..fp import registry

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple
 
 from .astnodes import (
     Assign,
@@ -40,16 +40,13 @@ from .astnodes import (
     Cast,
     Decl,
     Expr,
-    ExprStmt,
     FloatLit,
     For,
-    Function,
     If,
     Index,
     IntLit,
     LaneRef,
     Module,
-    Return,
     Stmt,
     UnOp,
     Var,
@@ -60,7 +57,6 @@ from .typesys import (
     INT,
     FloatType,
     IntType,
-    PtrType,
     Type,
     VEC_OF,
     VecType,

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..fp import registry
-from ..isa.instructions import InstrSpec, spec_by_mnemonic
+from ..isa.instructions import InstrSpec
+from ..sim.semantics import resolve_mnemonic, spec_info
 from ..sim.tracer import Trace
 
 #: Energy per data-memory access (pJ) at the paper's latency levels.
@@ -116,47 +117,45 @@ class EnergyTable:
 
     def op_energy(self, spec: InstrSpec) -> float:
         """Datapath energy of one instruction (memory charged separately)."""
-        kind = spec.kind
-        if kind in ("lb", "lh", "lw", "lbu", "lhu", "sb", "sh", "sw",
-                    "flw", "fsw"):
-            return self.int_alu  # address generation; access cost is separate
-        if kind in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-            return self.branch
-        if kind in ("jal", "jalr"):
-            return self.jump
-        if kind in ("mul", "mulh", "mulhsu", "mulhu"):
-            return self.mul
-        if kind in ("div", "divu", "rem", "remu"):
-            return self.div
-        if kind.startswith("csr"):
-            return self.csr
-        if kind == "fmacex" or kind == "fmulex":
+        info = spec_info(spec)
+        cls, spec = info.row.cls, info.spec
+        price = _FIXED_PRICES.get(cls)
+        if price is not None:
+            return getattr(self, price)
+        if cls == "expand":
+            if spec.vec:
+                return self.expand_dotp.get(spec.src_fmt or "h", 7.0)
             return self.expand_scalar
-        if kind in ("vfdotpex", "vfdotpmx"):
-            return self.expand_dotp.get(spec.src_fmt or "h", 7.0)
+        fmt = spec.fp_fmt or "h"
         if spec.vec:
-            fmt = spec.fp_fmt or "h"
-            if kind in ("vfadd", "vfsub", "vfmul", "vfmin", "vfmax"):
+            if cls == "arith" or spec.kind in _VEC_MINMAX:
                 return self._cost(self.vec_arith, fmt, 11.2)
-            if kind == "vfmac":
+            if cls == "fma":
                 return self._cost(self.vec_fma, fmt, 14.5)
-            if kind in ("vfdiv", "vfsqrt"):
+            if cls in ("fdiv", "fsqrt"):
                 return self._cost(self.vec_div, fmt, 48.0)
-            if kind.startswith("vfcvt") or kind.startswith("vfcpk"):
+            if cls == "conv":
                 return self.vec_conv
             return self.vec_arith.get(fmt, 5.0)  # sgnj/compare etc.
-        if spec.fp_fmt is not None:
-            fmt = spec.fp_fmt
-            if kind in ("fadd", "fsub", "fmul"):
-                return self._cost(self.fp_arith, fmt, 6.6)
-            if kind in ("fmadd", "fmsub", "fnmsub", "fnmadd"):
-                return self._cost(self.fp_fma, fmt, 8.4)
-            if kind in ("fdiv", "fsqrt"):
-                return self._cost(self.fp_div, fmt, 28.0)
-            if kind.startswith("fcvt") or kind.startswith("fmv"):
-                return self.fp_conv
-            return self._cost(self.fp_misc, fmt, 3.0)
-        return self.int_alu
+        if cls == "arith":
+            return self._cost(self.fp_arith, fmt, 6.6)
+        if cls == "fma":
+            return self._cost(self.fp_fma, fmt, 8.4)
+        if cls in ("fdiv", "fsqrt"):
+            return self._cost(self.fp_div, fmt, 28.0)
+        if cls == "conv":
+            return self.fp_conv
+        return self._cost(self.fp_misc, fmt, 3.0)
+
+
+#: Classes priced by one :class:`EnergyTable` field, whatever the format.
+#: Loads and stores pay address generation; the access is charged apart.
+_FIXED_PRICES = {"alu": "int_alu", "load": "int_alu", "store": "int_alu",
+                 "branch": "branch", "jump": "jump", "mul": "mul",
+                 "div": "div", "csr": "csr"}
+#: The SIMD min/max unit shares the vector adder, so it is priced as
+#: vector arithmetic; scalar fmin/fmax stay with the misc ops.
+_VEC_MINMAX = frozenset({"vfmin", "vfmax"})
 
 
 @dataclass
@@ -208,15 +207,9 @@ class EnergyModel:
     def _op_energy(self, mnemonic: str) -> float:
         cached = self._cache.get(mnemonic)
         if cached is None:
-            if mnemonic.startswith("c."):
-                # Traces record RVC instructions under their canonical
-                # compressed mnemonics; charge the expanded operation.
-                from ..isa.compressed import compressed_base_spec
-
-                spec = compressed_base_spec(mnemonic)
-            else:
-                spec = spec_by_mnemonic(mnemonic)
-            cached = self.table.op_energy(spec)
+            # Traces record RVC instructions under their canonical
+            # compressed mnemonics; charge the expanded operation.
+            cached = self.table.op_energy(resolve_mnemonic(mnemonic))
             self._cache[mnemonic] = cached
         return cached
 

@@ -36,9 +36,7 @@ import numpy as np
 from ..harness.runner import KernelRun, run_kernel, run_kernel_safe
 from ..kernels import KERNELS, KernelSpec
 from .injector import (
-    TARGETS,
     BitFlip,
-    FaultError,
     FaultInjector,
     FaultSpace,
     make_plan,

@@ -4,7 +4,7 @@ Importing this package registers the complete instruction table
 (RV32I, M, Zicsr, F, Xf16, Xf16alt, Xf8, Xfvec, Xfaux).
 """
 
-from . import smallfloat  # noqa: F401  (registers the FP instruction table)
+from . import smallfloat  # registers the FP instruction table
 from .assembler import Assembler, AssemblerError, Program, assemble
 from .compressed import (IllegalCompressed, compressed_base_spec,
                          expand, expand_with_mnemonic)
@@ -27,6 +27,7 @@ from .registers import (
 )
 
 __all__ = [
+    "smallfloat",
     "Assembler",
     "AssemblerError",
     "Program",

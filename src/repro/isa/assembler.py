@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .instructions import InstrSpec, UnknownInstruction, encode, spec_by_mnemonic
 from .registers import parse_freg, parse_xreg

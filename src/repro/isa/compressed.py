@@ -64,9 +64,8 @@ _ALIAS_SPECS: Dict[str, InstrSpec] = {}
 def compressed_base_spec(mnemonic: str) -> InstrSpec:
     """The expanded 32-bit spec behind a canonical ``c.*`` mnemonic.
 
-    Classifiers (the tracer's category tables, the energy model) use
-    this to fall back through the expansion when they meet a compressed
-    mnemonic.  Raises :class:`UnknownInstruction` for names that are
+    :func:`repro.sim.semantics.resolve_mnemonic` uses this to answer
+    for a compressed mnemonic with its expansion.  Raises :class:`UnknownInstruction` for names that are
     not canonical RVC mnemonics.
     """
     base = C_BASE_MNEMONICS.get(mnemonic)

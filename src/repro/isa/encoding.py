@@ -8,8 +8,6 @@ unprivileged specification.  All functions work on plain integers; a
 
 from __future__ import annotations
 
-from typing import Tuple
-
 WORD_MASK = 0xFFFFFFFF
 
 

@@ -13,7 +13,7 @@ extensions deliberately mirror "F" per format).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import encoding as enc
@@ -88,6 +88,10 @@ class InstrSpec:
     vec: bool = False
     repl: bool = False
     cf: Optional[str] = None
+
+    def __hash__(self) -> int:
+        # Equal specs share a mnemonic; per-spec tables hash every retire.
+        return hash(self.mnemonic)
 
     @property
     def is_control_flow(self) -> bool:

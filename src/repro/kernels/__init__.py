@@ -9,9 +9,8 @@ and score any (type x vectorization x memory-latency) configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Dict, List, Optional
-
-import numpy as np
 
 from . import data as _data
 from . import golden as _golden
@@ -238,4 +237,4 @@ __all__ = [
 # means every KERNELS consumer sees the NN kernels without importing
 # repro.nn itself.  The needed names (KernelSpec, _register, KERNELS)
 # are all bound above, so the partial-module import is safe.
-from .. import nn as _nn  # noqa: E402,F401
+import_module("..nn", __package__)

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..compiler.typesys import FLOAT_BY_SUFFIX, TYPE_KEYWORDS, VEC_OF
-
 #: ftype keyword -> (vector keyword, lanes, dotpex intrinsic)
 _VECTOR_INFO = {
     "float16": ("float16v", 2, "__dotpex_f16"),

@@ -14,12 +14,12 @@ block formats additionally get the fused-block ``vfdotpmx`` route via
 through ``run_kernel(..., frm=int(RoundingMode.SR), sr_key=...)``.
 """
 
-from . import specs as _specs  # noqa: F401  (registers the NN kernels)
+# Importing .specs registers the NN kernels.
+from .specs import (NN_ATTENTION, NN_CONV2D, NN_KERNEL_NAMES, NN_LAYERNORM,
+                    NN_MLP_FWD, NN_MLP_TRAIN, NN_SOFTMAX)
 from .block import (BLOCK_KERNELS, BlockFormatError, BlockRun,
                     fused_block_kernels, run_fused_block)
 from .sources import manual_source, narrow_source, source
-from .specs import (NN_ATTENTION, NN_CONV2D, NN_KERNEL_NAMES, NN_LAYERNORM,
-                    NN_MLP_FWD, NN_MLP_TRAIN, NN_SOFTMAX)
 
 __all__ = [
     "BLOCK_KERNELS",

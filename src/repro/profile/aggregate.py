@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from ..fp import registry
 from ..sim.memory import LATENCY_LEVELS
+from ..sim.semantics import spec_info
 from ..sim.timing import STALL_CAUSES
-from ..sim.tracer import classify
+from ..sim.tracer import CATEGORIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..isa.assembler import Program
@@ -27,9 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.timing import TimingModel
     from ..sim.tracer import Trace
 
-#: Instruction categories counted as FP work in per-block breakdowns.
-FP_CATEGORIES = ("fp32", "fp16", "fp16alt", "fp8",
-                 "vfp16", "vfp16alt", "vfp8", "conv", "expand")
+#: Instruction categories counted as FP work in per-block breakdowns:
+#: every Fig. 4 category from conversions on.
+FP_CATEGORIES = tuple(CATEGORIES[CATEGORIES.index("conv"):])
 
 
 def _empty_stalls() -> Dict[str, int]:
@@ -247,24 +249,10 @@ class Profile:
 
 
 # ----------------------------------------------------------------------
-#: Data bytes moved per access, by memory-instruction kind.
-_MEM_BYTES = {"lb": 1, "lbu": 1, "sb": 1, "lh": 2, "lhu": 2, "sh": 2,
-              "lw": 4, "sw": 4, "flw": 4, "fsw": 4}
-
-_ARITH_KINDS = {"fadd", "fsub", "fmul", "fdiv", "fsqrt", "fmulex"}
-_FMA_KINDS = {"fmadd", "fmsub", "fnmsub", "fnmadd", "fmacex"}
-_VEC_ARITH_KINDS = {"vfadd", "vfsub", "vfmul", "vfdiv", "vfsqrt"}
-
-
-def _fmt_info(suffix: str) -> Tuple[Optional[str], int]:
-    """(report name, storage width) of a format suffix, via the registry."""
-    from ..fp import registry
-
-    try:
-        fmt = registry.by_suffix(suffix)
-    except KeyError:
-        return None, 32
-    return fmt.name, fmt.width
+#: Flops per element of each FP class (expanding ops add one for an
+#: accumulating form); every other class does no arithmetic.
+_FLOPS_PER_ELEMENT = {"arith": 1, "fdiv": 1, "fsqrt": 1, "fma": 2,
+                      "expand": 1}
 
 
 def _flops_of(instr: "Instr", flen: int) -> Tuple[Optional[str], int]:
@@ -277,25 +265,20 @@ def _flops_of(instr: "Instr", flen: int) -> Tuple[Optional[str], int]:
     their flops to the *source* format, which is the one doing the
     SIMD work.
     """
-    spec = instr.spec
-    kind = spec.kind
-    fmt = spec.src_fmt or spec.fp_fmt
-    if fmt is None:
+    info = spec_info(instr.spec)
+    spec = info.spec
+    suffix = spec.src_fmt or spec.fp_fmt
+    if suffix is None:
         return None, 0
-    name, width = _fmt_info(fmt)
-    if kind in _ARITH_KINDS:
-        return name, 1
-    if kind in _FMA_KINDS:
-        return name, 2
-    lanes = max(1, flen // width)
-    if kind in _VEC_ARITH_KINDS:
-        return name, lanes
-    if kind in ("vfmac", "vfdotpex"):
-        return name, 2 * lanes
-    if kind == "vfdotpmx":
-        # One shared-exponent block: scale byte + the remaining lanes.
-        return name, 2 * max(1, (flen - 8) // width)
-    return name, 0
+    fmt = registry.by_suffix(suffix)
+    flops = _FLOPS_PER_ELEMENT.get(info.row.cls, 0)
+    if info.row.cls == "expand" and info.row.acc:
+        flops += 1
+    if spec.vec:
+        # A shared-exponent block spends its first byte on the scale.
+        bits = flen - 8 if fmt.has_block_dotp else flen
+        flops *= max(1, bits // fmt.width)
+    return fmt.name, flops
 
 
 def build_profile(program: Optional["Program"], trace: "Trace",
@@ -358,11 +341,12 @@ def build_profile(program: Optional["Program"], trace: "Trace",
         for cause, value in stalls.items():
             stall_totals[cause] += value
         pc_table[pc] = (instr.mnemonic, count, cycles, stalls)
+        info = spec_info(instr.spec)
         fmt, flops = _flops_of(instr, flen)
         if fmt is not None and flops:
             roofline.flops_by_format[fmt] = (
                 roofline.flops_by_format.get(fmt, 0) + flops * count)
-        roofline.bytes_total += _MEM_BYTES.get(instr.kind, 0) * count
+        roofline.bytes_total += info.size * count
 
         start = pc_to_block.get(pc)
         if start is None:
@@ -386,7 +370,7 @@ def build_profile(program: Optional["Program"], trace: "Trace",
         block.cycles += cycles
         for cause, value in stalls.items():
             block.stalls[cause] += value
-        category = classify(instr)
+        category = info.category
         if category in FP_CATEGORIES:
             block.fp_ops[category] = block.fp_ops.get(category, 0) + count
 

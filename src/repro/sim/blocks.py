@@ -2,8 +2,8 @@
 
 The reference interpreter in :mod:`repro.sim.simulator` pays, per
 retired instruction: a decode-cache lookup, a handler-table lookup, a
-seven-arm ``try/except`` fence, a ``TimingModel`` cost resolution, a
-:func:`~repro.sim.tracer.classify` call and five Counter updates.  None
+seven-arm ``try/except`` fence, a cycle-table lookup, a
+:func:`~repro.sim.semantics.spec_info` lookup and five Counter updates.  None
 of that work depends on run-time state -- it is a pure function of the
 instruction words -- so this module resolves all of it once and caches
 the result as a *basic block*: a straight-line run of instructions
@@ -226,7 +226,7 @@ class BlockEngine:
     def __init__(self, sim):
         self.sim = sim
         self._view: Dict[int, Block] = {}
-        self._timing_key = None
+        self._timing_table = None
 
     # ------------------------------------------------------------------
     # View maintenance
@@ -259,12 +259,13 @@ class BlockEngine:
 
         Static costs are baked into blocks; mutating the simulator's
         :class:`TimingConfig` between runs must not leave stale costs
-        behind.
+        behind.  The timing model starts a new cycle table exactly when
+        its configuration changed, so the table is the epoch.
         """
-        key = self.sim.timing.config.snapshot_key()
-        if key != self._timing_key:
+        table = self.sim.timing.table()
+        if table is not self._timing_table:
             self._view.clear()
-            self._timing_key = key
+            self._timing_table = table
 
     def block(self, pc: int) -> Optional[Block]:
         """The block starting at ``pc``, or None when its first
@@ -454,10 +455,11 @@ def _build(pc: int, fetched, terminated: bool, timing, flen: int,
            merged: bool) -> Block:
     block = Block(pc)
     gen = _Codegen(flen, merged)
+    costs = timing.table()
     body = fetched[:-1] if terminated else fetched
     for instr, addr, size, row in body:
         category = classify(instr)
-        cost = timing.cycles(instr, taken=False)
+        cost = costs[instr.spec][False]
         block.index_of[addr] = block.n_entries
         block.entries.append((instr, addr))
         block.costs.append(cost)
@@ -476,9 +478,8 @@ def _build(pc: int, fetched, terminated: bool, timing, flen: int,
         instr, addr, size, row = fetched[-1]
         block.index_of[addr] = n
         block.term = Term(instr, addr, (addr + size) & MASK32,
-                          timing.cycles(instr, taken=False),
-                          timing.cycles(instr, taken=True),
-                          instr.mnemonic, classify(instr))
+                          *costs[instr.spec], instr.mnemonic,
+                          classify(instr))
         block.extent = addr + size
         gen.terminator(block.term, row, n, block.static_cycles)
     else:

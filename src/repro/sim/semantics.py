@@ -33,6 +33,12 @@ Shapes and the signature of ``op``:
             ``(result, flags)`` when the row has ``flags``, else the
             result.
 
+Each row also has a *class*, what timing, Fig. 4, energy and the
+profile charge it as: its shape for ``load``/``store``/``branch``/
+``jump``/``csr``; else ``alu``, ``mul``, ``div``, ``arith``, ``fma``,
+``fdiv``, ``fsqrt``, ``conv``, ``expand`` (the rows that ``expands``)
+or ``misc``.  :func:`spec_info` answers "what is this instruction".
+
 ``batch`` is the vector form lockstep uses when lanes hold different
 values.  For ``alu`` and ``branch`` rows it is ``op`` over uint32
 arrays or scalars, returning uint32 results or a boolean mask.  For ``fp`` rows it is a factory ``batch(F)`` that returns None
@@ -44,7 +50,7 @@ in ``fallback`` (None: no lane) take the scalar compute.
 from __future__ import annotations
 
 import operator
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable, Dict, NamedTuple, Optional
 
@@ -56,7 +62,8 @@ from ..fp.flags import GuestIllegal
 from ..fp.formats import FORMATS_BY_SUFFIX
 from ..fp.registry import NumberFormat
 from ..fp.rounding import RoundingMode
-from ..isa.instructions import Instr, InstrSpec
+from ..isa.compressed import compressed_base_spec
+from ..isa.instructions import Instr, InstrSpec, spec_by_mnemonic
 from .traps import EbreakTrap, EcallTrap
 
 MASK32 = 0xFFFFFFFF
@@ -68,17 +75,28 @@ _DYN_RM = int(RoundingMode.DYN)
 _RM_BY_VALUE = {int(mode): mode for mode in RoundingMode}
 
 
-class Row:
-    """One kind's semantics (see the module docstring for the fields)."""
+#: The class a row's shape implies when the row names none.
+_SHAPE_CLASS = {"alu": "alu", "upper": "alu", "sys": "alu", "fp": "misc"}
 
-    __slots__ = ("kind", "shape", "op", "batch", "rounds", "flags", "acc",
-                 "expands", "scalar_src", "size", "signed", "skip_x0")
+
+class Row:
+    """One kind's semantics (see the module docstring for the fields).
+
+    ``cls`` is the kind's class; it defaults from the shape, and rows
+    that ``expands`` are class ``expand``.
+    """
+
+    __slots__ = ("kind", "shape", "cls", "op", "batch", "rounds", "flags",
+                 "acc", "expands", "scalar_src", "size", "signed", "skip_x0")
 
     def __init__(self, kind: str, shape: str, op=None, batch=None, *,
-                 rounds=False, flags=False, acc=False, expands=False,
-                 scalar_src=False, size=None, signed=False, skip_x0=False):
+                 cls=None, rounds=False, flags=False, acc=False,
+                 expands=False, scalar_src=False, size=None, signed=False,
+                 skip_x0=False):
         self.kind = kind
         self.shape = shape
+        self.cls = ("expand" if expands
+                    else cls or _SHAPE_CLASS.get(shape, shape))
         self.op = op
         self.batch = batch
         #: ``op`` takes a trailing rounding mode.
@@ -123,6 +141,52 @@ def formats(spec: InstrSpec, flen: int) -> Formats:
 def access_size(spec: InstrSpec, flen: int) -> int:
     """Bytes a load or store moves (FP forms move their format)."""
     return SEMANTICS[spec.kind].size or formats(spec, flen).fmt.width // 8
+
+
+class SpecInfo(NamedTuple):
+    """What one instruction is, for everything that charges it."""
+
+    spec: InstrSpec  #: the spec, or a bare ``c.*`` spec's expansion
+    row: Row  #: its semantics row: shape, class (``row.cls``), ...
+    category: str  #: its bucket in the paper's Fig. 4 instruction mix
+    size: int  #: bytes a load or store moves (0: no data access)
+
+
+def resolve_mnemonic(mnemonic: str) -> InstrSpec:
+    """The spec a trace mnemonic names (``c.*``: the expanded spec)."""
+    if mnemonic.startswith("c."):
+        return compressed_base_spec(mnemonic)
+    return spec_by_mnemonic(mnemonic)
+
+
+#: Classes whose Fig. 4 category is their operating format's bucket;
+#: every other class is its own category.
+_FORMAT_BUCKETED = frozenset({"arith", "fma", "fdiv", "fsqrt", "misc"})
+#: Fig. 4 FP buckets by storage width (binary16alt has its own).
+_WIDTH_BUCKETS = {8: "fp8", 16: "fp16"}
+
+
+@lru_cache(maxsize=None)
+def spec_info(spec: InstrSpec) -> SpecInfo:
+    """The class, Fig. 4 category and access size of ``spec``, memoised.
+
+    Compressed instructions answer like their expansions: the simulator
+    decodes RVC parcels to alias specs that keep the expanded spec's
+    metadata under the ``c.*`` mnemonic, and a bare ``c.*`` spec
+    without that metadata resolves through :func:`resolve_mnemonic`.
+    """
+    if not spec.kind and spec.mnemonic.startswith("c."):
+        spec = resolve_mnemonic(spec.mnemonic)
+    row = SEMANTICS[spec.kind]
+    category = row.cls
+    if category in _FORMAT_BUCKETED:
+        fmt = registry.by_suffix(spec.fp_fmt)
+        category = ("fp16alt" if fmt.name == "binary16alt"
+                    else _WIDTH_BUCKETS.get(fmt.width, "fp32"))
+        if spec.vec and category != "fp32":
+            category = "v" + category
+    size = access_size(spec, 32) if row.shape in ("load", "store") else 0
+    return SpecInfo(spec, row, category, size)
 
 
 def fp_operands(spec: InstrSpec, F: Formats):
@@ -171,26 +235,21 @@ def bind_in_xregs(instr: Instr):
     ``.r`` broadcast of lane 0), and ``fn``'s result is masked with
     ``dest_mask``.
     """
-    spec = instr.spec
-    entry = _XREG_PLANS.get(id(spec))
-    if entry is None or entry[0] is not spec:
-        F = formats(spec, 32)
-        sources, (_file, dest_width) = fp_operands(spec, F)
-        masks = [width_mask(width) for _f, _field, width in sources]
-        repl = repl_factor(spec, F)
-        if repl is not None:
-            masks[-1] = F.src.bits_mask  # lane 0, then broadcast
-        entry = _XREG_PLANS[id(spec)] = (
-            spec, SEMANTICS[spec.kind].op(F),
-            [attrgetter(field) for _f, field, _w in sources], tuple(masks),
-            repl or 1, width_mask(dest_width))
-    _spec, fn, fields, masks, scale, dest_mask = entry
+    fn, fields, masks, scale, dest_mask = _xreg_plan(instr.spec)
     return fn, [get(instr) for get in fields], masks, scale, dest_mask
 
 
-#: id(spec) -> (spec, plan) for :func:`bind_in_xregs`; the spec is
-#: pinned in the entry so a reused id can never match.
-_XREG_PLANS: Dict[int, tuple] = {}
+@lru_cache(maxsize=None)
+def _xreg_plan(spec: InstrSpec) -> tuple:
+    F = formats(spec, 32)
+    sources, (_file, dest_width) = fp_operands(spec, F)
+    masks = [width_mask(width) for _f, _field, width in sources]
+    repl = repl_factor(spec, F)
+    if repl is not None:
+        masks[-1] = F.src.bits_mask  # lane 0, then broadcast
+    return (SEMANTICS[spec.kind].op(F),
+            [attrgetter(field) for _f, field, _w in sources], tuple(masks),
+            repl or 1, width_mask(dest_width))
 
 
 def static_rm(instr: Instr) -> Optional[RoundingMode]:
@@ -269,28 +328,35 @@ def _slt(a, b):
     return _signed(a) < _signed(b)
 
 
-for _kind, _op, _batch in [
-    ("add", operator.add, operator.add),
-    ("sub", operator.sub, operator.sub),
-    ("xor", operator.xor, operator.xor),
-    ("or", operator.or_, operator.or_),
-    ("and", operator.and_, operator.and_),
-    ("mul", operator.mul, operator.mul),
-    ("sltu", operator.lt, lambda a, b: (a < b).astype(_U32)),
-    ("sll", _sll, lambda a, b: a << (b & _U32(31))),
-    ("srl", _srl, lambda a, b: a >> (b & _U32(31))),
-    ("sra", _sra,
-     lambda a, b: (_s32(a) >> (b & _U32(31)).astype(_I32)).view(_U32)),
-    ("slt", _slt, lambda a, b: (_s32(a) < _s32(b)).astype(_U32)),
-    ("mulh", lambda a, b: (_signed(a) * _signed(b)) >> 32, _mulh_batch),
-    ("mulhsu", lambda a, b: (_signed(a) * b) >> 32, _mulhsu_batch),
-    ("mulhu", lambda a, b: (a * b) >> 32, _mulhu_batch),
-    ("div", _div, None),
-    ("divu", lambda a, b: MASK32 if b == 0 else a // b, None),
-    ("rem", _rem, None),
-    ("remu", lambda a, b: a if b == 0 else a % b, None),
+for _cls, _rows in [
+    ("alu", [
+        ("add", operator.add, operator.add),
+        ("sub", operator.sub, operator.sub),
+        ("xor", operator.xor, operator.xor),
+        ("or", operator.or_, operator.or_),
+        ("and", operator.and_, operator.and_),
+        ("sltu", operator.lt, lambda a, b: (a < b).astype(_U32)),
+        ("sll", _sll, lambda a, b: a << (b & _U32(31))),
+        ("srl", _srl, lambda a, b: a >> (b & _U32(31))),
+        ("sra", _sra,
+         lambda a, b: (_s32(a) >> (b & _U32(31)).astype(_I32)).view(_U32)),
+        ("slt", _slt, lambda a, b: (_s32(a) < _s32(b)).astype(_U32)),
+    ]),
+    ("mul", [
+        ("mul", operator.mul, operator.mul),
+        ("mulh", lambda a, b: (_signed(a) * _signed(b)) >> 32, _mulh_batch),
+        ("mulhsu", lambda a, b: (_signed(a) * b) >> 32, _mulhsu_batch),
+        ("mulhu", lambda a, b: (a * b) >> 32, _mulhu_batch),
+    ]),
+    ("div", [  # the iterative divider
+        ("div", _div, None),
+        ("divu", lambda a, b: MASK32 if b == 0 else a // b, None),
+        ("rem", _rem, None),
+        ("remu", lambda a, b: a if b == 0 else a % b, None),
+    ]),
 ]:
-    _add(Row(_kind, "alu", _op, _batch))
+    for _kind, _op, _batch in _rows:
+        _add(Row(_kind, "alu", _op, _batch, cls=_cls))
 
 # Immediate forms compute like their register forms on ``imm & MASK32``.
 for _kind, _base in [("addi", "add"), ("xori", "xor"), ("ori", "or"),
@@ -411,21 +477,21 @@ def _lanewise_unflagged(op):
     return make
 
 
-for _kind, _scalar, _vec, _lane_batch in [
-    ("add", arith.fadd, simd.vfadd, fpbatch.add),
+for _kind, _scalar, _vec, _lane_batch, _cls in [
+    ("add", arith.fadd, simd.vfadd, fpbatch.add, "arith"),
     ("sub", arith.fsub, simd.vfsub,
-     lambda fmt, a, b: fpbatch.add(fmt, a, b, sub=True)),
-    ("mul", arith.fmul, simd.vfmul, fpbatch.mul),
-    ("div", arith.fdiv, simd.vfdiv, None),
+     lambda fmt, a, b: fpbatch.add(fmt, a, b, sub=True), "arith"),
+    ("mul", arith.fmul, simd.vfmul, fpbatch.mul, "arith"),
+    ("div", arith.fdiv, simd.vfdiv, None, "fdiv"),
 ]:
     _fp("f" + _kind, lambda F, op=_scalar: partial(op, F.fmt),
         _lane_batch and _rne(
-            lambda F, op=_lane_batch: partial(op, F.fmt)))
+            lambda F, op=_lane_batch: partial(op, F.fmt)), cls=_cls)
     _fp("vf" + _kind, lambda F, op=_vec: partial(op, F.fmt, F.flen),
-        _lane_batch and _lanes(_lane_batch))
+        _lane_batch and _lanes(_lane_batch), cls=_cls)
 
-_fp("fsqrt", lambda F: partial(arith.fsqrt, F.fmt))
-_fp("vfsqrt", lambda F: partial(simd.vfsqrt, F.fmt, F.flen))
+_fp("fsqrt", lambda F: partial(arith.fsqrt, F.fmt), cls="fsqrt")
+_fp("vfsqrt", lambda F: partial(simd.vfsqrt, F.fmt, F.flen), cls="fsqrt")
 
 for _kind, _neg_prod, _neg_add in [("fmadd", False, False),
                                    ("fmsub", False, True),
@@ -435,10 +501,12 @@ for _kind, _neg_prod, _neg_add in [("fmadd", False, False),
         lambda F, np_=_neg_prod, na=_neg_add: lambda a, b, c, rm: arith.ffma(
             F.fmt, a, b, c, rm, negate_product=np_, negate_addend=na),
         _rne(lambda F, np_=_neg_prod, na=_neg_add: partial(
-            fpbatch.fma, F.fmt, negate_product=np_, negate_addend=na)))
+            fpbatch.fma, F.fmt, negate_product=np_, negate_addend=na)),
+        cls="fma")
 
 _fp("vfmac", lambda F: partial(simd.vfmac, F.fmt, F.flen),
-    _lanes(lambda fmt, acc, a, b: fpbatch.fma(fmt, a, b, acc)), acc=True)
+    _lanes(lambda fmt, acc, a, b: fpbatch.fma(fmt, a, b, acc)), acc=True,
+    cls="fma")
 
 for _kind, _scalar, _vec in [("min", compare.fmin, simd.vfmin),
                              ("max", compare.fmax, simd.vfmax)]:
@@ -462,23 +530,25 @@ for _kind, _scalar, _vec in [("eq", compare.feq, simd.vfeq),
 
 _fp("fclass", lambda F: partial(compare.fclass, F.fmt), rounds=False,
     flags=False)
-_fp("fmv_x_f", _fmv_x_f, rounds=False, flags=False)
-_fp("fmv_f_x", lambda F: lambda v: v & F.fmt.bits_mask, rounds=False,
-    flags=False)
+# Conversions, raw moves and cast-and-pack.
+_conv = partial(_fp, cls="conv")
+_conv("fmv_x_f", _fmv_x_f, rounds=False, flags=False)
+_conv("fmv_f_x", lambda F: lambda v: v & F.fmt.bits_mask, rounds=False,
+      flags=False)
 
-_fp("fcvt_f2f", lambda F: partial(fcvt_f2f, F.src, F.fmt),
-    _rne(lambda F: partial(fpbatch.cvt, F.src, F.fmt)))
-_fp("vfcvt_f2f", lambda F: partial(simd.vfcvt_f2f, F.src, F.fmt, F.flen))
+_conv("fcvt_f2f", lambda F: partial(fcvt_f2f, F.src, F.fmt),
+      _rne(lambda F: partial(fpbatch.cvt, F.src, F.fmt)))
+_conv("vfcvt_f2f", lambda F: partial(simd.vfcvt_f2f, F.src, F.fmt, F.flen))
 for _kind, _signed_int in [("w", True), ("wu", False)]:
-    _fp(f"fcvt_{_kind}_f", lambda F, s=_signed_int: lambda a, rm: fcvt_to_int(
-        F.fmt, a, rm, signed=s))
-    _fp(f"fcvt_f_{_kind}", lambda F, s=_signed_int: lambda a, rm: (
+    _conv(f"fcvt_{_kind}_f", lambda F, s=_signed_int: lambda a, rm: (
+        fcvt_to_int(F.fmt, a, rm, signed=s)))
+    _conv(f"fcvt_f_{_kind}", lambda F, s=_signed_int: lambda a, rm: (
         fcvt_from_int(F.fmt, a, rm, signed=s)))
-_fp("vfcvt_x_f", lambda F: partial(simd.vfcvt_to_int, F.fmt, F.flen))
-_fp("vfcvt_f_x", lambda F: partial(simd.vfcvt_from_int, F.fmt, F.flen))
+_conv("vfcvt_x_f", lambda F: partial(simd.vfcvt_to_int, F.fmt, F.flen))
+_conv("vfcvt_f_x", lambda F: partial(simd.vfcvt_from_int, F.fmt, F.flen))
 
 for _pair, _kind in enumerate(("vfcpka", "vfcpkb")):
-    _fp(_kind, lambda F, pair=_pair: lambda acc, a, b, rm: simd.vfcpk(
+    _conv(_kind, lambda F, pair=_pair: lambda acc, a, b, rm: simd.vfcpk(
         F.fmt, F.src, F.flen, acc, a, b, pair, rm), acc=True,
         scalar_src=True)
 

@@ -377,6 +377,7 @@ class Simulator:
         the instruction budget spans both phases exactly.
         """
         machine = self.machine
+        costs = self.timing.table()
         exit_reason = "halt"
         detail = ""
         trap_info: Optional[TrapInfo] = None
@@ -419,8 +420,8 @@ class Simulator:
             # Any redirect counts as taken (even a branch to pc+4: the
             # pipeline still flushes).
             taken = next_pc is not None
-            cost = self.timing.cycles(instr, taken=taken)
-            stats.record(instr, cost, taken, pc=pc_before)
+            stats.record(instr, costs[instr.spec][taken], taken,
+                         pc=pc_before)
             machine.pc = next_pc if next_pc is not None else fallthrough
             executed += 1
         return exit_reason, detail, trap_info

@@ -20,9 +20,10 @@ forwards results aggressively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from ..isa.instructions import Instr
+from ..isa.instructions import Instr, InstrSpec
+from .semantics import spec_info
 
 #: Stall causes the cycle model can attribute, in display order.  Every
 #: retired instruction costs 1 base cycle; anything beyond that is a
@@ -67,8 +68,8 @@ class TimingConfig:
 
         The block engine bakes static cycle costs into its blocks: the
         key is part of each shared block's cache key, and a simulator
-        whose configuration was mutated between runs drops its view of
-        the blocks at the start of the next run.
+        whose configuration was mutated between runs starts a new cycle
+        table and drops its view of the blocks at the next run.
         """
         return (
             self.mem_latency,
@@ -78,12 +79,6 @@ class TimingConfig:
             tuple(sorted(self.fdiv_cycles.items())),
             tuple(sorted(self.fsqrt_cycles.items())),
         )
-
-
-_MEM_KINDS = {"lb", "lh", "lw", "lbu", "lhu", "sb", "sh", "sw", "flw", "fsw"}
-_JUMP_KINDS = {"jal", "jalr"}
-_BRANCH_KINDS = {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
-_DIV_KINDS = {"div", "divu", "rem", "remu"}
 
 
 @dataclass(frozen=True)
@@ -111,55 +106,68 @@ class TimingModel:
 
     def __init__(self, config: Optional[TimingConfig] = None):
         self.config = config or TimingConfig()
+        self._key = None
+
+    def table(self) -> Dict[InstrSpec, Tuple[int, int]]:
+        """``spec -> (cycles not taken, cycles taken)``, each spec priced
+        by :meth:`breakdown` on first use.
+
+        A configuration whose :meth:`TimingConfig.snapshot_key` changed
+        since the last call starts a new table: the engines call this
+        once per run (the epoch check), then look up each retire.
+        """
+        key = self.config.snapshot_key()
+        if key != self._key:
+            self._key = key
+            self._table = _CycleTable(self.breakdown)
+        return self._table
 
     def cycles(self, instr: Instr, taken: bool = False) -> int:
         """Cycle cost of ``instr`` (``taken`` set for taken branches)."""
-        cfg = self.config
-        kind = instr.kind
-        if kind in _MEM_KINDS:
-            return cfg.mem_latency
-        if kind in _BRANCH_KINDS:
-            return 1 + (cfg.branch_taken_penalty if taken else 0)
-        if kind in _JUMP_KINDS:
-            return 1 + cfg.jump_penalty
-        if kind in _DIV_KINDS:
-            return cfg.int_div_cycles
-        if kind in ("fdiv", "vfdiv"):
-            return cfg.fdiv_cycles.get(instr.spec.fp_fmt, 11)
-        if kind in ("fsqrt", "vfsqrt"):
-            return cfg.fsqrt_cycles.get(instr.spec.fp_fmt, 11)
-        return 1
+        return self.table()[instr.spec][taken]
 
     def breakdown(self, instr: Instr, taken: bool = False) -> CycleBreakdown:
         """:meth:`cycles`, with the excess over 1 attributed to a cause.
 
-        The invariant ``breakdown(i, t).total == cycles(i, t)`` holds
-        for every instruction and is pinned down by
-        ``tests/sim/test_timing_breakdown.py``.
+        This is the model's only dispatch: :meth:`cycles` reads its
+        totals back from :meth:`table`.
         """
         cfg = self.config
-        kind = instr.kind
-        if kind in _MEM_KINDS:
-            return self._stalled(cfg.mem_latency, "mem")
-        if kind in _BRANCH_KINDS:
+        info = spec_info(instr.spec)
+        cls = info.row.cls
+        if cls in ("load", "store"):
+            return _stalled(cfg.mem_latency, "mem")
+        if cls == "branch":
             if taken:
-                return self._stalled(1 + cfg.branch_taken_penalty, "control")
+                return _stalled(1 + cfg.branch_taken_penalty, "control")
             return CycleBreakdown(1)
-        if kind in _JUMP_KINDS:
-            return self._stalled(1 + cfg.jump_penalty, "control")
-        if kind in _DIV_KINDS:
-            return self._stalled(cfg.int_div_cycles, "div")
-        if kind in ("fdiv", "vfdiv"):
-            return self._stalled(cfg.fdiv_cycles.get(instr.spec.fp_fmt, 11),
-                                 "fp")
-        if kind in ("fsqrt", "vfsqrt"):
-            return self._stalled(cfg.fsqrt_cycles.get(instr.spec.fp_fmt, 11),
-                                 "fp")
+        if cls == "jump":
+            return _stalled(1 + cfg.jump_penalty, "control")
+        if cls == "div":
+            return _stalled(cfg.int_div_cycles, "div")
+        if cls == "fdiv":
+            return _stalled(cfg.fdiv_cycles.get(info.spec.fp_fmt, 11), "fp")
+        if cls == "fsqrt":
+            return _stalled(cfg.fsqrt_cycles.get(info.spec.fp_fmt, 11), "fp")
         return CycleBreakdown(1)
 
-    @staticmethod
-    def _stalled(total: int, cause: str) -> CycleBreakdown:
-        """A breakdown charging everything past the base cycle to ``cause``."""
-        if total <= 1:
-            return CycleBreakdown(total)
-        return CycleBreakdown(total, cause, total - 1)
+
+class _CycleTable(dict):
+    """:meth:`TimingModel.table`, pricing each spec on first lookup."""
+
+    def __init__(self, breakdown):
+        super().__init__()
+        self.breakdown = breakdown
+
+    def __missing__(self, spec: InstrSpec) -> Tuple[int, int]:
+        instr = Instr(spec=spec)
+        costs = self[spec] = (self.breakdown(instr, False).total,
+                              self.breakdown(instr, True).total)
+        return costs
+
+
+def _stalled(total: int, cause: str) -> CycleBreakdown:
+    """A breakdown charging everything past the base cycle to ``cause``."""
+    if total <= 1:
+        return CycleBreakdown(total)
+    return CycleBreakdown(total, cause, total - 1)

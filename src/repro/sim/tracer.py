@@ -1,10 +1,9 @@
 """Execution statistics: cycle counts and instruction-mix histograms.
 
-The instruction classification feeds two artifacts:
-
-* the instruction-count breakdown of paper Fig. 4 (load/store, ALU,
-  conversions, scalar float, scalar/vector smallFloat...);
-* the per-instruction energy model of :mod:`repro.energy`.
+Retires are counted per mnemonic (what :mod:`repro.energy` prices) and
+per category of the instruction-count breakdown of paper Fig. 4
+(load/store, ALU, conversions, scalar float, scalar/vector
+smallFloat...).
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..isa.instructions import Instr
+from .semantics import spec_info
 
 #: Categories used in the Fig. 4-style breakdown, in display order.
 CATEGORIES = [
@@ -36,63 +36,18 @@ CATEGORIES = [
     "expand",
 ]
 
-_LOAD = {"lb", "lh", "lw", "lbu", "lhu", "flw"}
-_STORE = {"sb", "sh", "sw", "fsw"}
-_BRANCH = {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
-_JUMP = {"jal", "jalr"}
-_MUL = {"mul", "mulh", "mulhsu", "mulhu"}
-_DIV = {"div", "divu", "rem", "remu"}
-_CSR = {"csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"}
-_CONV = {"fcvt_f2f", "fcvt_w_f", "fcvt_wu_f", "fcvt_f_w", "fcvt_f_wu",
-         "vfcvt_x_f", "vfcvt_f_x", "vfcvt_f2f", "vfcpka", "vfcpkb",
-         "fmv_x_f", "fmv_f_x"}
-_EXPAND = {"fmulex", "fmacex", "vfdotpex"}
-
-_FMT_CATEGORY = {"s": "fp32", "h": "fp16", "ah": "fp16alt", "b": "fp8"}
-_VEC_CATEGORY = {"h": "vfp16", "ah": "vfp16alt", "b": "vfp8"}
-
 
 def classify(instr: Instr) -> str:
     """Map a decoded instruction to its breakdown category.
 
-    Compressed instructions classify exactly like their expansions: the
-    simulator decodes RVC parcels to alias specs that keep the expanded
-    spec's ``kind``/format metadata under the canonical ``c.*``
-    mnemonic, and any bare ``c.*`` spec without that metadata falls
-    back through :func:`repro.isa.compressed.compressed_base_spec`
-    here.  Either way an RVC build's load/store/FP mix lands in the
-    same Fig. 4 categories as the equivalent uncompressed stream.
+    The category is derived from the instruction's semantics row by
+    :func:`~repro.sim.semantics.spec_info`: the row's class, and for FP
+    arithmetic the operating format's width bucket.  Compressed
+    instructions classify exactly like their expansions, so an RVC
+    build's load/store/FP mix lands in the same Fig. 4 categories as
+    the equivalent uncompressed stream.
     """
-    spec = instr.spec
-    kind = spec.kind
-    if not kind and spec.mnemonic.startswith("c."):
-        from ..isa.compressed import compressed_base_spec
-
-        spec = compressed_base_spec(spec.mnemonic)
-        kind = spec.kind
-    if kind in _LOAD:
-        return "load"
-    if kind in _STORE:
-        return "store"
-    if kind in _BRANCH:
-        return "branch"
-    if kind in _JUMP:
-        return "jump"
-    if kind in _MUL:
-        return "mul"
-    if kind in _DIV:
-        return "div"
-    if kind in _CSR:
-        return "csr"
-    if kind in _EXPAND:
-        return "expand"
-    if kind in _CONV:
-        return "conv"
-    if spec.fp_fmt is not None:
-        if spec.vec:
-            return _VEC_CATEGORY.get(spec.fp_fmt, "vfp16")
-        return _FMT_CATEGORY.get(spec.fp_fmt, "fp32")
-    return "alu"
+    return spec_info(instr.spec).category
 
 
 @dataclass
@@ -119,7 +74,7 @@ class Trace:
         self.instret += 1
         self.cycles += cycles
         self.by_mnemonic[instr.mnemonic] += 1
-        category = classify(instr)
+        category = spec_info(instr.spec).category
         self.by_category[category] += 1
         if category in ("load", "store"):
             self.mem_accesses += 1

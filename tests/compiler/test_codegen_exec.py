@@ -1,6 +1,5 @@
 """Compile-and-run tests: generated code must compute correct results."""
 
-import numpy as np
 import pytest
 
 from repro.compiler import CodegenError, compile_source

@@ -5,19 +5,16 @@ import pytest
 from repro.compiler.astnodes import (
     Assign,
     BinOp,
-    Block,
     Call,
     Cast,
     Decl,
     For,
     If,
     Index,
-    IntLit,
     Return,
-    Var,
     While,
 )
-from repro.compiler.lexer import LexError, Token, tokenize
+from repro.compiler.lexer import LexError, tokenize
 from repro.compiler.parser import ParseError, parse
 from repro.compiler.typesys import FLOAT16, INT, PtrType
 

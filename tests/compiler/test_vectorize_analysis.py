@@ -1,7 +1,5 @@
 """Unit tests for the vectorizer's dependence/stride analysis."""
 
-import pytest
-
 from repro.compiler.astnodes import BinOp, FloatLit, IntLit, Var
 from repro.compiler.optimize import fold_constants
 from repro.compiler.parser import parse

@@ -1,6 +1,5 @@
 """Fault injection: deterministic plans, injector semantics, campaigns."""
 
-import numpy as np
 import pytest
 
 from repro.faults import (
@@ -156,6 +155,7 @@ class TestCampaigns:
                 continue
             assert trial.status == "ok"
             assert trial.sqnr_drop_db == 0.0
+            assert trial.sqnr_db == reference.sqnr_db()
 
 
 class TestSafeRunner:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import all_specs, assemble, decode, disassemble, encode
+from repro.isa import all_specs, assemble, disassemble, encode
 
 
 class TestRendering:

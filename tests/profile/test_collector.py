@@ -146,6 +146,18 @@ class TestRoofline:
         assert roofline.bytes_total > 0
         assert roofline.intensity("binary16") == roofline.intensity()
 
+    def test_fp_half_and_byte_accesses_count_their_width(self):
+        """flh/fsh move two bytes and flb one, not a word each."""
+        program = assemble("flh f5, 0(a0)\n"
+                           "fsh f5, 2(a0)\n"
+                           "flb f6, 0(a0)\n"
+                           "ret\n")
+        sim = Simulator(program)
+        result = sim.run(0, args={10: 0x2000})
+        assert result.exit_reason == "halt"
+        profile = build_profile(program, result.trace, sim.timing)
+        assert profile.roofline.bytes_total == 5
+
     def test_vector_mode_does_not_lose_flops(self):
         """Per-lane counting: the auto build's flops match scalar's."""
         scalar = run_kernel(KERNELS["gemm"], ftype="float16", mode="scalar",

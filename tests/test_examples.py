@@ -1,6 +1,5 @@
 """Smoke tests: every example script runs to completion."""
 
-import runpy
 import subprocess
 import sys
 from pathlib import Path
