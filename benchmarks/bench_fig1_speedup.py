@@ -9,9 +9,8 @@ EXPERIMENTS.md for measured-vs-paper discussion).
 from conftest import result_path
 
 from repro.analysis.serialize import check_baseline, read_canonical
-from repro.harness import parallel
 from repro.harness.experiments import cached_run, fig1_points, fig1_speedup
-from repro.harness.parallel import SweepPoint, run_points
+from repro.harness.parallel import SweepPoint, run_group_lockstep
 
 
 def _avg(rows, ftype, mode):
@@ -20,19 +19,18 @@ def _avg(rows, ftype, mode):
                 and r["ftype"] == ftype and r["mode"] == mode)
 
 
-def check_lockstep_sweep(monkeypatch):
-    """Every Fig. 1 point at seeds 0 and 1, batched as two-lane lockstep
-    runs, reproduces the committed seed-0 cycle counts."""
-    def scalar_fallback(point, **overrides):
-        raise AssertionError(f"{point} left the lockstep path")
-
-    # run_points retries a point whose batch failed on the scalar path;
-    # here that would hide a lockstep defect, so it fails instead.
-    monkeypatch.setattr(parallel, "_run_point", scalar_fallback)
+def check_lockstep_sweep():
+    """Every Fig. 1 point at seeds 0 and 1, each pair run explicitly as
+    one two-lane lockstep batch, reproduces the committed seed-0 cycle
+    counts."""
     points = fig1_points()
-    outcomes = run_points(points + [p._replace(seed=1) for p in points],
-                          lockstep=2)
-    assert all(o.ok for o in outcomes.values())
+    outcomes = {}
+    for point in points:
+        # No scalar retry: a failed batch here is a lockstep defect.
+        outcomes.update(run_group_lockstep([point, point._replace(seed=1)]))
+    failed = {p: (o.status, o.detail) for p, o in outcomes.items()
+              if not o.ok}
+    assert not failed, failed
     committed = [r for r in read_canonical(result_path("fig1_speedup"))
                  if r["benchmark"] != "average"]
     assert len(committed) == len(points) - len({p.name for p in points})
@@ -44,7 +42,7 @@ def check_lockstep_sweep(monkeypatch):
             row["cycles"], row["base_cycles"]), row
 
 
-def test_fig1_speedup(benchmark, monkeypatch):
+def test_fig1_speedup(benchmark):
     rows = fig1_speedup()
     # Time one representative configuration end to end.
     benchmark.pedantic(
@@ -52,7 +50,7 @@ def test_fig1_speedup(benchmark, monkeypatch):
         rounds=1, iterations=1,
     )
     check_baseline(result_path("fig1_speedup"), rows)
-    check_lockstep_sweep(monkeypatch)
+    check_lockstep_sweep()
 
     print("\nFig. 1 -- speedup vs float (measured / ideal)")
     benches = sorted({r["benchmark"] for r in rows} - {"average"})

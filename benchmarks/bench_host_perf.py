@@ -14,11 +14,21 @@ against: the fast/reference speedup *ratio* is host-independent, so the
 gate fails when the ratio regresses by more than 30%, while absolute
 MIPS is recorded for information only.
 
+Each engine is timed over the sweep three times, reference and fast
+alternating, and the ratio is taken between the median runs, so one
+run slowed by a neighbour on a shared host does not fail the gate.
+
 The lockstep engine is gated on its own rate, scaled to a reference
 host speed by the sampler of ``perfbench/hostspeed.py``: the ratio of
 two separately timed engines moves whenever either one changes, and
 host drift moves it further.  The lockstep/fast ratio is still
 reported.
+
+The crossover gate ties :data:`~repro.harness.parallel.
+LOCKSTEP_MIN_WIDTH` to a measurement: for one config, the wall of a
+lockstep batch over the wall of the same seeds run one after another
+on the block engine must be above 1 at width 4 and below 1 at the
+minimum width.
 """
 
 import os
@@ -27,7 +37,7 @@ import time
 
 from repro.analysis.serialize import committed_record, write_canonical
 from repro.harness.experiments import clear_cache, fig1_points
-from repro.harness.parallel import SweepPoint, run_points
+from repro.harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint, run_points
 from repro.harness.runner import run_kernel, run_kernel_batch
 from repro.kernels import KERNELS
 
@@ -51,6 +61,18 @@ LOCKSTEP_BATCHES = (4, 16, 64, 128)
 #: dispatch loop slowed by 30% three runs read 6.73-7.17.  The floor
 #: sits 12% under the healthy median, between the two.
 LOCKSTEP_SCALED_MIPS_FLOOR = 7.5
+
+#: Config and widths of the crossover gate.  gemm float16 auto reads
+#: lockstep/serial 1.8-2.4 at width 4 and 0.49-0.62 at width 16 (min
+#: of 3, 2-vCPU VM; both walls come from one host minutes apart, so the
+#: ratio does not depend on the host).  svm, the slowest config to
+#: batch, crosses only at about 24.
+CROSSOVER_CONFIG = ("gemm", "float16", "auto")
+CROSSOVER_WIDTHS = (4, LOCKSTEP_MIN_WIDTH)
+
+#: Timed runs per engine (reference/fast alternating, median taken)
+#: and per crossover width (serial/lockstep interleaved, min taken).
+REPEATS = 3
 
 
 def _sweep_points():
@@ -111,6 +133,32 @@ def measure_lockstep(points, batch, speed):
     }
 
 
+def measure_crossover(width):
+    """Lockstep wall over serial block-engine wall for ``width`` seeds
+    of :data:`CROSSOVER_CONFIG`, each the min of :data:`REPEATS`
+    interleaved runs; below 1 the batch wins."""
+    name, ftype, mode = CROSSOVER_CONFIG
+    spec, seeds = KERNELS[name], list(range(width))
+    serial, lockstep = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for seed in seeds:
+            run_kernel(spec, ftype, mode, seed=seed, trap_ok=True)
+        serial.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        run_kernel_batch(spec, ftype, mode, seeds=seeds, trap_ok=True)
+        lockstep.append(time.perf_counter() - start)
+    return {"width": width,
+            "serial_wall_seconds": round(min(serial), 4),
+            "lockstep_wall_seconds": round(min(lockstep), 4),
+            "ratio": round(min(lockstep) / min(serial), 3)}
+
+
+def _median_run(runs):
+    """The run with the median guest MIPS."""
+    return sorted(runs, key=lambda run: run["guest_mips"])[len(runs) // 2]
+
+
 def measure_jobs(points, jobs):
     """Wall-clock of a worker-per-point sweep (crash isolation kept)."""
     start = time.perf_counter()
@@ -127,8 +175,11 @@ def collect():
     # Warm imports/compile caches so neither path pays first-run cost.
     run_kernel(KERNELS[points[0].name], points[0].ftype, points[0].mode,
                trap_ok=True)
-    reference = measure_guest_mips(points, fast_path=False)
-    fast = measure_guest_mips(points, fast_path=True)
+    runs = {False: [], True: []}
+    for _ in range(REPEATS):
+        for fast_path in runs:
+            runs[fast_path].append(measure_guest_mips(points, fast_path))
+    reference, fast = _median_run(runs[False]), _median_run(runs[True])
     # One busy thread: it and the host speed sampler share one CPU, so
     # the sampler times the CPU the work runs on.
     cpus = os.sched_getaffinity(0)
@@ -157,6 +208,8 @@ def collect():
         "lockstep_best_batch": best["batch"],
         "lockstep_scaled_mips": best["scaled_guest_mips"],
         "parallel": [measure_jobs(points, jobs) for jobs in (1, 2)],
+        "crossover": [measure_crossover(width)
+                      for width in CROSSOVER_WIDTHS],
     }
     return payload
 
@@ -173,7 +226,10 @@ def test_host_perf(capsys):
               f"{payload['speedup_wall']}x end-to-end), "
               f"lockstep best {payload['speedup_lockstep_vs_fast']}x "
               f"at batch={payload['lockstep_best_batch']}, "
-              f"{payload['lockstep_scaled_mips']} scaled MIPS")
+              f"{payload['lockstep_scaled_mips']} scaled MIPS; "
+              "lockstep/serial " + ", ".join(
+                  f"{row['ratio']} at width {row['width']}"
+                  for row in payload["crossover"]))
 
     # Sanity floor: the block engine must be a clear win on any host.
     assert payload["speedup_guest_mips"] >= 2.0
@@ -182,6 +238,14 @@ def test_host_perf(capsys):
     assert payload["lockstep_scaled_mips"] >= LOCKSTEP_SCALED_MIPS_FLOOR, (
         f"lockstep {payload['lockstep_scaled_mips']} scaled MIPS below "
         f"the {LOCKSTEP_SCALED_MIPS_FLOOR} floor")
+
+    # Crossover: batching loses below the minimum width and wins at it.
+    narrow, wide = payload["crossover"]
+    assert narrow["ratio"] > 1 > wide["ratio"], (
+        f"lockstep/serial wall {narrow['ratio']} at width "
+        f"{narrow['width']}, {wide['ratio']} at width {wide['width']}: "
+        f"LOCKSTEP_MIN_WIDTH={LOCKSTEP_MIN_WIDTH} no longer sits at "
+        "the crossover")
 
     # Regression gate against the committed baseline (the ratio is
     # host-independent; absolute MIPS is informational).

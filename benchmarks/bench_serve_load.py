@@ -24,6 +24,7 @@ import threading
 import time
 
 from repro.analysis.serialize import committed_record, write_canonical
+from repro.harness.parallel import run_point
 from repro.serve import ReproServeApp, ServeClient, make_server
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -97,22 +98,30 @@ def run_phase(client_count, requests_per_client, port, seed_fn):
     }
 
 
-def measure_warm_sweep(lockstep):
+def scalar_runner(point, **overrides):
+    """:func:`run_point` behind a wrapper: the executor batches only
+    when its runner is ``run_point`` itself, so this runs every point
+    alone."""
+    return run_point(point, **overrides)
+
+
+def measure_warm_sweep(batched):
     """One seed-varied sweep, all points simulating, batched or not.
 
     'Warm' means compiler and import caches are hot (run after the
     closed-loop phases); the result cache is fresh per call, so every
-    point executes.  With ``lockstep`` enabled, the executor coalesces
-    the queued sweep points into batched lockstep runs at pop time;
-    a single worker thread keeps the queue deep so the batch forms at
-    full width.  The scalar/lockstep wall ratio is the serve-side value
-    of batching on exactly the workload it targets.
+    point executes.  The sweep is admitted at once, so the default
+    executor coalesces all of its queued points into one lockstep run
+    at pop time; the scalar leg injects :func:`scalar_runner`, which is
+    never batched.  A single worker thread keeps the queue deep.  The
+    scalar/lockstep wall ratio is the serve-side value of batching on
+    exactly the workload it targets.
     """
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="bench-serve-swp-") as cache_dir:
         app = ReproServeApp(workers=1, cache_dir=cache_dir, max_queue=128,
-                            lockstep=lockstep)
+                            runner=None if batched else scalar_runner)
         server = make_server(app)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever,
@@ -137,7 +146,7 @@ def measure_warm_sweep(lockstep):
             app.executor.drain(timeout=10.0)
             app.close()
     return {
-        "lockstep": lockstep,
+        "batched": batched,
         "points": SWEEP_SEEDS,
         "wall_seconds": round(wall, 4),
         "points_per_second": round(SWEEP_SEEDS / wall, 3),
@@ -186,8 +195,8 @@ def collect():
 
     # Warm-sweep batched throughput: same sweep with the pop-time
     # lockstep coalescer off, then on (imports/compiler now warm).
-    sweep_scalar = measure_warm_sweep(lockstep=0)
-    sweep_batched = measure_warm_sweep(lockstep=SWEEP_SEEDS)
+    sweep_scalar = measure_warm_sweep(batched=False)
+    sweep_batched = measure_warm_sweep(batched=True)
 
     reused = (repeat["served_from"].get("cache", 0)
               + repeat["served_from"].get("coalesced", 0))

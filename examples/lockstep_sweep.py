@@ -7,23 +7,23 @@ them as lanes of one batched simulation -- per-lane state in numpy
 arrays, one block dispatch per batch -- while keeping every lane
 bit-identical to the same point run alone.
 
-This example runs a seed sweep three ways: point-by-point through the
-fast path, batched through ``run_kernel_batch`` (the low-level API),
-and batched through ``run_points(lockstep=...)`` (the sweep harness,
-which groups compatible points automatically), then verifies the
-results are bit-identical.
+This example runs a seed sweep two ways: point-by-point through the
+fast path and batched through ``run_kernel_batch``, then verifies the
+results are bit-identical.  Batching pays only from
+``LOCKSTEP_MIN_WIDTH`` lanes up; below that width the lanes run faster
+one after another.
 
 Run:  python examples/lockstep_sweep.py
 """
 
 import time
 
-from repro.harness.parallel import SweepPoint, run_points
+from repro.harness.parallel import LOCKSTEP_MIN_WIDTH
 from repro.harness.runner import run_kernel, run_kernel_batch
 from repro.kernels import KERNELS
 
 KERNEL, FTYPE, MODE = "gemm", "float16", "auto"
-SEEDS = list(range(16))
+SEEDS = list(range(LOCKSTEP_MIN_WIDTH))
 
 
 def main() -> None:
@@ -54,18 +54,8 @@ def main() -> None:
             assert (ref.outputs[name] == got.outputs[name]).all()
     print("  bit-identical per lane: True")
 
-    # The sweep harness batches compatible points automatically:
-    # same kernel/format/mode/latency/budget, seed-only variation.
-    points = [SweepPoint(KERNEL, FTYPE, MODE, seed=seed) for seed in SEEDS]
-    start = time.perf_counter()
-    results = run_points(points, lockstep=len(SEEDS))
-    print(f"  run_points(lockstep={len(SEEDS)}): "
-          f"{time.perf_counter() - start:.2f}s, "
-          f"{sum(1 for o in results.values() if o.status == 'ok')}"
-          f"/{len(points)} ok")
-    print("  (serving batches queued seed-varied points the same way: "
-          "repro serve --lockstep 8)")
-
+    print(f"  (repro serve batches queued seed variants the same way "
+          f"once {LOCKSTEP_MIN_WIDTH} are ready)")
 
 if __name__ == "__main__":
     main()

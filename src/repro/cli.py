@@ -633,7 +633,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_ms=args.deadline_ms,
         worker_processes=args.workers,
         journal_path=args.journal,
-        lockstep=args.lockstep,
     )
     server = make_server(app, host=args.host, port=args.port,
                          verbose=args.verbose)
@@ -878,11 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "sweeps from it on restart")
     p_serve.add_argument("--jobs", type=int, default=2,
                          help="worker threads executing kernel points")
-    p_serve.add_argument("--lockstep", type=int, default=8, metavar="N",
-                         help="coalesce up to N compatible queued sweep "
-                              "points (seed-only variation, no deadline "
-                              "or profile) into one lockstep batch; "
-                              "0 disables (thread executor only)")
     p_serve.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="persistent per-point result cache "
                               "(default: $REPRO_RESULT_CACHE, else a "

@@ -34,7 +34,6 @@ import os
 import pickle
 import tempfile
 import time
-import warnings
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .. import __version__
@@ -277,27 +276,21 @@ def _worker(point_tuple: Tuple) -> Tuple[Tuple, SafeRunOutcome]:
             status="error", detail=f"worker: {type(exc).__name__}: {exc}")
 
 
-def lockstep_groups(points: Iterable[SweepPoint],
-                    min_width: int = 2) -> List[List[SweepPoint]]:
-    """Group points that can share one lockstep instruction stream.
-
-    Compatible points differ only in ``seed``: same kernel, FP type,
-    vectorization mode, memory latency and budget all compile to the
-    same program and timing model.  Groups narrower than ``min_width``
-    are returned as singletons (scalar path).
-    """
-    by_stream: Dict[Tuple, List[SweepPoint]] = {}
-    for point in points:
-        key = (point.name, point.ftype, point.mode, point.mem_latency,
-               point.instruction_budget)
-        by_stream.setdefault(key, []).append(point)
-    groups: List[List[SweepPoint]] = []
-    for members in by_stream.values():
-        if len(members) >= min_width:
-            groups.append(members)
-        else:
-            groups.extend([m] for m in members)
-    return groups
+#: Narrowest batch that runs in lockstep; a narrower set of seed variants
+#: runs its points one after another on the block engine.  Measured on
+#: a 2-vCPU VM, one process, min of 3 runs of lockstep wall over serial
+#: block-engine wall (below 1, lockstep wins):
+#:
+#:   config                    w=2   w=4   w=8   w=16  w=24
+#:   atax float16 auto         2.84  2.00  1.03  0.56  0.45
+#:   gemm float16 auto         3.87  1.80  1.11  0.49  0.39
+#:   svm float16 auto          3.97  3.33  2.10  1.36  0.98
+#:   syrk float8 manual        3.77  2.36  1.08  0.73  0.49
+#:   nn_softmax posit16 auto   2.81  1.97  0.98  0.69  0.46
+#:
+#: ``benchmarks/bench_host_perf.py`` gates the gemm row: lockstep must
+#: lose at width 4 and win at this width.
+LOCKSTEP_MIN_WIDTH = 16
 
 
 def run_group_lockstep(group: List[SweepPoint],
@@ -329,7 +322,6 @@ def run_points(
     jobs: int = 1,
     cache: Optional[DiskResultCache] = None,
     on_result: Optional[Callable[[SweepPoint, SafeRunOutcome], None]] = None,
-    lockstep: int = 0,
 ) -> Dict[SweepPoint, SafeRunOutcome]:
     """Compute every point, in parallel when ``jobs > 1``.
 
@@ -337,13 +329,6 @@ def run_points(
     without spawning a worker.  ``on_result`` fires once per unique
     point as its outcome lands (cached points first), letting callers
     stream progress.  The returned dict covers every requested point.
-
-    ``lockstep >= 2`` turns on batched execution: uncached points that
-    differ only in seed share one lockstep run of up to ``lockstep``
-    lanes (bit-identical per point to the scalar path).  Points whose
-    batch errors out host-side fall back to the scalar path with a
-    :class:`RuntimeWarning` naming the batch error, and left-over
-    singleton points use the normal worker pool.
     """
     unique: List[SweepPoint] = []
     seen = set()
@@ -370,33 +355,6 @@ def run_points(
             cache.put(point, outcome)
         if on_result is not None:
             on_result(point, outcome)
-
-    if lockstep >= 2 and len(pending) > 1:
-        leftover: List[SweepPoint] = []
-        for group in lockstep_groups(pending):
-            if len(group) < 2:
-                leftover.extend(group)
-                continue
-            for chunk_at in range(0, len(group), lockstep):
-                chunk = group[chunk_at:chunk_at + lockstep]
-                if len(chunk) < 2:
-                    leftover.extend(chunk)
-                    continue
-                failed = None
-                for point, outcome in run_group_lockstep(chunk).items():
-                    if outcome.status == "error":
-                        leftover.append(point)  # scalar-path retry
-                        failed = outcome.detail
-                    else:
-                        finish(point, outcome)
-                if failed is not None:
-                    warnings.warn(
-                        f"{chunk[0].name} [{chunk[0].ftype}, "
-                        f"{chunk[0].mode}]: lockstep batch of "
-                        f"{len(chunk)} failed ({failed}); re-running "
-                        "its points on the scalar path", RuntimeWarning,
-                        stacklevel=2)
-        pending = leftover
 
     if jobs <= 1 or len(pending) <= 1:
         for point in pending:

@@ -89,7 +89,6 @@ class KernelExecutor:
         cache: Optional[DiskResultCache] = None,
         metrics: Optional[ServeMetrics] = None,
         runner: Callable[..., SafeRunOutcome] = run_point,
-        lockstep: int = 0,
     ):
         self.queue = queue
         self.cache = cache
@@ -98,7 +97,7 @@ class KernelExecutor:
         # Batched execution goes through the lockstep engine directly,
         # not through ``runner``; a caller that injects its own runner
         # gets purely scalar semantics.
-        self._lockstep = lockstep if runner is run_point else 0
+        self._batching = runner is run_point
         self._estimator = MipsEstimator()
         self._stop = threading.Event()
         self._busy = 0
@@ -142,9 +141,7 @@ class KernelExecutor:
             job = self.queue.pop(timeout=_POLL_SECONDS)
             if job is None:
                 continue
-            peers: List[Job] = []
-            if self._lockstep >= 2:
-                peers = self.queue.pop_compatible(job, self._lockstep - 1)
+            peers = self.queue.pop_compatible(job) if self._batching else []
             with self._busy_lock:
                 self._busy += 1
             try:

@@ -26,7 +26,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..harness.parallel import SweepPoint, point_key
+from ..harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint, point_key
 from ..harness.runner import SafeRunOutcome
 
 #: Lower sorts first in the ready heap.
@@ -110,6 +110,12 @@ class Job:
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._done.wait(timeout)
+
+
+def _stream(point: SweepPoint) -> Tuple:
+    """What lockstep lanes share: every field of ``point`` but its seed."""
+    return (point.name, point.ftype, point.mode, point.mem_latency,
+            point.instruction_budget)
 
 
 class JobQueue:
@@ -218,39 +224,38 @@ class JobQueue:
             self._queued -= 1
             return job
 
-    def pop_compatible(self, head: Job, limit: int) -> List[Job]:
-        """Pop up to ``limit`` extra ready jobs batchable with ``head``.
+    def pop_compatible(self, head: Job) -> List[Job]:
+        """Pop every ready job batchable with ``head``, or none.
 
         Lockstep-compatible jobs share ``head``'s instruction stream --
         same kernel, FP type, vectorization mode, memory latency and
         instruction budget, differing only in seed -- and carry no
         deadline (a deadline-derived budget cap is per-job, which a
-        shared batch cannot honour).  Popped jobs stay in the coalescing index until
+        shared batch cannot honour).  They are taken only when they
+        make a batch of at least :data:`~repro.harness.parallel.
+        LOCKSTEP_MIN_WIDTH` with ``head``; a narrower batch is slower
+        than its jobs run one after another, so they stay queued for
+        free workers.  Popped jobs stay in the coalescing index until
         :meth:`finish`, exactly like :meth:`pop`.  Admission is
         untouched: batching is a pop-time decision by the executor.
         """
-        if limit <= 0 or head.deadline_at is not None:
+        if head.deadline_at is not None:
             return []
-        h = head.point
-        stream = (h.name, h.ftype, h.mode, h.mem_latency,
-                  h.instruction_budget)
-        taken: List[Job] = []
-        kept: List[Tuple[int, int, Job]] = []
+        stream = _stream(head.point)
         with self._lock:
-            while self._heap and len(taken) < limit:
-                entry = heapq.heappop(self._heap)
+            taken, kept = [], []
+            for entry in self._heap:
                 job = entry[2]
-                p = job.point
-                if (job.deadline_at is None
-                        and (p.name, p.ftype, p.mode, p.mem_latency,
-                             p.instruction_budget) == stream):
-                    taken.append(job)
-                else:
-                    kept.append(entry)
-            for entry in kept:
-                heapq.heappush(self._heap, entry)
+                compatible = (job.deadline_at is None
+                              and _stream(job.point) == stream)
+                (taken if compatible else kept).append(entry)
+            if len(taken) < LOCKSTEP_MIN_WIDTH - 1:
+                return []
+            self._heap[:] = kept
+            heapq.heapify(self._heap)
             self._queued -= len(taken)
-        return taken
+        taken.sort()
+        return [entry[2] for entry in taken]
 
     def requeue(self, job: Job) -> None:
         """Put a popped-but-unfinished job back on the ready heap.

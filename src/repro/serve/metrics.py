@@ -76,7 +76,7 @@ class ServeMetrics:
         self.verifications = 0           # ?verify=1 admission checks
         self.verification_rejects = 0    # 422s from the static gate
         self.verification_cache_hits = 0  # verdicts served from cache
-        self.lockstep_batches = 0    # lockstep batches formed (width >= 2)
+        self.lockstep_batches = 0    # lockstep batches formed
         self.lockstep_lanes = 0      # total lanes across those batches
         self.lockstep_fallbacks = 0  # lanes retried on the scalar path
         self.latency = LatencyReservoir()

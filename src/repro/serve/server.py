@@ -132,7 +132,6 @@ class ReproServeApp:
         journal_path: Optional[str] = None,
         fleet_config: Optional[FleetConfig] = None,
         verify_config=None,
-        lockstep: int = 8,
     ):
         # A service without a cache cannot amortize anything, so when
         # no directory is given (and no env default), use a private
@@ -168,7 +167,7 @@ class ReproServeApp:
             kwargs = {} if runner is None else {"runner": runner}
             self.executor = KernelExecutor(
                 self.queue, workers=workers, cache=self.cache,
-                metrics=self.metrics, lockstep=lockstep, **kwargs)
+                metrics=self.metrics, **kwargs)
         # Static admission gate for ?verify=1 requests.  ``verify_config``
         # (a repro.analysis LintConfig) tightens or relaxes the checks;
         # the default arms every absint-backed lint with its defaults.

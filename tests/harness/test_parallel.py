@@ -320,20 +320,3 @@ def test_cache_entry_from_schema_1_misses(tmp_path):
     assert RESULT_CACHE_SCHEMA == 2
     assert cache.get(POINT) is None
 
-
-def test_lockstep_batch_failure_warns_and_falls_back(monkeypatch):
-    import pytest
-
-    from repro.harness import parallel
-
-    def broken_batch(*args, **kwargs):
-        raise RuntimeError("lane state corrupted")
-
-    monkeypatch.setattr(parallel, "run_kernel_batch", broken_batch)
-    points = [SweepPoint("atax", "float16", "auto", seed=seed)
-              for seed in (0, 1)]
-    with pytest.warns(RuntimeWarning, match="lane state corrupted"):
-        results = run_points(points, lockstep=2)
-    assert all(results[p].ok for p in points)  # rerun on the scalar path
-    assert results[points[1]].run.cycles \
-        == run_point(points[1]).run.cycles

@@ -1,6 +1,6 @@
 """Queue semantics: coalescing, priorities, bounds, drain mode."""
 
-from repro.harness.parallel import SweepPoint, point_key
+from repro.harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint, point_key
 from repro.harness.runner import SafeRunOutcome
 from repro.serve.jobs import (
     ADMIT_CLOSED,
@@ -45,15 +45,44 @@ def test_job_key_is_the_point_key():
     assert Job(GEMM).key == point_key(GEMM)
 
 
-def test_pop_compatible_takes_seed_variants_of_the_head_stream():
-    queue = JobQueue(max_depth=8)
+def _queue_seed_variants(queue, count):
+    """Queue GEMM seeds 0..count plus two jobs that cannot batch with
+    it: another stream and a deadline-bound seed variant."""
     head, _ = queue.submit(Job(GEMM))
-    seed1, _ = queue.submit(Job(GEMM._replace(seed=1)))
+    peers = [queue.submit(Job(GEMM._replace(seed=seed)))[0]
+             for seed in range(1, count + 1)]
     queue.submit(Job(ATAX))
-    queue.submit(Job(GEMM._replace(seed=2), deadline_at=1e12))
+    queue.submit(Job(GEMM._replace(seed=count + 1), deadline_at=1e12))
     assert queue.pop(0.01) is head
-    assert queue.pop_compatible(head, 4) == [seed1]
+    return head, peers
+
+
+def test_pop_compatible_takes_seed_variants_of_the_head_stream():
+    queue = JobQueue(max_depth=64)
+    head, peers = _queue_seed_variants(queue, LOCKSTEP_MIN_WIDTH - 1)
+    assert queue.pop_compatible(head) == peers
     assert queue.depth == 2  # atax and the deadline-bound job stay
+    assert queue.pop(0.01).point == ATAX
+
+
+def test_pop_compatible_takes_none_below_the_minimum_width():
+    # A narrower batch is slower than its jobs run one after another,
+    # so they stay queued for free workers.
+    queue = JobQueue(max_depth=64)
+    head, peers = _queue_seed_variants(queue, LOCKSTEP_MIN_WIDTH - 2)
+    assert queue.pop_compatible(head) == []
+    assert queue.depth == len(peers) + 2
+    assert queue.pop(0.01) is peers[0]
+
+
+def test_pop_compatible_never_batches_a_deadline_head():
+    queue = JobQueue(max_depth=64)
+    head, _ = queue.submit(Job(GEMM, deadline_at=1e12))
+    for seed in range(1, LOCKSTEP_MIN_WIDTH + 1):
+        queue.submit(Job(GEMM._replace(seed=seed)))
+    assert queue.pop(0.01) is head
+    assert queue.pop_compatible(head) == []
+    assert queue.depth == LOCKSTEP_MIN_WIDTH
 
 
 def test_full_queue_refuses_admission():

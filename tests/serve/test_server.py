@@ -17,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.harness.parallel import SweepPoint
+from repro.harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint
 from repro.harness.runner import SafeRunOutcome, run_kernel
 from repro.kernels import KERNELS
 from repro.serve import ReproServeApp, ServeClient, ServeClientError
@@ -199,28 +199,56 @@ class TestKernelEndpoint:
 # Coalescing: concurrent identical requests share one execution
 # ----------------------------------------------------------------------
 class TestLockstepBatching:
-    def test_profiled_seed_variants_share_one_batch(self):
-        from repro.profile import validate_payload
+    @staticmethod
+    def _run_queued(points):
+        """Queue every point before the worker starts, so its first pop
+        sees all of them; returns the resolved jobs and the metrics."""
         from repro.serve.metrics import ServeMetrics
-        from repro.serve.schema import KernelRequest
-        from repro.serve.server import _result_payload
 
-        queue = JobQueue(max_depth=4)
-        points = [SweepPoint("atax", "float16", "auto", seed=seed)
-                  for seed in (0, 1)]
-        # Both jobs are queued before the worker starts, so its first
-        # pop finds the second as a lockstep-compatible peer.
+        queue = JobQueue(max_depth=64)
         jobs = [queue.submit(Job(point))[0] for point in points]
         metrics = ServeMetrics()
-        executor = KernelExecutor(queue, workers=1, metrics=metrics,
-                                  lockstep=2)
+        executor = KernelExecutor(queue, workers=1, metrics=metrics)
         try:
-            assert all(job.wait(60.0) for job in jobs)
+            assert all(job.wait(120.0) for job in jobs)
         finally:
             queue.close()
             executor.drain(timeout=10.0)
+        return jobs, metrics
+
+    def test_two_compatible_jobs_run_unbatched_in_the_app(self,
+                                                          monkeypatch):
+        # A two-lane batch runs 2.8-4x slower than its two jobs one
+        # after another, so the executor the app builds runs each alone.
+        from repro.serve import server as server_module
+
+        queue = JobQueue(max_depth=64)
+        jobs = [queue.submit(Job(SweepPoint("atax", "float16", "auto",
+                                            seed=seed)))[0]
+                for seed in (0, 1)]
+        # The app's worker starts on a queue that already holds both.
+        monkeypatch.setattr(server_module, "JobQueue",
+                            lambda max_depth: queue)
+        app = ReproServeApp(workers=1)
+        try:
+            assert all(job.wait(120.0) for job in jobs)
+        finally:
+            queue.close()
+            app.executor.drain(timeout=10.0)
+            app.close()
+        assert app.metrics.lockstep_batches == 0
+        assert [job.outcome.status for job in jobs] == ["ok", "ok"]
+
+    def test_profiled_seed_variants_share_one_batch(self):
+        from repro.profile import validate_payload
+        from repro.serve.schema import KernelRequest
+        from repro.serve.server import _result_payload
+
+        points = [SweepPoint("atax", "float16", "auto", seed=seed)
+                  for seed in range(LOCKSTEP_MIN_WIDTH)]
+        jobs, metrics = self._run_queued(points)
         assert (metrics.lockstep_batches, metrics.lockstep_lanes,
-                metrics.lockstep_fallbacks) == (1, 2, 0)
+                metrics.lockstep_fallbacks) == (1, LOCKSTEP_MIN_WIDTH, 0)
         for point, job in zip(points, jobs):
             result = _result_payload(job.outcome,
                                      KernelRequest(point, profile=True))
@@ -228,6 +256,24 @@ class TestLockstepBatching:
             direct = run_kernel(KERNELS["atax"], "float16", "auto",
                                 seed=point.seed, profile=True)
             assert result["profile"] == direct.profile.to_payload()
+
+    def test_failed_batch_reruns_every_job_on_the_scalar_path(
+            self, monkeypatch):
+        from repro.harness import parallel
+
+        def broken_batch(*args, **kwargs):
+            raise RuntimeError("lane state corrupted")
+
+        monkeypatch.setattr(parallel, "run_kernel_batch", broken_batch)
+        points = [SweepPoint("atax", "float16", "auto", seed=seed)
+                  for seed in range(LOCKSTEP_MIN_WIDTH)]
+        jobs, metrics = self._run_queued(points)
+        assert all(job.outcome.ok for job in jobs)
+        assert (metrics.lockstep_batches, metrics.lockstep_lanes,
+                metrics.lockstep_fallbacks) == (
+                    1, LOCKSTEP_MIN_WIDTH, LOCKSTEP_MIN_WIDTH)
+        direct = run_kernel(KERNELS["atax"], "float16", "auto", seed=1)
+        assert jobs[1].outcome.run.cycles == direct.cycles
 
 
 class TestCoalescing:
