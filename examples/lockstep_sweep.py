@@ -9,7 +9,9 @@ bit-identical to the same point run alone.
 
 This example runs a seed sweep two ways: point-by-point through the
 fast path and batched through ``run_kernel_batch``, then verifies the
-results are bit-identical.  Batching pays only from
+results are bit-identical.  It does so for an IEEE binary16 config and
+for a posit8 guest-format config: both round through the same
+vectorized FP codec in the batch.  Batching pays only from
 ``LOCKSTEP_MIN_WIDTH`` lanes up; below that width the lanes run faster
 one after another.
 
@@ -22,17 +24,18 @@ from repro.harness.parallel import LOCKSTEP_MIN_WIDTH
 from repro.harness.runner import run_kernel, run_kernel_batch
 from repro.kernels import KERNELS
 
-KERNEL, FTYPE, MODE = "gemm", "float16", "auto"
+#: (kernel, ftype, mode): an IEEE smallFloat and a guest format.
+CONFIGS = [("gemm", "float16", "auto"), ("syrk", "posit8", "auto")]
 SEEDS = list(range(LOCKSTEP_MIN_WIDTH))
 
 
-def main() -> None:
-    spec = KERNELS[KERNEL]
-    print(f"== {KERNEL}/{FTYPE}/{MODE}, {len(SEEDS)} seeds ==")
+def sweep(kernel: str, ftype: str, mode: str) -> None:
+    spec = KERNELS[kernel]
+    print(f"== {kernel}/{ftype}/{mode}, {len(SEEDS)} seeds ==")
 
     # Point-by-point: the block engine, one full run per seed.
     start = time.perf_counter()
-    solo = [run_kernel(spec, FTYPE, MODE, seed=seed) for seed in SEEDS]
+    solo = [run_kernel(spec, ftype, mode, seed=seed) for seed in SEEDS]
     solo_wall = time.perf_counter() - start
     instret = sum(run.trace.instret for run in solo)
     print(f"  point-by-point: {solo_wall:.2f}s "
@@ -40,7 +43,7 @@ def main() -> None:
 
     # One lockstep batch: compile once, run all seeds as lanes.
     start = time.perf_counter()
-    batched = run_kernel_batch(spec, FTYPE, MODE, seeds=SEEDS)
+    batched = run_kernel_batch(spec, ftype, mode, seeds=SEEDS)
     batch_wall = time.perf_counter() - start
     print(f"  lockstep batch: {batch_wall:.2f}s "
           f"({instret / batch_wall / 1e6:.2f} aggregate MIPS, "
@@ -54,8 +57,13 @@ def main() -> None:
             assert (ref.outputs[name] == got.outputs[name]).all()
     print("  bit-identical per lane: True")
 
-    print(f"  (repro serve batches queued seed variants the same way "
+
+def main() -> None:
+    for config in CONFIGS:
+        sweep(*config)
+    print(f"(repro serve batches queued seed variants the same way "
           f"once {LOCKSTEP_MIN_WIDTH} are ready)")
+
 
 if __name__ == "__main__":
     main()

@@ -1,55 +1,62 @@
-"""Batch-axis vectorized smallFloat arithmetic with exact IEEE flags.
+"""Batch-axis vectorized smallFloat arithmetic with exact flags.
 
 The lockstep engine (:mod:`repro.sim.lockstep`) executes one guest
-instruction for N sweep points at once.  For the IEEE formats under
-round-to-nearest-even -- the overwhelmingly dominant configuration of
-every paper sweep -- this module computes the whole batch with a few
-numpy operations while staying *bit-identical* to the softfloat core
-(:mod:`repro.fp.arith`), flags included.
+instruction for N sweep points at once.  Under round-to-nearest-even
+this module computes the whole batch with a few numpy operations while
+staying *bit-identical* to the softfloat core (:mod:`repro.fp.arith`),
+flags included, for binary32 and for every registered format of 16 bits
+or less: the IEEE smallFloats, posit8/posit16 and MX8.
 
 Correctness sketch (all arrays are binary64):
 
-* Operands decode exactly: every smallFloat value is a binary64 value
-  (p <= 24 << 53).  Products of two p-bit values are exact in binary64
-  (2p <= 48).  Sums are captured exactly as a TwoSum pair ``(s, e)``
-  with ``s = RN(a + b)`` and ``a + b = s + e``.
+* Operands decode exactly: every such value is a binary64 value.
+  Products of two p-bit values are exact in binary64 (2p <= 48).  Sums
+  are captured exactly as a TwoSum pair ``(s, e)`` with
+  ``s = RN(a + b)`` and ``a + b = s + e``.
 * The final rounding must be a *single* rounding of the exact value
-  ``s + e`` to the target format.  Rounding s directly would double
-  round, so ``s`` is first adjusted to *round-to-odd* (if ``e != 0``
-  and s's last bit is even, nudge s one ulp toward e).  By the standard
-  round-to-odd theorem, RNE_p(odd_q(x)) == RNE_p(x) for q >= 2p + 2;
-  binary64 (53 bits) qualifies for every target here.  The two formats
-  numpy cannot cast to directly (binary16alt, binary8) chain through an
-  intermediate round-to-odd at binary32/binary16 -- legal because the
-  intermediate keeps >= p + 2 bits and shares the target's emin, so
-  subnormal grids align.
-* Flags: NX  iff the exact value was not representable, i.e.
-  ``e != 0 or decode(result) != s``.  OF iff the rounded result is
-  infinite while the exact value is finite.  UF follows the RISC-V
-  tininess-after-rounding rule: tiny iff |exact| < 2^emin *
-  (1 - 2^-(p+1)) (the point below which unbounded-range rounding stays
-  under 2^emin), decided exactly from ``(s, e)``; UF is raised only
-  together with NX.
+  ``s + e``.  ``s`` is first adjusted to *round-to-odd* (if ``e != 0``
+  and s's last bit is even, nudge s one ulp toward e).  Every split
+  point below has at most p + 2 significant bits, so it is even in
+  binary64: the adjusted ``s`` lands on a split point only when the
+  exact value does, and otherwise sits on the same side of every split
+  point as the exact value.
+* One codec table per format of 16 bits or less, built lazily from its
+  decode table: the sorted *split points* of positive binary64 values
+  -- the RNE ties between neighbouring encodings, plus the region
+  edges -- and the result bits and flags of each open interval and of
+  each point.  Rounding is then one ``searchsorted`` and a gather.  The
+  ties are the arithmetic midpoints for IEEE formats and MX8's E4M3
+  elements; for posits they are the odd patterns of posit(n+1, es),
+  since a tie on the encoding grid is a geometric midpoint wherever
+  regime growth truncates exponent bits.  The results below the lowest
+  tie and above the highest one (IEEE/E4M3 underflow to zero and
+  overflow to inf or NaN; posit saturation at minpos and maxpos) are
+  taken from the scalar core itself.  binary32 has 2^32 patterns and
+  keeps numpy's float32 cast.
+* Flags: NX iff the exact value was not representable, i.e.
+  ``e != 0 or decode(result) != s``.  OF and UF come from the region
+  and are raised only together with NX.  UF follows the RISC-V
+  tininess-after-rounding rule for IEEE and E4M3: tiny iff
+  |exact| < 2^emin * (1 - 2^-(p+1)), the point below which
+  unbounded-range rounding stays under 2^emin.
 * Anything this module cannot prove exact falls back: operations on
-  NaN/infinity operands, non-RNE rounding, non-IEEE guest formats, and
-  dot products whose accumulation leaves the double-double window.
-  Callers re-run those lanes through the scalar core.
+  NaN/NaR/infinity operands and dot products whose accumulation leaves
+  the double-double window.  Callers re-run those lanes through the
+  scalar core, as they do for every rounding mode but RNE.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
+from .convert import double_to_bits, fcvt_f2f, to_double
 from .flags import NV, OF, UF, NX
-from .formats import FloatFormat
-from .numpy_backend import from_bits
-
-#: Formats with a vectorized batch path (IEEE layouts only; guest
-#: formats such as posit/MX always take the per-element codec path).
-_SUPPORTED = ("binary32", "binary16", "binary16alt", "binary8")
+from .formats import BINARY32, BINARY64, FloatFormat
+from .rounding import RoundingMode
+from .unpacked import unpack
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -109,37 +116,135 @@ def _quiet(fn):
 
 def batchable(fmt: FloatFormat) -> bool:
     """True when ``fmt`` has a vectorized RNE fast path."""
-    return getattr(fmt, "ieee", True) and fmt.name in _SUPPORTED
+    return fmt.width <= 16 or fmt is BINARY32
 
 
 # ----------------------------------------------------------------------
-# Exact decode
+# Decode tables
 # ----------------------------------------------------------------------
-_TABLES: Dict[str, np.ndarray] = {}
+#: numpy float dtypes by exponent width: an IEEE format with the same
+#: exponent field decodes by shifting its pattern into the carrier.
+_CARRIERS = {5: (np.float16, np.uint16, 10), 8: (np.float32, np.uint32, 23)}
 
 
-def _table(fmt: FloatFormat) -> np.ndarray:
-    """Bit pattern -> exact binary64 value, for widths <= 16."""
-    table = _TABLES.get(fmt.name)
-    if table is None:
-        table = from_bits(np.arange(1 << fmt.width, dtype=np.uint64), fmt)
+def _posit_values(n: int, es: int, body: np.ndarray) -> np.ndarray:
+    """Exact values of the positive posit(n, es) patterns ``body``
+    (``0 < body < 2**(n-1)``, int32): :meth:`PositFormat.decode
+    <repro.fp.posit.PositFormat.decode>` over a whole array."""
+    # The regime is the run of bits equal to the top body bit.
+    r0 = body >> (n - 2)
+    ones = np.where(r0 == 1, ~body & ((1 << (n - 1)) - 1), body)
+    run = (n - 1) - np.frexp(ones)[1]
+    rest = np.maximum(n - 2 - run, 0)  # bits after the regime terminator
+    e_bits = np.minimum(rest, es)
+    frac_bits = rest - e_bits
+    e = ((body >> frac_bits) & ((1 << e_bits) - 1)) << (es - e_bits)
+    scale = (np.where(r0 == 1, run - 1, -run) << es) + e
+    return np.ldexp((1 << frac_bits) | (body & ((1 << frac_bits) - 1)),
+                    scale - frac_bits)
+
+
+def _values(fmt: FloatFormat) -> np.ndarray:
+    """Exact binary64 value of every ``fmt`` pattern, indexed by pattern."""
+    es = getattr(fmt, "es", None)
+    if es is not None:
+        # Negation is the two's complement: pattern 2**(n-1) + j holds
+        # minus the value of body 2**(n-1) - j; 2**(n-1) itself is NaR.
+        half = 1 << (fmt.width - 1)
+        pos = _posit_values(fmt.width, es, np.arange(1, half, dtype=np.int32))
+        return np.concatenate([[0.0], pos, [np.nan], -pos[::-1]])
+    carrier = _CARRIERS.get(getattr(fmt, "exp_bits", None))
+    if carrier is not None:
+        dtype, utype, man_bits = carrier
+        shifted = (np.arange(1 << fmt.width, dtype=utype)
+                   << utype(man_bits - fmt.man_bits))
+        with np.errstate(invalid="ignore"):
+            return shifted.view(dtype).astype(np.float64)
+    # Formats of a few hundred patterns (MX8) decode one by one.
+    return np.array([to_double(b, fmt) for b in range(1 << fmt.width)])
+
+
+class _Codec(NamedTuple):
+    """The RNE codec table of one format of 16 bits or less.
+
+    Region ``2i`` is the open interval just below ``points[i]``, region
+    ``2i + 1`` is ``points[i]`` itself and region ``2 * len(points)``
+    lies above the last point."""
+
+    values: np.ndarray  #: pattern -> exact binary64 value
+    points: np.ndarray  #: sorted split points of |x|, 0.0 first
+    pos: np.ndarray  #: region -> result bits of a positive value
+    neg: np.ndarray  #: region -> result bits of a negative value
+    flags: np.ndarray  #: region -> OF/UF, raised when inexact
+
+
+_CODECS: Dict[str, _Codec] = {}
+
+
+def _build(fmt: FloatFormat) -> _Codec:
+    values = _values(fmt)
+    values.setflags(write=False)
+    # Patterns 0 .. top-1 are +0 and the positive finite values in
+    # increasing order; pattern ``top`` is their overflow neighbour.
+    top = int(np.argmax(~np.isfinite(values)))
+    grid = values[:top]
+    assert (np.diff(grid) > 0).all(), f"{fmt.name}: grid not monotone"
+    # ties[b] separates pattern b from b + 1.
+    es = getattr(fmt, "es", None)
+    if es is not None:
+        ties = _posit_values(fmt.width + 1, es,
+                             np.arange(1, 2 * top, 2, dtype=np.int32))
+        tiny = None  # posits raise UF only when saturating at minpos
+    else:
+        ties = np.append((grid[:-1] + grid[1:]) / 2,
+                         grid[-1] + (grid[-1] - grid[-2]) / 2)
+        tiny = fmt.min_normal_value * (1 - 2.0 ** -(fmt.precision + 1))
+    edges = [0.0] if tiny is None else [0.0, tiny]  # neither is a tie
+    points = np.sort(np.append(ties, edges))
+    below = ties.searchsorted(points)  # ties under each point
+    on_tie = ties.take(below, mode="clip") == points
+    grid_index = np.empty(2 * len(points) + 1, dtype=np.int64)
+    grid_index[0::2] = np.append(below, top)
+    grid_index[1::2] = np.where(on_tie, below + (below & 1), below)
+    # Past either end of the grid the scalar core decides: zero or
+    # minpos below the lowest tie, inf, NaN or maxpos above the highest.
+    result = np.arange(top + 1, dtype=np.uint32)
+    edge_flags = np.zeros(top + 1, dtype=np.uint8)
+    for index, probe in ((0, ties[0] / 2), (top, ties[-1] * 2)):
+        result[index], flags = fcvt_f2f(BINARY64, fmt, double_to_bits(probe),
+                                        RoundingMode.RNE)
+        edge_flags[index] = flags & ~NX
+    pos = result[grid_index]
+    flags = edge_flags[grid_index]
+    pos[1], flags[1] = fmt.zero(0), 0  # the split point 0.0: exact zero
+    if tiny is not None:
+        upper = np.append(points, np.inf)
+        flags[0::2] |= (upper <= tiny) * np.uint8(UF)
+        flags[1::2] |= (points < tiny) * np.uint8(UF)
+    # The format's own bit-level negation, over the whole array.
+    neg = fmt.neg_bits(pos.astype(np.int32)).astype(np.uint32)
+    for table in (points, pos, neg, flags):
         table.setflags(write=False)
-        _TABLES[fmt.name] = table
-    return table
+    return _Codec(values, points, pos, neg, flags)
+
+
+def _codec(fmt: FloatFormat) -> _Codec:
+    codec = _CODECS.get(fmt.name)
+    if codec is None:
+        codec = _CODECS[fmt.name] = _build(fmt)
+    return codec
 
 
 @_quiet
 def decode(fmt: FloatFormat, bits: np.ndarray) -> np.ndarray:
     """Exact binary64 values of packed ``fmt`` bit patterns."""
     if fmt.width == 32:
-        if bits.dtype != np.uint32 or not bits.flags.c_contiguous:
-            bits = np.ascontiguousarray(bits, dtype=np.uint32)
-        return bits.view(np.float32).astype(np.float64)
-    return _table(fmt)[bits]
+        return bits.astype(_U32, copy=False).view(np.float32).astype(np.float64)
+    return _codec(fmt).values[bits]
 
 
 # ----------------------------------------------------------------------
-# Round-to-odd helpers
+# Rounding: binary64 -> (bits, flags)
 # ----------------------------------------------------------------------
 def _cast(v: np.ndarray, dtype) -> np.ndarray:
     """``astype`` with overflow warnings silenced (cheap when a
@@ -164,72 +269,8 @@ def _odd_fix64(s: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.where(fix, np.nextafter(s, direction), s)
 
 
-def _odd_cast(v: np.ndarray, dtype) -> np.ndarray:
-    """Round-to-odd cast of finite binary64 values to f32/f16.
-
-    Never yields an infinity for finite input: an overflowing cast is
-    pulled back to the (odd-mantissa) largest finite value, preserving
-    every downstream RNE decision including overflow-to-infinity.
-    """
-    f = _cast(v, dtype)
-    back = f.astype(np.float64)
-    inexact = back != v
-    if inexact.any():
-        u = f.view({np.dtype(np.float32): _U32,
-                    np.dtype(np.float16): np.uint16}[f.dtype])
-        fix = inexact & ((u & type(u[0])(1)) == 0)
-        if fix.any():
-            direction = np.where(v > back, dtype(np.inf), dtype(-np.inf))
-            f = np.where(fix, np.nextafter(f, direction), f)
-    return f
-
-
-# ----------------------------------------------------------------------
-# Encoders: binary64 (already round-to-odd adjusted) -> (bits, value)
-# ----------------------------------------------------------------------
-def _encode_b32(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    f = _cast(v, np.float32)
-    return f.view(_U32).astype(_U32), f.astype(np.float64)
-
-
-def _encode_b16(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    f = _cast(v, np.float16)
-    return f.view(np.uint16).astype(_U32), f.astype(np.float64)
-
-
-def _encode_b16alt(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # Through round-to-odd binary32 (same emin; 24 >= 8 + 2 bits), then
-    # the classic carry-propagating RNE truncation of the low 16 bits.
-    b = _odd_cast(v, np.float32).view(_U32)
-    r = (b + _U32(0x7FFF) + ((b >> _U32(16)) & _U32(1))) >> _U32(16)
-    return r, (r << _U32(16)).view(np.float32).astype(np.float64)
-
-
-def _encode_b8(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # Through round-to-odd binary16 (same emin; 11 >= 3 + 2 bits).
-    b = _odd_cast(v, np.float16).view(np.uint16).astype(_U32)
-    r = (b + _U32(0x7F) + ((b >> _U32(8)) & _U32(1))) >> _U32(8)
-    return r, _TABLES["binary8"][r]
-
-
-_ENCODERS = {
-    "binary32": _encode_b32,
-    "binary16": _encode_b16,
-    "binary16alt": _encode_b16alt,
-    "binary8": _encode_b8,
-}
-
-#: Underflow-tininess thresholds: |exact| < 2^emin * (1 - 2^-(p+1))
-#: means unbounded-range RNE stays below the smallest normal.
-_TINY: Dict[str, float] = {}
-
-
-def _tiny_threshold(fmt: FloatFormat) -> float:
-    t = _TINY.get(fmt.name)
-    if t is None:
-        t = float(np.ldexp(1.0 - 2.0 ** -(fmt.precision + 1), fmt.emin))
-        _TINY[fmt.name] = t
-    return t
+#: binary32's tininess edge, 2^-126 * (1 - 2^-25).
+_B32_TINY = float(np.ldexp(1.0 - 2.0 ** -25, -126))
 
 
 def _finish(fmt: FloatFormat, s: np.ndarray, e) -> Tuple[np.ndarray, np.ndarray]:
@@ -240,26 +281,39 @@ def _finish(fmt: FloatFormat, s: np.ndarray, e) -> Tuple[np.ndarray, np.ndarray]
     must be finite; non-finite lanes are the caller's fallback problem.
     Returns ``(bits, flags)`` as uint32/uint8 arrays.
     """
-    if fmt.width == 8:
-        _table(fmt)  # _encode_b8 indexes the table directly
     v = s if e is None else _odd_fix64(s, e)
-    bits, q = _ENCODERS[fmt.name](v)
-    inexact = q != s
+    mag = np.abs(v)
+    if fmt.width == 32:
+        f = _cast(v, np.float32)
+        bits = f.view(_U32)
+        q = f.astype(np.float64)
+        region = (np.isinf(q) * np.uint8(OF)
+                  | (mag < _B32_TINY) * np.uint8(UF))
+    else:
+        codec = _codec(fmt)
+        points = codec.points
+        i = points.searchsorted(mag)
+        code = 2 * i + (points.take(i, mode="clip") == mag)
+        bits = np.where(np.signbit(v), codec.neg[code], codec.pos[code])
+        q, region = codec.values[bits], codec.flags[code]
+    inexact = q != v
     if e is not None:
-        inexact = inexact | (e != 0)
-    flags = inexact.astype(np.uint8) * np.uint8(NX)
-    overflow = np.isinf(q)
-    if overflow.any():
-        flags = flags | overflow.astype(np.uint8) * np.uint8(OF)
-    mag = np.abs(s)
-    tiny = mag < _tiny_threshold(fmt)
-    if e is not None:
-        tiny = tiny | ((mag == _tiny_threshold(fmt)) & (e != 0)
-                       & (np.signbit(e) != np.signbit(s)))
-    underflow = inexact & tiny
-    if underflow.any():
-        flags = flags | underflow.astype(np.uint8) * np.uint8(UF)
-    return bits, flags
+        inexact |= e != 0
+    return bits, (region | np.uint8(NX)) * inexact
+
+
+@_quiet
+def encode(fmt: FloatFormat, x: np.ndarray) -> np.ndarray:
+    """RNE-encode binary64 values into ``fmt`` bit patterns (uint32),
+    NaN and infinities included: the scalar ``from_double`` over an
+    array."""
+    finite = np.isfinite(x)
+    bits, _ = _finish(fmt, np.where(finite, x, 0.0), None)
+    if not finite.all():
+        special = np.where(np.isnan(x), fmt.quiet_nan,
+                           np.where(x > 0, fmt.inf(0), fmt.inf(1)))
+        bits = np.where(finite, bits, special).astype(_U32)
+    return bits
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -350,8 +404,11 @@ def cvt(src: FloatFormat, dst: FloatFormat,
 
 def _signaling(fmt: FloatFormat, bits: np.ndarray,
                nan: np.ndarray) -> np.ndarray:
-    quiet_bit = _U32(1 << (fmt.man_bits - 1))
-    return nan & ((bits.astype(_U32) & quiet_bit) == 0)
+    """The NaN lanes the scalar core unpacks as signaling NaNs."""
+    snan = np.zeros_like(nan)
+    for lane in np.flatnonzero(nan):
+        snan[lane] = unpack(int(bits[lane]), fmt).is_snan
+    return snan
 
 
 @_quiet

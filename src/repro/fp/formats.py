@@ -77,8 +77,8 @@ class FloatFormat(NumberFormat):
     #: (the paper's SRC_CODE table; not part of format identity).
     cvt_code: int = field(default=0, compare=False)
 
-    # IEEE formats are the host family: encoded in OP-FP, vectorized by
-    # the fast numpy backend, with true infinities.
+    # IEEE formats are the host family: encoded in OP-FP, with true
+    # infinities.
     ieee = True
     is_guest = False
     has_inf = True

@@ -3,20 +3,21 @@
 The paper's QoR table (Table III) and the precision-tuning case study
 (Section V-C) require running kernels under many candidate precisions.
 Driving the bit-exact softfloat core element by element would be
-needlessly slow for that purpose, so this module provides a vectorized
-numpy backend that represents smallFloat values as *format-representable
-binary64 numbers* and quantizes after every operation.
+needlessly slow for that purpose, so this module represents smallFloat
+values as *format-representable binary64 numbers* and quantizes after
+every operation.
 
 Correctness argument: binary64 carries 53 significand bits, which is at
 least ``2p + 2`` for every emulated format (p = 24 for binary32, 11 for
 binary16, 8 for binary16alt, 3 for binary8).  By the classical innocuous
 double-rounding theorem, computing +, -, *, /, sqrt in binary64 over
 format-representable operands and rounding the binary64 result to the
-format yields exactly the correctly rounded format result.  The
-test-suite cross-checks this backend against the softfloat core.
+format yields exactly the correctly rounded format result.
 
-Only round-to-nearest-even is vectorized; other modes take a per-element
-path through the softfloat core (they only appear in directed tests).
+Rounding is round-to-nearest-even through the codec tables of
+:mod:`repro.fp.batch` -- the same tables the lockstep engine rounds
+with, for every format of 16 bits or less, posit and MX8 included.
+binary32 and binary64 use numpy's own casts and views.
 """
 
 from __future__ import annotations
@@ -25,226 +26,40 @@ from typing import Union
 
 import numpy as np
 
-from .convert import from_double, to_double
+from . import batch
 from .formats import FloatFormat
-from .rounding import RoundingMode
 
 ArrayLike = Union[np.ndarray, float, int]
 
 
-def _as_f64(x: ArrayLike) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
-def quantize(
-    x: ArrayLike, fmt: FloatFormat, rm: RoundingMode = RoundingMode.RNE
-) -> np.ndarray:
+def quantize(x: ArrayLike, fmt: FloatFormat) -> np.ndarray:
     """Round binary64 values to the nearest ``fmt`` value (as binary64).
 
-    NaNs stay NaN, infinities keep their sign, and overflow follows the
-    IEEE rule for the rounding mode (to infinity under RNE).
+    NaNs stay NaN and infinities keep their sign; overflow and
+    underflow follow the format's RNE rule (IEEE: to infinity and to
+    zero; posits saturate at maxpos and minpos; MX8 overflows to NaN).
     """
-    arr = _as_f64(x)
-    if fmt.name == "binary64":
+    arr = np.asarray(x, dtype=np.float64)
+    if fmt.width == 64:
         return arr.copy()
-    if rm != RoundingMode.RNE or not getattr(fmt, "ieee", True):
-        # Directed rounding modes and non-IEEE guest formats (posit,
-        # MX8) take the bit-exact per-element path through the codec.
-        flat = np.array(
-            [to_double(from_double(float(v), fmt, rm), fmt) for v in arr.ravel()],
-            dtype=np.float64,
-        )
-        return flat.reshape(arr.shape)
-
-    # ``view`` needs a contiguous last axis; copy only when it isn't.
-    if not arr.flags.c_contiguous:
-        arr = np.ascontiguousarray(arr)
-    bits = arr.view(np.uint64)
-    sign = bits >> np.uint64(63)
-    exp_field = (bits >> np.uint64(52)) & np.uint64(0x7FF)
-    man_field = bits & np.uint64((1 << 52) - 1)
-
-    is_nan = (exp_field == 0x7FF) & (man_field != 0)
-    is_inf = (exp_field == 0x7FF) & (man_field == 0)
-    is_zero = (exp_field == 0) & (man_field == 0)
-
-    # Unbiased exponent; binary64 subnormal inputs are far below every
-    # emulated format's range, treat them with the minimum exponent.
-    e = exp_field.astype(np.int64) - 1023
-    e = np.where(exp_field == 0, np.int64(-1022), e)
-    # 53-bit significand including the hidden bit (absent for f64 subnormals).
-    m = np.where(
-        exp_field == 0, man_field, man_field | np.uint64(1 << 52)
-    ).astype(np.uint64)
-
-    # Bits to discard: normal numbers lose (52 - man_bits); values below
-    # the format's normal range lose extra bits (gradual underflow).
-    shift = np.full(arr.shape, 52 - fmt.man_bits, dtype=np.int64)
-    below = e < fmt.emin
-    shift = np.where(below, shift + (fmt.emin - e), shift)
-    # m < 2**53, so any shift beyond 55 behaves identically to 55
-    # (result rounds to zero, and ties cannot occur).
-    shift = np.minimum(shift, np.int64(55)).astype(np.uint64)
-
-    half = np.uint64(1) << (shift - np.uint64(1))
-    lsb = (m >> shift) & np.uint64(1)
-    rounded = (m + half - np.uint64(1) + lsb) >> shift
-
-    # Reconstruct: value = rounded * 2**(e - (52 - shift)).
-    exp_of_lsb = e - 52 + shift.astype(np.int64)
-    with np.errstate(over="ignore"):  # beyond-range values become inf below
-        magnitude = np.ldexp(rounded.astype(np.float64), exp_of_lsb.astype(np.int32))
-
-    # Overflow to infinity (RNE rounds past max_finite straight to inf).
-    magnitude = np.where(magnitude > fmt.max_value, np.inf, magnitude)
-
-    out = np.where(sign == 1, -magnitude, magnitude)
-    out = np.where(is_zero, np.where(sign == 1, -0.0, 0.0), out)
-    out = np.where(is_inf, np.where(sign == 1, -np.inf, np.inf), out)
-    out = np.where(is_nan, np.nan, out)
-    return out
-
-
-def representable(x: ArrayLike, fmt: FloatFormat) -> np.ndarray:
-    """Boolean mask: which binary64 values are exact ``fmt`` values."""
-    arr = _as_f64(x)
-    q = quantize(arr, fmt)
-    return (q == arr) | np.isnan(arr)
+    return from_bits(to_bits(arr, fmt), fmt)
 
 
 def to_bits(x: ArrayLike, fmt: FloatFormat) -> np.ndarray:
-    """Encode format-representable binary64 values into bit patterns.
+    """Encode binary64 values into ``fmt`` bit patterns (uint64).
 
-    Values are quantized first, so arbitrary binary64 inputs are
-    accepted; NaNs encode to the canonical quiet NaN.
+    Values are rounded to nearest-even first, so arbitrary binary64
+    inputs are accepted; NaNs encode to the canonical quiet NaN.
     """
-    arr = quantize(x, fmt)
-    if fmt.name == "binary64":
+    arr = np.asarray(x, dtype=np.float64)
+    if fmt.width == 64:
         return arr.view(np.uint64).copy()
-    if not getattr(fmt, "ieee", True):
-        # Guest formats have no IEEE field layout: encode per element.
-        flat = np.array([from_double(float(v), fmt, RoundingMode.RNE)
-                         for v in arr.ravel()], dtype=np.uint64)
-        return flat.reshape(arr.shape)
-    out = np.zeros(arr.shape, dtype=np.uint64)
-    sign = np.signbit(arr).astype(np.uint64) << np.uint64(fmt.width - 1)
-
-    nan = np.isnan(arr)
-    inf = np.isinf(arr)
-    mag = np.abs(arr)
-    finite = ~(nan | inf)
-
-    safe_mag = np.where(finite, mag, 0.0)  # keep casts below warning-free
-    mantissa2, exponent = np.frexp(safe_mag)  # mag = mantissa2 * 2**exponent
-    e = exponent.astype(np.int64) - 1  # unbiased exponent of the value
-    normal = finite & (mag != 0) & (e >= fmt.emin)
-    subnormal = finite & (mag != 0) & (e < fmt.emin)
-    mag = safe_mag
-
-    # Normal: mantissa field = (mag / 2**e - 1) * 2**man_bits (exact).
-    man_norm = np.where(
-        normal,
-        np.rint(np.ldexp(mantissa2, fmt.man_bits + 1)).astype(np.int64)
-        - (1 << fmt.man_bits),
-        0,
-    )
-    biased = np.where(normal, e + fmt.bias, 0).astype(np.int64)
-    # Subnormal: mantissa field = mag / 2**(emin - man_bits) (exact).
-    sub_mag = np.where(subnormal, mag, 0.0)  # avoid overflow in ldexp below
-    man_sub = np.where(
-        subnormal,
-        np.rint(np.ldexp(sub_mag, fmt.man_bits - fmt.emin)).astype(np.int64),
-        0,
-    )
-
-    out |= np.where(normal, (biased << fmt.man_bits) | man_norm, 0).astype(np.uint64)
-    out |= np.where(subnormal, man_sub, 0).astype(np.uint64)
-    out |= np.where(inf, np.int64(fmt.pos_inf), 0).astype(np.uint64)
-    out |= sign
-    out = np.where(nan, np.uint64(fmt.quiet_nan), out)
-    return out
+    return batch.encode(fmt, arr).astype(np.uint64)
 
 
 def from_bits(bits: ArrayLike, fmt: FloatFormat) -> np.ndarray:
     """Decode bit patterns into binary64 values (exact)."""
     b = np.asarray(bits, dtype=np.uint64)
-    if fmt.name == "binary64":
+    if fmt.width == 64:
         return b.view(np.float64).copy()
-    if not getattr(fmt, "ieee", True):
-        flat = np.array([to_double(int(v), fmt) for v in b.ravel()],
-                        dtype=np.float64)
-        return flat.reshape(b.shape)
-    sign = ((b >> np.uint64(fmt.width - 1)) & np.uint64(1)).astype(np.int64)
-    exp_field = ((b >> np.uint64(fmt.man_bits)) & np.uint64(fmt.exp_mask)).astype(
-        np.int64
-    )
-    man_field = (b & np.uint64(fmt.man_mask)).astype(np.int64)
-
-    subnormal_val = np.ldexp(man_field.astype(np.float64), fmt.emin - fmt.man_bits)
-    normal_val = np.ldexp(
-        (man_field + (1 << fmt.man_bits)).astype(np.float64),
-        (exp_field - fmt.bias - fmt.man_bits).astype(np.int32),
-    )
-    out = np.where(exp_field == 0, subnormal_val, normal_val)
-    out = np.where((exp_field == fmt.exp_mask) & (man_field == 0), np.inf, out)
-    out = np.where((exp_field == fmt.exp_mask) & (man_field != 0), np.nan, out)
-    return np.where(sign == 1, -out, out)
-
-
-class Emulator:
-    """Array arithmetic in a fixed format (quantize after every op).
-
-    All inputs are quantized on the way in, so callers may pass plain
-    binary64 data.  This models a processor whose every FP instruction
-    operates in ``fmt`` -- precisely what the paper's type-substitution
-    experiments do to whole kernels.
-    """
-
-    def __init__(self, fmt: FloatFormat):
-        self.fmt = fmt
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Emulator({self.fmt.name})"
-
-    def value(self, x: ArrayLike) -> np.ndarray:
-        """Quantize input data into the emulated format."""
-        return quantize(x, self.fmt)
-
-    def add(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        return quantize(self.value(a) + self.value(b), self.fmt)
-
-    def sub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        return quantize(self.value(a) - self.value(b), self.fmt)
-
-    def mul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        return quantize(self.value(a) * self.value(b), self.fmt)
-
-    def div(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return quantize(self.value(a) / self.value(b), self.fmt)
-
-    def sqrt(self, a: ArrayLike) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return quantize(np.sqrt(self.value(a)), self.fmt)
-
-    def fma(self, a: ArrayLike, b: ArrayLike, c: ArrayLike) -> np.ndarray:
-        """Fused multiply-add (exact for the sub-32-bit formats).
-
-        The binary64 product of two values with p <= 24 significand bits
-        is exact, so quantizing ``a * b + c`` performs a single rounding.
-        """
-        return quantize(self.value(a) * self.value(b) + self.value(c), self.fmt)
-
-    def dot(self, a: ArrayLike, b: ArrayLike, acc_fmt: "FloatFormat" = None) -> float:
-        """Sequential dot product with a format-quantized accumulator.
-
-        ``acc_fmt`` models the Xfaux expanding accumulation: products in
-        ``self.fmt``, accumulation in a (usually wider) format.
-        """
-        acc_fmt = acc_fmt or self.fmt
-        av, bv = self.value(a).ravel(), self.value(b).ravel()
-        acc = 0.0
-        for x, y in zip(av, bv):
-            prod = float(quantize(x * y, self.fmt))
-            acc = float(quantize(acc + prod, acc_fmt))
-        return acc
+    return batch.decode(fmt, b)

@@ -87,9 +87,8 @@ class NumberFormat:
     """
 
     # -- identity / classification flags ------------------------------
-    #: True for the IEEE-754-style interchange formats.  The fast numpy
-    #: backend vectorizes only these; everything else takes the exact
-    #: element-wise path.
+    #: True for the IEEE-754-style interchange formats (the host family
+    #: encoded in OP-FP).
     ieee: bool = False
     #: Guest formats are non-IEEE extensions encoded in the CUSTOM
     #: opcode spaces rather than OP-FP.

@@ -14,7 +14,8 @@ terminator, then executed once per batch instead of once per point.
 Every kind binds from its :mod:`repro.sim.semantics` row, one binder per
 operand shape: uniform operands take the row's scalar compute once,
 divergent ones the row's numpy batch form where it has one (for FP,
-:mod:`repro.fp.batch`: vectorized IEEE RNE with exact flag computation),
+:mod:`repro.fp.batch`: vectorized RNE with exact flags for binary32
+and every format of 16 bits or less),
 and everything else runs lanewise over the same scalar compute.
 
 Divergence (different branch outcomes) splits a batch into sub-batches.

@@ -418,7 +418,8 @@ def _fp(kind: str, op, batch=None, *, rounds=True, flags=True,
 
 
 def _rne(make):
-    """Batch factory for kinds whose formats all have numpy RNE paths."""
+    """Batch factory for kinds whose formats all have numpy RNE paths
+    (binary32 and every format of 16 bits or less)."""
     def factory(F: Formats):
         if not (fpbatch.batchable(F.src) and fpbatch.batchable(F.dst)):
             return None

@@ -36,6 +36,7 @@ from .csr import IllegalCsr
 from .executor import GUEST_FAULTS, EbreakTrap, EcallTrap, execute
 from .machine import MASK32, Machine
 from .memory import Memory, MemoryAccessError
+from .semantics import spec_info
 from .timing import TimingConfig, TimingModel
 from .tracer import Trace
 from .traps import (
@@ -260,29 +261,8 @@ class Simulator:
         machine.write_x(2, STACK_TOP)  # sp
         for reg, value in (args or {}).items():
             machine.write_x(reg, value)
-
-        stats = trace if trace is not None else Trace()
-        machine.csr.cycle_source = lambda: stats.cycles
-        machine.csr.instret_source = lambda: stats.instret
-
-        executed = 0
-        outcome = None
-        if self.fast_path and step_hook is None:
-            # Block dispatch: bit-identical statistics, deferred until
-            # the engine returns.  A ``None`` outcome means the engine
-            # hit something it does not handle (undecodable word,
-            # unimplemented kind, budget edge) and the reference loop
-            # must finish the run from the current machine state.
-            outcome, executed = self._engine().run(stats, max_instructions)
-        if outcome is None:
-            outcome = self._run_reference(
-                stats, executed, max_instructions, step_hook)
-        exit_reason, detail, trap_info = outcome
-
-        if trap_info is not None:
-            detail = str(trap_info)
-        return RunResult(trace=stats, exit_reason=exit_reason,
-                         machine=machine, trap=trap_info, detail=detail)
+        return self._execute(trace if trace is not None else Trace(), 0,
+                             max_instructions, step_hook)
 
     # ------------------------------------------------------------------
     def resume(
@@ -302,22 +282,31 @@ class Simulator:
         ``executed`` instructions already count against the budget (so a
         later budget-exceeded detail reports the original total).
         """
-        stats = trace
+        return self._execute(trace, executed, max_instructions, None)
+
+    def _execute(self, stats: Trace, executed: int, max_instructions: int,
+                 step_hook: Optional[StepHook]) -> RunResult:
+        """The one run path behind :meth:`run` and :meth:`resume`."""
         machine = self.machine
         machine.csr.cycle_source = lambda: stats.cycles
         machine.csr.instret_source = lambda: stats.instret
         outcome = None
-        if self.fast_path:
+        if self.fast_path and step_hook is None:
+            # Block dispatch: bit-identical statistics, deferred until
+            # the engine returns.  A ``None`` outcome means the engine
+            # hit something it does not handle (undecodable word,
+            # unimplemented kind, budget edge) and the reference loop
+            # must finish the run from the current machine state.
             outcome, executed = self._engine().run(
                 stats, max_instructions, executed=executed)
         if outcome is None:
             outcome = self._run_reference(
-                stats, executed, max_instructions, None)
+                stats, executed, max_instructions, step_hook)
         exit_reason, detail, trap_info = outcome
         if trap_info is not None:
             detail = str(trap_info)
         return RunResult(trace=stats, exit_reason=exit_reason,
-                        machine=machine, trap=trap_info, detail=detail)
+                         machine=machine, trap=trap_info, detail=detail)
 
     # ------------------------------------------------------------------
     def _engine(self):
@@ -378,6 +367,9 @@ class Simulator:
         """
         machine = self.machine
         costs = self.timing.table()
+        #: pc -> (instr, cycle pair, mnemonic, category): a retire looks
+        #: its instruction up by pc instead of hashing its spec twice.
+        retire_info = {}
         exit_reason = "halt"
         detail = ""
         trap_info: Optional[TrapInfo] = None
@@ -420,8 +412,12 @@ class Simulator:
             # Any redirect counts as taken (even a branch to pc+4: the
             # pipeline still flushes).
             taken = next_pc is not None
-            stats.record(instr, costs[instr.spec][taken], taken,
-                         pc=pc_before)
+            info = retire_info.get(pc_before)
+            if info is None or info[0] is not instr:
+                info = retire_info[pc_before] = (
+                    instr, costs[instr.spec], instr.mnemonic,
+                    spec_info(instr.spec).category)
+            stats.retire(info[2], info[3], info[1][taken], taken, pc_before)
             machine.pc = next_pc if next_pc is not None else fallthrough
             executed += 1
         return exit_reason, detail, trap_info

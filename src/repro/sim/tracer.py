@@ -71,10 +71,17 @@ class Trace:
 
     def record(self, instr: Instr, cycles: int, taken: bool = False,
                pc: Optional[int] = None) -> None:
+        self.retire(instr.mnemonic, spec_info(instr.spec).category, cycles,
+                    taken, pc)
+
+    def retire(self, mnemonic: str, category: str, cycles: int,
+               taken: bool = False, pc: Optional[int] = None) -> None:
+        """:meth:`record` for a caller that already holds the
+        instruction's mnemonic and category (the reference loop keeps
+        them per pc, so a retire hashes no spec)."""
         self.instret += 1
         self.cycles += cycles
-        self.by_mnemonic[instr.mnemonic] += 1
-        category = spec_info(instr.spec).category
+        self.by_mnemonic[mnemonic] += 1
         self.by_category[category] += 1
         if category in ("load", "store"):
             self.mem_accesses += 1

@@ -247,13 +247,12 @@ class TestNestedLoops:
         assert kernel.vector_report.vectorized_loops == 1
 
     def test_gemm_matches_numpy(self):
-        from repro.fp.numpy_backend import Emulator
+        from repro.fp.numpy_backend import quantize
 
         n = 6
         rng = np.random.default_rng(3)
-        emu = Emulator(BINARY16)
-        a = emu.value(rng.standard_normal((n, n)))
-        b = emu.value(rng.standard_normal((n, n)))
+        a = quantize(rng.standard_normal((n, n)), BINARY16)
+        b = quantize(rng.standard_normal((n, n)), BINARY16)
 
         for vec in (False, True):
             kernel = compile_source(self.SRC, vectorize_loops=vec)
@@ -262,9 +261,10 @@ class TestNestedLoops:
             write_fmt(sim, B_BASE, b.ravel(), BINARY16)
             sim.run("gemm", args={10: n, 11: A_BASE, 12: B_BASE, 13: C_BASE})
             got = np.array(read_fmt(sim, C_BASE, n * n, BINARY16))
-            # Reference: same operation order in the emulator.
+            # Reference: same operation order, quantized after each op.
             ref = np.zeros((n, n))
             for i in range(n):
                 for k in range(n):
-                    ref[i] = emu.add(ref[i], emu.mul(a[i, k], b[k]))
+                    ref[i] = quantize(ref[i] + quantize(a[i, k] * b[k],
+                                                        BINARY16), BINARY16)
             assert np.array_equal(got, ref.ravel()), f"vectorize={vec}"

@@ -86,6 +86,12 @@ MATRIX = [
     for ftype in ("float", "float16", "float16alt", "float8")
     for mode in ("scalar", "auto")
 ] + [
+    # Guest formats take the vectorized codec too: auto mode, which
+    # every kernel compiles for them.
+    (name, ftype, "auto")
+    for name in KERNELS
+    for ftype in ("posit8", "posit16", "mx8")
+] + [
     (name, ftype, "manual")
     for name, spec in KERNELS.items()
     if spec.manual_source_fn is not None
@@ -370,6 +376,12 @@ LOCKSTEP_MATRIX = [
     for name in KERNELS
     for ftype in ("float8", "float16", "float16alt")
     for mode in ("scalar", "auto")
+] + [
+    # Guest formats take the vectorized codec too: auto mode, which
+    # every kernel compiles for them.
+    (name, ftype, "auto")
+    for name in KERNELS
+    for ftype in ("posit8", "posit16", "mx8")
 ] + [
     (name, ftype, "manual")
     for name, spec in KERNELS.items()
