@@ -74,6 +74,14 @@ CROSSOVER_WIDTHS = (4, LOCKSTEP_MIN_WIDTH)
 #: and per crossover width (serial/lockstep interleaved, min taken).
 REPEATS = 3
 
+#: Stochastic rounding in lockstep: the wall of a 32-lane SR batch over
+#: its RNE twin, the median of REPEATS interleaved pairs.  Lanes rounded
+#: one element at a time read 1.5-1.7; batched, 1.2-1.3 (2-vCPU VM,
+#: docs/performance.md "SR in lockstep").
+SR_CONFIG = ("nn_mlp_train", "float8", "auto")
+SR_LANES = 32
+SR_OVER_RNE_CEILING = 1.4
+
 
 def _sweep_points():
     return [SweepPoint(*p) for p in fig1_points()]
@@ -152,6 +160,26 @@ def measure_crossover(width):
             "serial_wall_seconds": round(min(serial), 4),
             "lockstep_wall_seconds": round(min(lockstep), 4),
             "ratio": round(min(lockstep) / min(serial), 3)}
+
+
+def measure_sr_over_rne():
+    """Median wall of a :data:`SR_CONFIG` batch under SR (one shared key)
+    over the median of its RNE twin, REPEATS interleaved pairs."""
+    from repro.fp.rounding import RoundingMode
+
+    name, ftype, mode = SR_CONFIG
+    spec, seeds = KERNELS[name], list(range(SR_LANES))
+    run_kernel_batch(spec, ftype, mode, seeds=seeds[:2])  # warm up
+    walls = {"rne": [], "sr": []}
+    for _ in range(REPEATS):
+        for rounding, frm in (("rne", None), ("sr", int(RoundingMode.SR))):
+            start = time.perf_counter()
+            run_kernel_batch(spec, ftype, mode, seeds=seeds, frm=frm,
+                             sr_keys=[7] * SR_LANES if frm else None)
+            walls[rounding].append(time.perf_counter() - start)
+    rne, sr = (sorted(walls[k])[REPEATS // 2] for k in ("rne", "sr"))
+    return {"rne_wall_seconds": round(rne, 4), "sr_wall_seconds": round(sr, 4),
+            "ratio": round(sr / rne, 3)}
 
 
 def _median_run(runs):
@@ -254,6 +282,22 @@ def test_host_perf(capsys):
         f"fast-path speedup {payload['speedup_guest_mips']}x regressed "
         f">{REGRESSION_TOLERANCE:.0%} vs baseline "
         f"{baseline['speedup_guest_mips']}x")
+
+
+def test_sr_over_rne_ratio(capsys):
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        row = measure_sr_over_rne()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    with capsys.disabled():
+        print(f"\nlockstep SR/RNE wall {row['ratio']} "
+              f"({row['sr_wall_seconds']} s / {row['rne_wall_seconds']} s, "
+              f"{' '.join(SR_CONFIG)}, {SR_LANES} lanes)")
+    assert row["ratio"] <= SR_OVER_RNE_CEILING, (
+        f"stochastic rounding costs {row['ratio']}x round-to-nearest in "
+        f"lockstep, above the {SR_OVER_RNE_CEILING} ceiling")
 
 
 if __name__ == "__main__":

@@ -42,12 +42,27 @@ Correctness sketch (all arrays are binary64):
 * Anything this module cannot prove exact falls back: operations on
   NaN/NaR/infinity operands and dot products whose accumulation leaves
   the double-double window.  Callers re-run those lanes through the
-  scalar core, as they do for every rounding mode but RNE.
+  scalar core.
+
+The other rounding modes (RTZ, RDN, RUP, RMM and stochastic rounding)
+take an exact integer path for the IEEE formats (binary8, binary16,
+binary16alt, binary32): each op forms the scalar core's exact
+``(sign, sig, exp)`` per lane in int64 and :func:`round_pack` rounds it
+line for line like :func:`repro.fp.rounding.ieee_round_and_pack`,
+including the keyed stochastic-rounding draw over a per-lane key array.
+The draw hashes the raw ``(sig, discard)``, so every op keeps the
+scalar core's operand alignment exactly.  Lanes whose significand would
+not fit in 63 bits (far-apart addends) fall back, as do NaN and
+infinity operands.  Ops whose result never depends on the mode (exact
+widening conversions, expanding products that always fit) keep the RNE
+codec path under every mode; posit and MX8 lanes under other modes all
+fall back.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
@@ -60,6 +75,8 @@ from .unpacked import unpack
 
 _U32 = np.uint32
 _U64 = np.uint64
+_I64 = np.int64
+_RNE = RoundingMode.RNE
 
 
 class _QuietDepth(threading.local):
@@ -273,6 +290,19 @@ def _odd_fix64(s: np.ndarray, e: np.ndarray) -> np.ndarray:
 _B32_TINY = float(np.ldexp(1.0 - 2.0 ** -25, -126))
 
 
+def _lookup(fmt: FloatFormat, v: np.ndarray):
+    """RNE bits of the finite binary64 values ``v`` (uint32), with the
+    codec region of each (None for binary32, which casts)."""
+    if fmt.width == 32:
+        return _cast(v, np.float32).view(_U32), None
+    codec = _codec(fmt)
+    points = codec.points
+    mag = np.abs(v)
+    i = points.searchsorted(mag)
+    code = 2 * i + (points.take(i, mode="clip") == mag)
+    return np.where(np.signbit(v), codec.neg[code], codec.pos[code]), code
+
+
 def _finish(fmt: FloatFormat, s: np.ndarray, e) -> Tuple[np.ndarray, np.ndarray]:
     """Round the exact value ``s + e`` into ``fmt`` with exact flags.
 
@@ -282,19 +312,13 @@ def _finish(fmt: FloatFormat, s: np.ndarray, e) -> Tuple[np.ndarray, np.ndarray]
     Returns ``(bits, flags)`` as uint32/uint8 arrays.
     """
     v = s if e is None else _odd_fix64(s, e)
-    mag = np.abs(v)
-    if fmt.width == 32:
-        f = _cast(v, np.float32)
-        bits = f.view(_U32)
-        q = f.astype(np.float64)
+    bits, code = _lookup(fmt, v)
+    if code is None:
+        q = bits.view(np.float32).astype(np.float64)
         region = (np.isinf(q) * np.uint8(OF)
-                  | (mag < _B32_TINY) * np.uint8(UF))
+                  | (np.abs(v) < _B32_TINY) * np.uint8(UF))
     else:
         codec = _codec(fmt)
-        points = codec.points
-        i = points.searchsorted(mag)
-        code = 2 * i + (points.take(i, mode="clip") == mag)
-        bits = np.where(np.signbit(v), codec.neg[code], codec.pos[code])
         q, region = codec.values[bits], codec.flags[code]
     inexact = q != v
     if e is not None:
@@ -308,12 +332,12 @@ def encode(fmt: FloatFormat, x: np.ndarray) -> np.ndarray:
     NaN and infinities included: the scalar ``from_double`` over an
     array."""
     finite = np.isfinite(x)
-    bits, _ = _finish(fmt, np.where(finite, x, 0.0), None)
-    if not finite.all():
-        special = np.where(np.isnan(x), fmt.quiet_nan,
-                           np.where(x > 0, fmt.inf(0), fmt.inf(1)))
-        bits = np.where(finite, bits, special).astype(_U32)
-    return bits
+    if finite.all():
+        return _lookup(fmt, x)[0]
+    bits = _lookup(fmt, np.where(finite, x, 0.0))[0]
+    special = np.where(np.isnan(x), fmt.quiet_nan,
+                       np.where(x > 0, fmt.inf(0), fmt.inf(1)))
+    return np.where(finite, bits, special).astype(_U32)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -325,14 +349,380 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
+# Directed and stochastic rounding: exact int64 lanes, IEEE formats only
+# ----------------------------------------------------------------------
+def _ieee(*fmts: FloatFormat) -> bool:
+    """True when every format has the IEEE codec :func:`round_pack`
+    mirrors (posits and MX8 bring their own packers)."""
+    return all(isinstance(f, FloatFormat) for f in fmts)
+
+
+def _all_fallback(n: int):
+    """``(bits, flags, fallback)`` handing all ``n`` lanes to the scalar
+    core."""
+    return (np.zeros(n, dtype=_U32), np.zeros(n, dtype=np.uint8),
+            np.ones(n, dtype=bool))
+
+
+#: The integer path costs about 80 numpy calls per op whatever the
+#: width, some 100-130 us on a 2-vCPU VM, against about 3.5 us per
+#: lane for the scalar core under stochastic rounding: narrower batches
+#: round lane by lane (docs/performance.md, "SR in lockstep").
+EXACT_MIN_LANES = 32
+
+#: 8-bit binary ops under one mode and key: all 65,536 results, built
+#: once through the integer path, by (op, mode, key).  A few at a time.
+_PAIR_TABLES: Dict[tuple, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_PAIR_TABLE_LIMIT = 8
+_PAIR_LOCK = threading.Lock()
+
+
+def _directed(label: tuple, exact, fmts, operands, rm: RoundingMode, keys):
+    """Route an op under a mode other than RNE: ``exact(*operands, rm,
+    keys)`` is its integer path.  Binary ops on 8-bit IEEE formats whose
+    lanes share one key gather from a table of every operand pair;
+    other IEEE ops take the integer path on batches of at least
+    :data:`EXACT_MIN_LANES`; everything else falls back whole."""
+    n = operands[0].shape[0]
+    if not _ieee(*fmts):
+        return _all_fallback(n)
+    if len(operands) == 2 and max(f.width for f in fmts) <= 8:
+        key = 0
+        if keys is not None:
+            key = int(keys[0])
+            if np.count_nonzero(keys != keys[0]):
+                key = None
+        if key is not None:
+            tkey = label + (rm, key)
+            table = _PAIR_TABLES.get(tkey)
+            if table is None:
+                pairs = np.arange(1 << 16, dtype=_U32)
+                table = exact(pairs >> 8, pairs & 255, rm, None if keys is None
+                              else np.full(1 << 16, key, _U64))
+                with _PAIR_LOCK:  # serve threads share the tables
+                    while len(_PAIR_TABLES) >= _PAIR_TABLE_LIMIT:
+                        del _PAIR_TABLES[next(iter(_PAIR_TABLES))]
+                    _PAIR_TABLES[tkey] = table
+            index = (operands[0] << 8) | operands[1]
+            return tuple(t[index] for t in table)
+    if n < EXACT_MIN_LANES:
+        return _all_fallback(n)
+    return exact(*operands, rm, keys)
+
+
+_FIELDS: Dict[str, Tuple[np.ndarray, ...]] = {}
+
+
+def _fields(fmt: FloatFormat) -> Tuple[np.ndarray, ...]:
+    """Per sign-and-exponent field of IEEE ``fmt``: the sign, the
+    exponent of the significand's LSB, the hidden bit and finiteness."""
+    tables = _FIELDS.get(fmt.name)
+    if tables is None:
+        top = np.arange(2 << fmt.exp_bits, dtype=_I64)
+        biased = top & fmt.exp_mask
+        tables = _FIELDS[fmt.name] = (
+            top >> fmt.exp_bits,
+            np.maximum(biased, 1) - (fmt.bias + fmt.man_bits),
+            (biased != 0) * _I64(1 << fmt.man_bits),
+            biased != fmt.exp_mask)
+    return tables
+
+
+def _unpack(fmt: FloatFormat, bits: np.ndarray):
+    """The scalar core's exact ``(sign, sig, exp)`` of IEEE ``bits``
+    (:func:`repro.fp.unpacked.ieee_decode` over int64 lanes) and the
+    mask of finite lanes.  Zeros have ``sig == 0``."""
+    sign, exp, hidden, finite = _fields(fmt)
+    b = bits.astype(_I64)  # int64 indices gather fastest
+    top = b >> fmt.man_bits
+    return sign[top], (b & fmt.man_mask) | hidden[top], exp[top], finite[top]
+
+
+def _bit_length(sig: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of int64 lanes ``0 <= sig < 2**63``, as int64
+    (zero lanes read -1)."""
+    e = np.frexp(sig.astype(np.float64))[1].astype(_I64)
+    if sig.max() >> 53:
+        # Past 2**53 the float conversion can round up to the next
+        # power of two, one more than the true bit length.
+        e -= (sig >> np.maximum(e - 1, 0)) == 0
+    return e
+
+
+def _clamp(shift: np.ndarray, limit: int) -> np.ndarray:
+    """Shift counts clamped to ``0 .. limit``: numpy shifts by 64 or
+    more, or by negative counts, are not portable."""
+    return np.minimum(np.maximum(shift, 0), limit)
+
+
+def _u64(value: int) -> np.ndarray:
+    """A 0-d uint64 constant (cheaper per ufunc call than a scalar)."""
+    return np.array(value, dtype=_U64)
+
+
+#: ``rounding._sr_draw``'s constants: the discard multiplier, and by
+#: sign the term a negative value folds in.
+_GOLDEN = _u64(0x9E3779B97F4A7C15)
+_SIGN_TERM = np.array([0, -0x61C8864680B583EB & ((1 << 64) - 1)],
+                      dtype=_U64)
+_MIX1 = _u64(0xBF58476D1CE4E5B9)
+_MIX2 = _u64(0x94D049BB133111EB)
+_S27, _S30, _S31 = _u64(27), _u64(30), _u64(31)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """``rounding._mix64`` (the splitmix64 finalizer) in wrapping uint64,
+    in place on ``x``."""
+    x ^= x >> _S30
+    x *= _MIX1
+    x ^= x >> _S27
+    x *= _MIX2
+    x ^= x >> _S31
+    return x
+
+
+def _sr_draw(keys: np.ndarray, sign: np.ndarray, sig: np.ndarray,
+             discard: np.ndarray) -> np.ndarray:
+    """``rounding._sr_draw`` per lane, keyed by ``keys`` (uint64).  A
+    significand below 2**64 folds into the state in one step."""
+    x = discard.view(_U64) * _GOLDEN
+    x ^= keys
+    x ^= _SIGN_TERM[sign]
+    x ^= sig.view(_U64)
+    return _mix64(_mix64(x))
+
+
+def _shift_right_round(sig, discard, rm, sign, keys):
+    """``rounding._shift_right_round`` over int64 lanes: ``sig`` shifted
+    right by ``discard`` bits (left when negative), rounded per ``rm``.
+    Returns ``(rounded, inexact)``.  Shifts clamp at 63: a significand
+    below 2**63 shifted right by 63 is already zero, and only a zero
+    significand shifts left that far."""
+    right = _clamp(discard, 63)
+    kept = sig >> right
+    dropped = sig - (kept << right)
+    kept <<= _clamp(-discard, 63)  # exact: at most p bits, or a zero
+    inexact = dropped != 0
+    if rm == RoundingMode.RTZ:
+        return kept, inexact
+    if rm == RoundingMode.RDN:
+        up = inexact & (sign == 1)
+    elif rm == RoundingMode.RUP:
+        up = inexact & (sign == 0)
+    elif rm == RoundingMode.RMM:
+        # The round bit is bit ``discard - 1``: zero from bit 63 up.
+        up = (dropped >> _clamp(discard - 1, 63)) & 1
+    elif rm == RoundingMode.SR:
+        draw = _sr_draw(keys, sign, sig, discard)
+        dropped = dropped.view(_U64)
+        # Up with probability dropped / 2**discard: compare against
+        # the draw's top ``discard`` bits (exact lanes have nothing
+        # dropped and never round up).
+        up = dropped > (draw >> _clamp(64 - discard, 63).view(_U64))
+        far = discard > 64
+        if np.count_nonzero(far):
+            # Past 64 discarded bits: the top 64 bits of ``dropped``
+            # against the whole draw.
+            up[far] = ((dropped[far] >> _clamp(discard[far] - 64, 63)
+                        .view(_U64)) > draw[far])
+    else:
+        raise ValueError(f"no integer path for mode {rm!r}")
+    kept += up
+    return kept, inexact
+
+
+def round_pack(fmt: FloatFormat, sign: np.ndarray, sig: np.ndarray,
+               exp: np.ndarray, rm: RoundingMode, keys=None,
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Round ``(-1)**sign * sig * 2**exp`` into IEEE ``fmt`` per lane.
+
+    :func:`repro.fp.rounding.round_and_pack` and ``ieee_round_and_pack``
+    over int64 lanes with ``0 <= sig < 2**63``, for every mode but RNE;
+    ``keys`` (uint64, one per lane) key the stochastic-rounding draw.
+    Returns ``(bits, flags)`` as uint32/uint8 arrays.
+    """
+    p, man_bits = fmt.precision, fmt.man_bits
+    nbits = _bit_length(sig)
+    msb = exp + nbits
+    msb -= 1
+    # A zero significand takes the subnormal branch and packs to the
+    # signed zero, exactly.
+    normal = msb >= fmt.emin
+    normal &= sig != 0
+    every = np.count_nonzero(normal) == normal.size
+    # Normal lanes keep p bits; subnormal lanes pin the LSB at
+    # 2**(emin - man_bits).
+    discard = nbits - p
+    if not every:
+        discard = np.where(normal, discard, (fmt.emin - man_bits) - exp)
+    rounded, inexact = _shift_right_round(sig, discard, rm, sign, keys)
+    # Rounding may carry out of a normal significand.  A normal one
+    # brings its hidden bit, which adds one to the biased exponent
+    # field; a subnormal one that rounded up to 2**man_bits is the
+    # smallest normal's pattern.
+    carry = rounded >> p
+    exp_out = msb + carry
+    mag = exp_out + (fmt.bias - 1)
+    mag <<= man_bits
+    mag += rounded >> carry
+    if not every:
+        mag = np.where(normal, mag, rounded)
+    flags = inexact.view(np.uint8) * np.uint8(NX)
+    over = exp_out > fmt.emax
+    if not every:
+        over &= normal
+    if np.count_nonzero(over):
+        inf = fmt.exp_mask << man_bits
+        # RTZ saturates; RDN/RUP saturate on the side they cannot cross.
+        saturate = {RoundingMode.RTZ: 1, RoundingMode.RDN: 1 - sign,
+                    RoundingMode.RUP: sign}.get(rm, 0)
+        mag = np.where(over, inf - saturate, mag)
+        flags |= over.view(np.uint8) * np.uint8(OF | NX)
+    if not every:
+        # Tininess after rounding: an inexact subnormal-range result is
+        # tiny unless rounding at p bits with unbounded exponent carries
+        # it up to 2**emin, which only a value just below 2**emin can do.
+        tiny = inexact & ~normal
+        edge = np.flatnonzero(tiny & (msb == fmt.emin - 1))
+        if edge.size:
+            again, _ = _shift_right_round(
+                sig[edge], nbits[edge] - p, rm, sign[edge],
+                None if keys is None else keys[edge])
+            tiny[edge] = (again >> p) == 0
+        flags |= tiny.view(np.uint8) * np.uint8(UF)
+    mag |= sign << (fmt.width - 1)
+    return mag.astype(_U32), flags
+
+
+def _exact_sum(terms, rm: RoundingMode):
+    """``arith._exact_sum`` over int64 lanes: each term is ``(sign, sig,
+    exp, width)`` with ``sig < 2**width``.  Zero terms drop out and the
+    live ones align at their smallest exponent; an exact zero sum takes
+    the rounding mode's cancellation sign.  Returns ``(sign, sig, exp,
+    fits)``: ``fits`` is False where an aligned term would reach
+    2**(63 - bit_length(len(terms))), so the signed sum stays below
+    2**63."""
+    room = 63 - len(terms).bit_length()
+    zeros = [sig == 0 for _, sig, _, _ in terms]
+    exp = np.minimum.reduce([np.where(zero, _NEVER, e)
+                             for zero, (_, _, e, _) in zip(zeros, terms)])
+    total, fits = 0, True
+    for zero, (sign, sig, e, width) in zip(zeros, terms):
+        shift = e - exp
+        fits = fits & (zero | (shift <= room - width))
+        term = sig << _clamp(shift, room - width)
+        total = total + np.where(sign == 1, -term, term)
+    cancel = 1 if rm == RoundingMode.RDN else 0
+    return np.where(total == 0, cancel, total < 0), np.abs(total), exp, fits
+
+
+#: The exponent of a lane with no live term (above every real one).
+_NEVER = 1 << 30
+
+
+def _round_sum(fmt: FloatFormat, a, b, rm: RoundingMode, keys, ok):
+    """``arith._round_sum`` over two ``(sign, sig, exp, width)`` terms,
+    plus the both-zero rule of ``fadd`` and ``fma_mixed``: equal signs
+    keep theirs.  ``ok`` marks the lanes with finite operands.  Returns
+    ``(bits, flags, fallback)``."""
+    sign, sig, exp, fits = _exact_sum([a, b], rm)
+    if np.count_nonzero(sig) < sig.size:
+        sign = np.where((sig == 0) & (a[0] == b[0]), a[0], sign)
+    bits, flags = round_pack(fmt, sign, sig, exp, rm, keys)
+    return bits, flags, ~(ok & fits)
+
+
+# The integer paths of the ops below: operands, then ``rm, keys``.
+def _add(fmt, sub, a, b, rm, keys):
+    sa, ma, ea, ok = _unpack(fmt, a)
+    sb, mb, eb, ok_b = _unpack(fmt, b)
+    p = fmt.precision
+    return _round_sum(fmt, (sa, ma, ea, p), (sb ^ sub, mb, eb, p), rm, keys,
+                      ok & ok_b)
+
+
+def _mul(src, dst, a, b, rm, keys):
+    sa, ma, ea, ok = _unpack(src, a)
+    sb, mb, eb, ok_b = _unpack(src, b)
+    bits, flags = round_pack(dst, sa ^ sb, ma * mb, ea + eb, rm, keys)
+    return bits, flags, ~(ok & ok_b)
+
+
+def _fma(src, dst, negate_product, negate_addend, a, b, c, rm, keys):
+    sa, ma, ea, ok = _unpack(src, a)
+    sb, mb, eb, ok_b = _unpack(src, b)
+    sc, mc, ec, ok_c = _unpack(dst, c)
+    prod = (sa ^ sb ^ negate_product, ma * mb, ea + eb, 2 * src.precision)
+    addend = (sc ^ negate_addend, mc, ec, dst.precision)
+    return _round_sum(dst, prod, addend, rm, keys, ok & ok_b & ok_c)
+
+
+def _cvt(src, dst, a, rm, keys):
+    sign, sig, exp, ok = _unpack(src, a)
+    bits, flags = round_pack(dst, sign, sig, exp, rm, keys)
+    return bits, flags, ~ok
+
+
+def _dotp(src, dst, k, acc, *lanes):
+    """``vfdotpex``'s exact sum: ``acc``, ``k`` a-lanes, ``k`` b-lanes,
+    ``rm``, ``keys``."""
+    rm, keys = lanes[-2:]
+    sc, mc, ec, ok = _unpack(dst, acc)
+    terms = [(sc, mc, ec, dst.precision)]
+    for a_bits, b_bits in zip(lanes[:k], lanes[k:2 * k]):
+        sa, ma, ea, ok_a = _unpack(src, a_bits)
+        sb, mb, eb, ok_b = _unpack(src, b_bits)
+        ok = ok & ok_a & ok_b
+        terms.append((sa ^ sb, ma * mb, ea + eb, 2 * src.precision))
+    sign, sig, exp, fits = _exact_sum(terms, rm)
+    bits, flags = round_pack(dst, sign, sig, exp, rm, keys)
+    return bits, flags, ~(ok & fits)
+
+
+def _exact_in(dst: FloatFormat, values: np.ndarray) -> bool:
+    """True when every (finite) binary64 value in ``values`` is a ``dst``
+    value: an op whose results all are never rounds, in any mode."""
+    return not _finish(dst, values, None)[1].any()
+
+
+_MODE_FREE: Dict[Tuple[str, str, str], bool] = {}
+
+
+def _mode_free(op: str, src: FloatFormat, dst: FloatFormat) -> bool:
+    """Whether ``op`` (``cvt`` or ``mul``) from ``src`` into ``dst``
+    is exact for every operand, so its RNE path serves every mode:
+    widening conversions, and expanding products of 8-bit formats that
+    always fit (every product is checked)."""
+    key = (op, src.name, dst.name)
+    free = _MODE_FREE.get(key)
+    if free is None:
+        free = False
+        if src.width <= 16 and batchable(dst):
+            values = _codec(src).values
+            values = values[np.isfinite(values)]
+            if op == "mul":
+                free = src.width <= 8 and _exact_in(
+                    dst, np.multiply.outer(values, values).ravel())
+            else:
+                free = _exact_in(dst, values)
+        _MODE_FREE[key] = free
+    return free
+
+
+# ----------------------------------------------------------------------
 # Batched operations.  All take/return uint32 bit-pattern arrays and
 # return ``(bits, flags, fallback)``: lanes in ``fallback`` must be
 # recomputed through the scalar core (the vector results there are
-# placeholders).
+# placeholders).  The rounding ops take the mode and, for stochastic
+# rounding, one uint64 key per lane.
 # ----------------------------------------------------------------------
 @_quiet
-def add(fmt: FloatFormat, a: np.ndarray, b: np.ndarray,
-        sub: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def add(fmt: FloatFormat, a: np.ndarray, b: np.ndarray, sub: bool = False,
+        rm: RoundingMode = _RNE, keys=None,
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if rm is not _RNE:
+        return _directed(("add", fmt.name, sub), partial(_add, fmt, sub),
+                         (fmt,), (a, b), rm, keys)
     a64 = decode(fmt, a)
     b64 = decode(fmt, b)
     if sub:
@@ -348,10 +738,15 @@ def add(fmt: FloatFormat, a: np.ndarray, b: np.ndarray,
 
 @_quiet
 def mul(fmt: FloatFormat, a: np.ndarray, b: np.ndarray,
-        src: FloatFormat = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        src: FloatFormat = None, rm: RoundingMode = _RNE, keys=None,
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``a * b`` rounded into ``fmt``; ``src`` (default ``fmt``) is the
     operand format -- a narrower ``src`` models fmulex."""
     opfmt = src or fmt
+    if rm is not _RNE and not (src and _mode_free("mul", src, fmt)):
+        return _directed(("mul", opfmt.name, fmt.name),
+                         partial(_mul, opfmt, fmt), (opfmt, fmt), (a, b),
+                         rm, keys)
     a64 = decode(opfmt, a)
     b64 = decode(opfmt, b)
     fallback = ~(np.isfinite(a64) & np.isfinite(b64))
@@ -365,13 +760,18 @@ def mul(fmt: FloatFormat, a: np.ndarray, b: np.ndarray,
 @_quiet
 def fma(fmt: FloatFormat, a: np.ndarray, b: np.ndarray, c: np.ndarray,
         negate_product: bool = False, negate_addend: bool = False,
-        src: FloatFormat = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        src: FloatFormat = None, rm: RoundingMode = _RNE, keys=None,
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused multiply-add ``(-1)^np * a*b + (-1)^na * c`` (one rounding).
 
     ``src`` (default ``fmt``) is the format of ``a``/``b``; a narrower
     ``src`` models the expanding fmacex, whose product stays exact in
     binary64 just the same (2 * p_src <= 48)."""
     opfmt = src or fmt
+    if rm is not _RNE:
+        return _directed(("fma",), partial(_fma, opfmt, fmt, negate_product,
+                                           negate_addend),
+                         (opfmt, fmt), (a, b, c), rm, keys)
     a64 = decode(opfmt, a)
     b64 = decode(opfmt, b)
     c64 = decode(fmt, c)
@@ -390,9 +790,13 @@ def fma(fmt: FloatFormat, a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 @_quiet
-def cvt(src: FloatFormat, dst: FloatFormat,
-        a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cvt(src: FloatFormat, dst: FloatFormat, a: np.ndarray,
+        rm: RoundingMode = _RNE, keys=None,
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Format conversion (fcvt.f2f): exact value, one rounding."""
+    if rm is not _RNE and not _mode_free("cvt", src, dst):
+        return _directed(("cvt",), partial(_cvt, src, dst), (src, dst), (a,),
+                         rm, keys)
     a64 = decode(src, a)
     fallback = ~np.isfinite(a64)
     s = a64
@@ -433,16 +837,47 @@ def cmp(fmt: FloatFormat, op: str, a: np.ndarray,
 
 
 @_quiet
+def minmax(fmt: FloatFormat, a: np.ndarray, b: np.ndarray,
+           pick_max: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """fmin/fmax across the batch (``compare._minmax``): a NaN yields
+    the other operand, two NaNs the canonical NaN, any signaling NaN
+    raises NV, and -0 orders below +0.  The result is an operand's
+    own pattern; no fallback lanes."""
+    a64 = decode(fmt, a)
+    b64 = decode(fmt, b)
+    a_nan = np.isnan(a64)
+    b_nan = np.isnan(b64)
+    # Equal values are the same pattern except for zeros of two signs.
+    if pick_max:
+        take_a = (a64 > b64) | ((a64 == b64)
+                                & (np.signbit(a64) <= np.signbit(b64)))
+    else:
+        take_a = (a64 < b64) | ((a64 == b64)
+                                & (np.signbit(a64) >= np.signbit(b64)))
+    out = np.where(take_a | b_nan, a, b).astype(_U32)
+    both = a_nan & b_nan
+    if both.any():
+        out[both] = fmt.quiet_nan
+    invalid = _signaling(fmt, a, a_nan) | _signaling(fmt, b, b_nan)
+    return out, invalid.astype(np.uint8) * np.uint8(NV)
+
+
+@_quiet
 def dotp(src: FloatFormat, dst: FloatFormat, acc: np.ndarray,
          a_lanes: List[np.ndarray], b_lanes: List[np.ndarray],
+         rm: RoundingMode = _RNE, keys=None,
          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """vfdotpex.s.*: exact expanding dot product with one dst rounding.
 
-    The exact accumulation is tracked as a double-double ``(hi, lo)``
-    grown with TwoSum; any lane whose accumulation sheds a bit past the
-    106-bit window (or touches a non-finite value, or sums to exactly
-    zero, whose sign needs the scalar core's rule) is marked fallback.
+    Under RNE the exact accumulation is tracked as a double-double
+    ``(hi, lo)`` grown with TwoSum; any lane whose accumulation sheds a
+    bit past the 106-bit window (or touches a non-finite value, or sums
+    to exactly zero, whose sign needs the scalar core's rule) is marked
+    fallback.  Other modes sum the exact int64 terms like ``vfdotpex``.
     """
+    if rm is not _RNE:
+        return _directed(("dotp",), partial(_dotp, src, dst, len(a_lanes)),
+                         (src, dst), (acc, *a_lanes, *b_lanes), rm, keys)
     hi = decode(dst, acc)
     ok = np.isfinite(hi)
     lo = np.zeros_like(hi)

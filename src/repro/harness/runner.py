@@ -433,8 +433,8 @@ def run_kernel_batch(
 
     ``frm`` matches the :func:`run_kernel` parameter; ``sr_keys`` (one
     per seed, default all-zero) seed each lane's stochastic-rounding
-    PRF.  Divergent keys make the lockstep engine drain SR-rounded work
-    to scalar execution, preserving bit-identity at reduced throughput.
+    PRF; lanes with different keys stay batched, each drawing from its
+    own key.
     """
     kernel = build_kernel(spec, ftype, mode)
     if not seeds:

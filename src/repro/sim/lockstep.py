@@ -14,8 +14,9 @@ terminator, then executed once per batch instead of once per point.
 Every kind binds from its :mod:`repro.sim.semantics` row, one binder per
 operand shape: uniform operands take the row's scalar compute once,
 divergent ones the row's numpy batch form where it has one (for FP,
-:mod:`repro.fp.batch`: vectorized RNE with exact flags for binary32
-and every format of 16 bits or less),
+:mod:`repro.fp.batch`: exact flags for binary32 and every format of 16
+bits or less under RNE, and for the IEEE formats under every rounding
+mode, stochastic rounding keyed per lane included),
 and everything else runs lanewise over the same scalar compute.
 
 Divergence (different branch outcomes) splits a batch into sub-batches.
@@ -24,7 +25,7 @@ the same PC are merged back into one ("re-convergence"), so short
 data-dependent diamonds -- an ``if (x > best)`` update inside a loop --
 cost two scheduler round-trips instead of fragmenting the batch for good.
 Lanes that cannot continue in lockstep at all (traps, budget exhaustion,
-divergent rounding modes, unsupported situations) are *drained*: their
+reserved rounding modes, unsupported situations) are *drained*: their
 state is materialized into a fresh scalar
 :class:`~repro.sim.simulator.Simulator` which resumes execution on the
 existing fast path.  The contract is bit-identical per point: traces
@@ -547,15 +548,11 @@ class LockstepEngine:
         self._tpl_engine = template._engine()
         self._blocks: Dict[int, object] = {}
         self._budget = 0
-        self._sr_keys: List[int] = []
-        #: True while this run's lanes hold *different* SR keys.  The
-        #: batched binders compute one result per distinct operand
-        #: vector, which is only correct under stochastic rounding when
-        #: every lane draws from the same key; with per-lane keys any
-        #: SR-rounded op drains the batch into scalar simulators (see
-        #: ``_drain_all``, which installs each lane's key around its
-        #: resume).
-        self.sr_nonuniform = False
+        #: Each lane's stochastic-rounding key (uint64, by lane id).
+        self._sr_keys = np.zeros(0, dtype=np.uint64)
+        #: True when lanes hold different keys: uniform operands then
+        #: no longer share one stochastically rounded result.
+        self._keys_differ = False
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -569,9 +566,9 @@ class LockstepEngine:
         bit-identical to a dedicated :meth:`Simulator.run` of that
         point.  ``frm`` seeds every lane's dynamic rounding mode (the
         value a harness would ``csrw frm`` before calling the kernel);
-        per-lane ``Lane.sr_key`` values seed stochastic rounding --
-        uniform keys run fully batched, divergent keys drain SR-rounded
-        work to scalar simulators.
+        per-lane ``Lane.sr_key`` values seed stochastic rounding; each
+        lane's SR-rounded results draw from its own key, batched like
+        every other mode.
         """
         tpl = self.tpl
         n = len(lanes)
@@ -581,7 +578,8 @@ class LockstepEngine:
 
         keys = [getattr(lane, "sr_key", 0) & _SR_KEY_MASK
                 for lane in lanes]
-        self._sr_keys = keys
+        self._sr_keys = np.array(keys, dtype=np.uint64)
+        self._keys_differ = len(set(keys)) > 1
 
         bt = _Batch(n, np.arange(n), entry_pc,
                     BatchMemory(n, tpl.machine.memory._pages))
@@ -615,7 +613,6 @@ class LockstepEngine:
         self._seq = 0
         self._push(bt)
         prev_key = set_sr_key(keys[0] if keys else 0)
-        self.sr_nonuniform = len(set(keys)) > 1
         try:
             with fpbatch.quiet_errors():
                 while heap:
@@ -783,9 +780,10 @@ class LockstepEngine:
 
     def _bind_fp(self, i, row):
         """FP kinds: uniform operands take the scalar compute; vector
-        operands take the row's batch form under RNE and patch the lanes
-        it cannot handle; anything else runs lanewise over the scalar
-        compute."""
+        operands take the row's batch form and patch the lanes it
+        cannot handle; anything else runs lanewise over the scalar
+        compute.  Under stochastic rounding with keys that differ
+        between lanes, uniform operands are vector operands too."""
         fn, regs, masks, scale, dmask = bind_in_xregs(i)
         F = formats(i.spec, 32)
         umasks = [_U32(k) for k in masks]
@@ -800,11 +798,21 @@ class LockstepEngine:
         rd = i.rd
         engine = self
 
-        def scalar(columns, rm):
-            """The scalar compute over operand columns: one int array
-            each of results and flags."""
+        def scalar(columns, rm, keys):
+            """The scalar compute over operand columns, each lane under
+            its own SR key when ``keys`` is given: one int array each
+            of results and flags."""
             try:
-                if rounds:
+                if keys is not None:
+                    prev = set_sr_key(0)
+                    try:
+                        outs = []
+                        for ops, key in zip(zip(*columns), keys.tolist()):
+                            set_sr_key(key)
+                            outs.append(fn(*ops, rm))
+                    finally:
+                        set_sr_key(prev)
+                elif rounds:
                     outs = [fn(*ops, rm) for ops in zip(*columns)]
                 else:
                     outs = [fn(*ops) for ops in zip(*columns)]
@@ -816,42 +824,47 @@ class LockstepEngine:
             return np.array(outs, dtype=_I64) & dmask, 0
 
         def run(bt):
-            rm = None
+            rm = keys = None
             if rounds:
                 rm = static if static is not None else _RM_BY_VALUE.get(bt.frm)
-                # A reserved frm traps on the scalar core; with per-lane
-                # SR keys the scalar core rounds each lane.
-                if rm is None or (rm is _SR and engine.sr_nonuniform):
-                    raise _Drain()
+                if rm is None:
+                    raise _Drain()  # a reserved frm traps on the scalar core
+                if rm is _SR:
+                    keys = engine._sr_keys[bt.lane_ids]
             x = bt.xregs
             vals = [x[r] for r in regs]
             for v in vals:
                 if type(v) is not int:
                     break
             else:
-                args = [v & k for v, k in zip(vals, masks)]
-                args[-1] *= scale
-                try:
-                    out = fn(*args, rm) if rounds else fn(*args)
-                except GUEST_FAULTS:
-                    raise _Drain() from None
-                if flagged:
-                    out, flags = out
-                    bt.accrue(flags)
-                if rd:
-                    x[rd] = out & dmask
-                return
+                if keys is None or not engine._keys_differ:
+                    args = [v & k for v, k in zip(vals, masks)]
+                    args[-1] *= scale
+                    try:
+                        out = fn(*args, rm) if rounds else fn(*args)
+                    except GUEST_FAULTS:
+                        raise _Drain() from None
+                    if flagged:
+                        out, flags = out
+                        bt.accrue(flags)
+                    if rd:
+                        x[rd] = out & dmask
+                    return
             arrays = [bt.read_x_vec(r) & k for r, k in zip(regs, umasks)]
             if scale != 1:
                 arrays[-1] = arrays[-1] * _U32(scale)
-            if vector is not None and (not rounds or rm is _RNE):
-                bits, flags, fallback = vector(*arrays)
+            if vector is not None:
+                if rounds:
+                    bits, flags, fallback = vector(*arrays, rm=rm, keys=keys)
+                else:
+                    bits, flags, fallback = vector(*arrays)
                 if fallback is not None and fallback.any():
                     lanes = np.nonzero(fallback)[0]
                     bits[lanes], flags[lanes] = scalar(
-                        [a[lanes].tolist() for a in arrays], rm)
+                        [a[lanes].tolist() for a in arrays], rm,
+                        None if keys is None else keys[lanes])
             else:
-                bits, flags = scalar([a.tolist() for a in arrays], rm)
+                bits, flags = scalar([a.tolist() for a in arrays], rm, keys)
                 bits = bits.astype(_U32)
                 flags = flags.astype(_U8) if flagged else 0
             bt.accrue(flags)
@@ -1017,17 +1030,12 @@ class LockstepEngine:
             for name, val in bt.trap_csrs.items():
                 setattr(csr, name, val)
             lane_id = int(bt.lane_ids[ln])
-            if self._sr_keys:
-                prev = set_sr_key(self._sr_keys[lane_id])
-                try:
-                    out[lane_id] = sim.resume(
-                        t, executed=executed,
-                        max_instructions=self._budget)
-                finally:
-                    set_sr_key(prev)
-            else:
+            prev = set_sr_key(int(self._sr_keys[lane_id]))
+            try:
                 out[lane_id] = sim.resume(
                     t, executed=executed, max_instructions=self._budget)
+            finally:
+                set_sr_key(prev)
 
 
 # ----------------------------------------------------------------------

@@ -43,8 +43,9 @@ or ``misc``.  :func:`spec_info` answers "what is this instruction".
 values.  For ``alu`` and ``branch`` rows it is ``op`` over uint32
 arrays or scalars, returning uint32 results or a boolean mask.  For ``fp`` rows it is a factory ``batch(F)`` that returns None
 when ``F`` has no vectorized path, else ``fn(*uint32 arrays) -> (bits,
-flags, fallback)``; it models round-to-nearest-even only, and lanes set
-in ``fallback`` (None: no lane) take the scalar compute.
+flags, fallback)``, taking ``rm=`` and ``keys=`` (one stochastic-rounding
+key per lane) when the row ``rounds``; lanes set in ``fallback`` (None:
+no lane) take the scalar compute.
 """
 
 from __future__ import annotations
@@ -417,9 +418,10 @@ def _fp(kind: str, op, batch=None, *, rounds=True, flags=True,
     _add(Row(kind, "fp", op, batch, rounds=rounds, flags=flags, **kw))
 
 
-def _rne(make):
-    """Batch factory for kinds whose formats all have numpy RNE paths
-    (binary32 and every format of 16 bits or less)."""
+def _vectorized(make):
+    """Batch factory for kinds whose formats all have numpy paths
+    (binary32 and every format of 16 bits or less; :mod:`repro.fp.batch`
+    hands whole batches back under modes a format cannot batch)."""
     def factory(F: Formats):
         if not (fpbatch.batchable(F.src) and fpbatch.batchable(F.dst)):
             return None
@@ -429,7 +431,8 @@ def _rne(make):
 
 def _lanes(lane_op):
     """Batch factory for a packed-SIMD kind from its per-lane batch op
-    ``lane_op(fmt, *lane arrays) -> (bits, flags, fallback)``."""
+    ``lane_op(fmt, *lane arrays, **mode) -> (bits, flags, fallback)``
+    (``fallback`` None: no lane)."""
     def make(F: Formats):
         fmt = F.fmt
         if fmt.width >= F.flen:
@@ -437,24 +440,26 @@ def _lanes(lane_op):
         mask = _U32(fmt.bits_mask)
         shifts = [_U32(s) for s in range(0, F.flen, fmt.width)]
 
-        def run(*regs):
+        def run(*regs, **mode):
             n = regs[0].shape[0]
             out = np.zeros(n, dtype=_U32)
             flags = np.zeros(n, dtype=np.uint8)
             fallback = np.zeros(n, dtype=bool)
             for s in shifts:
-                bits, fl, fb = lane_op(fmt, *[(r >> s) & mask for r in regs])
+                bits, fl, fb = lane_op(fmt, *[(r >> s) & mask for r in regs],
+                                       **mode)
                 out |= bits << s
                 flags |= fl
-                fallback |= fb
+                if fb is not None:
+                    fallback |= fb
             return out, flags, fallback
         return run
-    return _rne(make)
+    return _vectorized(make)
 
 
 def _cmp_batch(name: str):
-    return _rne(lambda F: lambda a, b: (*fpbatch.cmp(F.fmt, name, a, b),
-                                        None))
+    return _vectorized(lambda F: lambda a, b: (
+        *fpbatch.cmp(F.fmt, name, a, b), None))
 
 
 def _fmv_x_f(F: Formats):
@@ -481,12 +486,12 @@ def _lanewise_unflagged(op):
 for _kind, _scalar, _vec, _lane_batch, _cls in [
     ("add", arith.fadd, simd.vfadd, fpbatch.add, "arith"),
     ("sub", arith.fsub, simd.vfsub,
-     lambda fmt, a, b: fpbatch.add(fmt, a, b, sub=True), "arith"),
+     partial(fpbatch.add, sub=True), "arith"),
     ("mul", arith.fmul, simd.vfmul, fpbatch.mul, "arith"),
     ("div", arith.fdiv, simd.vfdiv, None, "fdiv"),
 ]:
     _fp("f" + _kind, lambda F, op=_scalar: partial(op, F.fmt),
-        _lane_batch and _rne(
+        _lane_batch and _vectorized(
             lambda F, op=_lane_batch: partial(op, F.fmt)), cls=_cls)
     _fp("vf" + _kind, lambda F, op=_vec: partial(op, F.fmt, F.flen),
         _lane_batch and _lanes(_lane_batch), cls=_cls)
@@ -501,18 +506,24 @@ for _kind, _neg_prod, _neg_add in [("fmadd", False, False),
     _fp(_kind,
         lambda F, np_=_neg_prod, na=_neg_add: lambda a, b, c, rm: arith.ffma(
             F.fmt, a, b, c, rm, negate_product=np_, negate_addend=na),
-        _rne(lambda F, np_=_neg_prod, na=_neg_add: partial(
+        _vectorized(lambda F, np_=_neg_prod, na=_neg_add: partial(
             fpbatch.fma, F.fmt, negate_product=np_, negate_addend=na)),
         cls="fma")
 
 _fp("vfmac", lambda F: partial(simd.vfmac, F.fmt, F.flen),
-    _lanes(lambda fmt, acc, a, b: fpbatch.fma(fmt, a, b, acc)), acc=True,
-    cls="fma")
+    _lanes(lambda fmt, acc, a, b, **mode: fpbatch.fma(fmt, a, b, acc,
+                                                       **mode)),
+    acc=True, cls="fma")
 
 for _kind, _scalar, _vec in [("min", compare.fmin, simd.vfmin),
                              ("max", compare.fmax, simd.vfmax)]:
-    _fp("f" + _kind, lambda F, op=_scalar: partial(op, F.fmt), rounds=False)
+    _minmax = partial(fpbatch.minmax, pick_max=_kind == "max")
+    _fp("f" + _kind, lambda F, op=_scalar: partial(op, F.fmt),
+        _vectorized(lambda F, op=_minmax: lambda a, b: (*op(F.fmt, a, b),
+                                                        None)),
+        rounds=False)
     _fp("vf" + _kind, lambda F, op=_vec: partial(op, F.fmt, F.flen),
+        _lanes(lambda fmt, a, b, op=_minmax: (*op(fmt, a, b), None)),
         rounds=False)
 
 for _kind, _scalar in [("fsgnj", compare.fsgnj), ("fsgnjn", compare.fsgnjn),
@@ -538,7 +549,7 @@ _conv("fmv_f_x", lambda F: lambda v: v & F.fmt.bits_mask, rounds=False,
       flags=False)
 
 _conv("fcvt_f2f", lambda F: partial(fcvt_f2f, F.src, F.fmt),
-      _rne(lambda F: partial(fpbatch.cvt, F.src, F.fmt)))
+      _vectorized(lambda F: partial(fpbatch.cvt, F.src, F.fmt)))
 _conv("vfcvt_f2f", lambda F: partial(simd.vfcvt_f2f, F.src, F.fmt, F.flen))
 for _kind, _signed_int in [("w", True), ("wu", False)]:
     _conv(f"fcvt_{_kind}_f", lambda F, s=_signed_int: lambda a, rm: (
@@ -554,12 +565,13 @@ for _pair, _kind in enumerate(("vfcpka", "vfcpkb")):
         scalar_src=True)
 
 _fp("fmulex", lambda F: partial(arith.fmul_widen, F.src, F.dst),
-    _rne(lambda F: lambda a, b: fpbatch.mul(F.dst, a, b, src=F.src)),
+    _vectorized(lambda F: lambda a, b, **mode: fpbatch.mul(
+        F.dst, a, b, src=F.src, **mode)),
     expands=True)
 _fp("fmacex", lambda F: lambda acc, a, b, rm: arith.fma_mixed(
     F.src, F.dst, a, b, acc, rm),
-    _rne(lambda F: lambda acc, a, b: fpbatch.fma(F.dst, a, b, acc,
-                                                  src=F.src)),
+    _vectorized(lambda F: lambda acc, a, b, **mode: fpbatch.fma(
+        F.dst, a, b, acc, src=F.src, **mode)),
     acc=True, expands=True)
 
 
@@ -570,15 +582,15 @@ def _dotp_batch(F: Formats):
     mask = _U32(F.src.bits_mask)
     shifts = [_U32(s) for s in range(0, F.flen, width)]
 
-    def run(acc, a, b):
+    def run(acc, a, b, **mode):
         return fpbatch.dotp(F.src, F.dst, acc,
                             [(a >> s) & mask for s in shifts],
-                            [(b >> s) & mask for s in shifts])
+                            [(b >> s) & mask for s in shifts], **mode)
     return run
 
 
 _fp("vfdotpex", lambda F: partial(simd.vfdotpex, F.src, F.dst, F.flen),
-    _rne(_dotp_batch), acc=True, expands=True)
+    _vectorized(_dotp_batch), acc=True, expands=True)
 # Shared-exponent block dot product (Xmx8): rs1/rs2 each hold one
 # packed block; the source format's codec rounds the exact sum once.
 _fp("vfdotpmx", lambda F: F.src.block_dotp, acc=True, expands=True)

@@ -160,3 +160,34 @@ class TestAbsintSoundnessUnderSR:
                                  frm=int(RoundingMode.SR), sr_key=7)
         assert report.ok, report.render()
         assert report.checked_values > 0
+
+
+def test_lockstep_batches_distinct_sr_keys_without_draining(monkeypatch):
+    """32 lanes, 32 SR keys: the batch rounds each lane with its own key
+    in lockstep (no lane is handed to a scalar simulator before it
+    halts) and every lane equals its solo run."""
+    from repro.harness.runner import run_kernel_batch
+    from repro.sim.simulator import HALT_ADDRESS, Simulator
+
+    resumed_at = []
+    resume = Simulator.resume
+
+    def spy(self, *args, **kwargs):
+        resumed_at.append(self.machine.pc)
+        return resume(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "resume", spy)
+    spec = KERNELS["nn_mlp_train"]
+    seeds = list(range(32))
+    keys = [0x9E37 * (seed + 1) for seed in seeds]
+    batch = run_kernel_batch(spec, "float8", "auto", seeds=seeds,
+                             frm=int(RoundingMode.SR), sr_keys=keys)
+    assert resumed_at == [HALT_ADDRESS] * 32
+    for seed, key, run in zip(seeds, keys, batch):
+        solo = run_kernel(spec, "float8", "auto", seed=seed,
+                          frm=int(RoundingMode.SR), sr_key=key)
+        assert run.trace.cycles == solo.trace.cycles
+        assert run.trace.by_mnemonic == solo.trace.by_mnemonic
+        for out in spec.outputs:
+            np.testing.assert_array_equal(solo.outputs[out],
+                                          run.outputs[out])

@@ -22,6 +22,7 @@ from collections import defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fp import batch as fpbatch
 from repro.fp.rounding import set_sr_key
 from repro.isa import assemble
 from repro.isa.instructions import all_specs, encode, spec_by_mnemonic
@@ -62,7 +63,16 @@ FAULTING = [spec for kind in KINDS for spec in SPECS_BY_KIND[kind]
 SPECIAL = (0, 1, 2, 3, 31, 32, MASK32, 0x80000000, 0x7FFFFFFF, 0x3C00,
            0x3F800000, 0x7F800000, 0xFF800000, 0x7FC00000, 0x7C00, 0xFC00,
            0x7E00, 0x38, 0x78, 0x7C, 0x3F80, 0x7F80, 0x3C003C00, 0x38383838)
-values = st.one_of(st.sampled_from(SPECIAL), st.integers(0, MASK32))
+# Operands that steer the directed and stochastic rounding paths to
+# their edges: subnormal results (the smallest normals and subnormals),
+# overflow (the largest finite values), exact cancellation (+-1.0 and
+# +-2^-100, so RDN's -0 shows), addends too far apart for a 63-bit
+# significand (2^102 against 2^-100), and binary32 products far below
+# the subnormal range (2^-100 squared discards more than 64 bits).
+EDGES = (0x00800000, 0x00000003, 0x7F7FFFFF, 0xBF800000, 0x0D800000,
+         0x8D800000, 0x72800000, 0x0400, 0x0003, 0x7BFF, 0xBC00, 0x0080,
+         0x7F7F, 0x04, 0x7B, 0xBC, 0x04040404, 0x7B7B7B7B, 0x04000400)
+values = st.one_of(st.sampled_from(SPECIAL + EDGES), st.integers(0, MASK32))
 
 
 @st.composite
@@ -198,16 +208,21 @@ def test_block_engine_agrees_with_reference(program, point):
 
 @settings(max_examples=50, deadline=None)
 @given(programs(), st.lists(points(), min_size=3, max_size=3),
-       st.lists(st.sampled_from((SR_KEY, SR_KEY + 1)), min_size=3,
-                max_size=3))
+       st.permutations((SR_KEY, SR_KEY + 1, SR_KEY + 2)))
 def test_lockstep_lanes_agree_with_reference(program, lane_points, keys):
     # Lanes differ in registers, data, loop trip counts and SR keys, so
-    # batches split, re-merge and drain.
+    # batches split, re-merge and drain; every lane has its own key.
+    # The integer rounding path runs at any width here (it normally
+    # waits for EXACT_MIN_LANES lanes, a speed threshold).
     words, frm, budget = program
     lanes = [Lane(args, [(DATA - 16, data + data[:16])], sr_key=key)
              for (args, data), key in zip(lane_points, keys)]
-    results = run_lockstep(_program(words), lanes, max_instructions=budget,
-                           frm=frm)
+    min_lanes, fpbatch.EXACT_MIN_LANES = fpbatch.EXACT_MIN_LANES, 1
+    try:
+        results = run_lockstep(_program(words), lanes,
+                               max_instructions=budget, frm=frm)
+    finally:
+        fpbatch.EXACT_MIN_LANES = min_lanes
     for index, (point, key, result) in enumerate(
             zip(lane_points, keys, results)):
         assert_same(snapshot(result),
