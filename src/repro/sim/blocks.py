@@ -2,9 +2,9 @@
 
 The reference interpreter in :mod:`repro.sim.simulator` pays, per
 retired instruction: a decode-cache lookup, a handler-table lookup, a
-seven-arm ``try/except`` fence, a cycle-table lookup, a
-:func:`~repro.sim.semantics.spec_info` lookup and five Counter updates.  None
-of that work depends on run-time state -- it is a pure function of the
+seven-arm ``try/except`` fence, a lookup of its per-PC execution record
+and the updates of that record, ``instret`` and ``cycles``.  None of
+that work depends on run-time state -- it is a pure function of the
 instruction words -- so this module resolves all of it once and caches
 the result as a *basic block*: a straight-line run of instructions
 ending at the first control-flow or CSR instruction, compiled into one
@@ -42,19 +42,20 @@ Dispatch executes whole blocks in a tight loop:
 * the exception fence is hoisted to block granularity (one ``try`` per
   block); generated code sets ``m.pc`` before every instruction that
   can fault, so a mid-block fault resolves to its exact instruction;
-* per-instruction statistics are *deferred*: the hot loop only bumps a
-  per-block execution counter, the generated code the two CSR-visible
-  scalars (``cycles``/``instret``), and the full per-mnemonic /
-  per-category / per-PC counters are materialized when the run ends.
+* per-instruction statistics are per *block*: the hot loop bumps the
+  block's ``[executions, taken]`` record, the generated code the two
+  CSR-visible scalars (``cycles``/``instret``); when the run ends
+  :func:`expand_records` turns each block record into the per-PC
+  records every engine hands to :meth:`~repro.sim.tracer.Trace.tally`.
 
 The result is bit-identical to the reference interpreter -- same
 cycles, instret, fcsr flags, exit reason, trap CSRs, and the same
 :class:`~repro.sim.tracer.Trace` down to Counter *insertion order*
 (the energy model's float accumulation iterates ``by_mnemonic`` in
-insertion order, so even that must match).  Deferred counters are
-flushed in first-execution order, which reproduces first-retire order
-exactly because a block's first execution retires its instructions
-consecutively.
+insertion order, so even that must match).  The tally inserts keys in
+record order; block records expand in first-execution order, entries
+before the terminator, which is first-retire order because a block's
+first execution retires its instructions consecutively.
 
 Blocks end at: control-flow instructions (kept as a *terminator* whose
 taken/not-taken costs are both precomputed), CSR accesses (they may
@@ -71,8 +72,8 @@ from __future__ import annotations
 
 import operator
 import threading
-from collections import Counter, OrderedDict
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..fp.flags import ALL as FFLAGS_MASK, GuestIllegal
 from ..isa.compressed import IllegalCompressed
@@ -81,7 +82,6 @@ from .executor import GUEST_FAULTS, reference_handler
 from .machine import MASK32
 from .memory import MemoryAccessError
 from .semantics import SEMANTICS, access_size, bind_in_xregs, static_rm
-from .tracer import classify
 
 #: Upper bound on entries per block.  Long straight-line runs simply
 #: split into consecutive blocks; the cap bounds the stat-recording
@@ -144,8 +144,6 @@ class Term(NamedTuple):
     fallthrough: int
     cost_ntaken: int
     cost_taken: int
-    mnemonic: str
-    category: str
 
 
 class Block:
@@ -157,7 +155,6 @@ class Block:
 
     __slots__ = (
         "start", "end", "extent", "entries", "costs", "index_of",
-        "mnem_counts", "cat_counts", "pc_list", "mem_count",
         "static_cycles", "n_entries", "term", "total_len", "run", "source",
     )
 
@@ -175,10 +172,6 @@ class Block:
         #: PC -> index (entries, then the terminator), for mid-block
         #: fault recovery.
         self.index_of: Dict[int, int] = {}
-        self.mnem_counts: Counter = Counter()
-        self.cat_counts: Counter = Counter()
-        self.pc_list: List[int] = []
-        self.mem_count = 0
         self.static_cycles = 0
         self.n_entries = 0
         self.term: Optional[Term] = None
@@ -296,13 +289,13 @@ class BlockEngine:
         self._check_timing_epoch()
         view = self._view
         counts: Dict[int, List[int]] = {}  # start -> [execs, takens]
-        order: List[int] = []
+        order: List[Tuple[Block, List[int]]] = []
 
         pc = machine.pc
         while pc != _SENTINEL:
             if executed >= max_instructions:
                 machine.pc = pc
-                self._flush(stats, counts, order)
+                expand_records(stats.records, order)
                 return ("budget_exceeded",
                         f"exceeded {max_instructions} instructions at "
                         f"pc={pc:#x}", None), executed
@@ -316,96 +309,63 @@ class BlockEngine:
             rec = counts.get(pc)
             if rec is None:
                 rec = counts[pc] = [0, 0]
-                order.append(pc)
+                order.append((block, rec))
             try:
                 pc = block.run(machine, stats, rec)
             except GUEST_FAULTS as exc:
-                outcome, retired = self._fault(stats, counts, order,
-                                               block, exc)
+                expand_records(stats.records, order)
+                outcome, retired = self._fault(stats, block, exc)
                 return outcome, executed + retired
             rec[0] += 1
             executed += block.total_len
 
         machine.pc = pc
-        self._flush(stats, counts, order)
+        expand_records(stats.records, order)
         if pc == _SENTINEL:
             return ("halt", "", None), executed
         return None, executed  # continue in the reference loop
 
-    def _fault(self, stats, counts, order, block: Block, exc):
+    def _fault(self, stats, block: Block, exc):
         """Resolve a guest fault raised inside ``block``.
 
         Generated code set ``machine.pc`` to the faulting instruction.
         Entries before it retired; a faulting terminator runs after the
         prefix's counts were added (CSR reads must observe them), so
-        those are backed out before the prefix is re-recorded entry by
-        entry.  Returns ``(outcome, instructions retired in block)``.
+        only an entry fault still adds them.  Returns ``(outcome,
+        instructions retired in block)``.
         """
         sim = self.sim
         pc = sim.machine.pc
         idx = block.index_of[pc]
         if idx == block.n_entries:
-            stats.instret -= idx
-            stats.cycles -= block.static_cycles
             instr = block.term.instr
         else:
             instr = block.entries[idx][0]
-        self._flush(stats, counts, order)
-        costs = block.costs
-        for k in range(idx):
-            entry_instr, entry_pc = block.entries[k]
-            stats.record(entry_instr, costs[k], pc=entry_pc)
+            stats.instret += idx
+            stats.cycles += sum(block.costs[:idx])
+        stats.records.extend((1, 0, entry_pc, entry_instr)
+                             for entry_instr, entry_pc
+                             in block.entries[:idx])
         reason, trap_info, retires = sim._resolve_exec_fault(exc, instr)
         if retires:  # ecall/ebreak terminators
             stats.record(instr, 1, pc=pc)
         return (reason, "", trap_info), idx
 
-    # ------------------------------------------------------------------
-    # Deferred-statistics materialization
-    # ------------------------------------------------------------------
-    def _flush(self, stats, counts: Dict[int, List[int]],
-               order: List[int]) -> None:
-        """Materialize this run's deferred counters into ``stats``."""
-        view = self._view
-        flush_counts(stats, ((view[start], *counts[start])
-                             for start in order))
-        counts.clear()
-        order.clear()
 
-
-def flush_counts(stats, executions: Iterable[Tuple["Block", int, int]]
-                 ) -> None:
-    """Add deferred per-block counters into the trace ``stats``.
-
-    ``executions`` yields ``(block, executions, taken terminators)`` in
-    first-execution order.  Iterating that order, entries before the
-    terminator, reproduces the reference interpreter's Counter
-    insertion order exactly (first executions retire consecutively,
-    and only first executions insert new keys).  The block engine and
-    every lockstep lane flush through here.
-    """
-    by_mnem = stats.by_mnemonic
-    by_cat = stats.by_category
-    pc_counts = stats.pc_counts
-    pc_taken = stats.pc_taken
-    for block, execs, takens in executions:
-        if not execs:
-            continue
-        for mnem, c in block.mnem_counts.items():
-            by_mnem[mnem] += c * execs
-        for cat, c in block.cat_counts.items():
-            by_cat[cat] += c * execs
-        for pc in block.pc_list:
-            pc_counts[pc] += execs
-        stats.mem_accesses += block.mem_count * execs
-        term = block.term
-        if term is not None:
-            by_mnem[term.mnemonic] += execs
-            by_cat[term.category] += execs
-            pc_counts[term.pc] += execs
-            if takens:
-                stats.branches_taken += takens
-                pc_taken[term.pc] += takens
+def expand_records(records: list,
+                   order: List[Tuple["Block", List[int]]]) -> None:
+    """Append the per-PC records of ``order``'s ``(block, [executions,
+    taken terminators])`` pairs to ``records``, in that (first-execution)
+    order, entries before the terminator: a block's first execution
+    retires its instructions consecutively, so this is first-retire
+    order.  The block engine and every lockstep lane expand here."""
+    for block, (execs, takens) in order:
+        if execs:
+            records.extend((execs, 0, pc, instr)
+                           for instr, pc in block.entries)
+            term = block.term
+            if term is not None:
+                records.append((execs, takens, term.pc, term.instr))
 
 
 # ----------------------------------------------------------------------
@@ -458,16 +418,10 @@ def _build(pc: int, fetched, terminated: bool, timing, flen: int,
     costs = timing.table()
     body = fetched[:-1] if terminated else fetched
     for instr, addr, size, row in body:
-        category = classify(instr)
         cost = costs[instr.spec][False]
         block.index_of[addr] = block.n_entries
         block.entries.append((instr, addr))
         block.costs.append(cost)
-        block.mnem_counts[instr.mnemonic] += 1
-        block.cat_counts[category] += 1
-        block.pc_list.append(addr)
-        if category in ("load", "store"):
-            block.mem_count += 1
         block.static_cycles += cost
         block.n_entries += 1
         block.end = (addr + size) & MASK32
@@ -478,8 +432,7 @@ def _build(pc: int, fetched, terminated: bool, timing, flen: int,
         instr, addr, size, row = fetched[-1]
         block.index_of[addr] = n
         block.term = Term(instr, addr, (addr + size) & MASK32,
-                          *costs[instr.spec], instr.mnemonic,
-                          classify(instr))
+                          *costs[instr.spec])
         block.extent = addr + size
         gen.terminator(block.term, row, n, block.static_cycles)
     else:

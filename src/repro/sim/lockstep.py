@@ -43,7 +43,7 @@ import numpy as np
 from ..fp import batch as fpbatch
 from ..fp.flags import GuestIllegal
 from ..fp.rounding import RoundingMode, set_sr_key
-from .blocks import flush_counts
+from .blocks import expand_records
 from .csr import (CSR_CYCLE, CSR_CYCLEH, CSR_FCSR, CSR_FFLAGS, CSR_FRM,
                   CSR_INSTRET, CSR_INSTRETH, CSR_MHARTID, MASK32, CsrFile,
                   _RM_BY_VALUE)
@@ -965,20 +965,26 @@ class LockstepEngine:
     # ------------------------------------------------------------------
     # Draining: hand lanes to per-point scalar simulators
     # ------------------------------------------------------------------
-    def _lane_proto(self, bt: _Batch, ln: int) -> Trace:
-        """One lane's trace: counters flushed in that lane's
-        first-execution order, exactly as the block engine flushes."""
+    def _lane_trace(self, bt: _Batch, ln: int, expanded: dict) -> Trace:
+        """One lane's trace: its counts, and its block records expanded
+        in that lane's first-execution order, as the block engine
+        expands them.  Lanes with the same order and uniform block
+        counts share one expansion, kept in ``expanded``."""
         def lane(value):
             return value if type(value) is int else int(value[ln])
 
-        t = Trace()
-        t.instret = lane(bt.instret)
-        t.cycles = lane(bt.cycles)
-        counts = bt.counts
-        flush_counts(t, ((self._blocks[start].sblock,
-                          lane(counts[start][0]), lane(counts[start][1]))
-                         for start in bt.orders[ln]))
-        return t
+        counts, order = bt.counts, bt.orders[ln]
+        records = expanded.get(order)
+        if records is None:
+            records = []
+            expand_records(records, [
+                (self._blocks[start].sblock,
+                 (lane(counts[start][0]), lane(counts[start][1])))
+                for start in order])
+            if all(type(c) is int for start in order for c in counts[start]):
+                expanded[order] = records
+        return Trace(instret=lane(bt.instret), cycles=lane(bt.cycles),
+                     records=list(records))
 
     def _drain_all(self, bt: _Batch, out, prefix: int = 0,
                    sblock=None) -> None:
@@ -986,30 +992,20 @@ class LockstepEngine:
         run it to completion from ``bt.pc``.
 
         ``prefix`` straight-line entries of ``sblock`` (already applied
-        to the batch state but not to its deferred counters) are
+        to the batch state but not to its block records) are
         recorded entry by entry, reproducing the scalar engine's
         mid-block bookkeeping before the resume takes over.
         """
         tpl = self.tpl
-        # Batches that never re-converged share one history: build the
-        # prototype trace once and clone it per lane.
-        uniform = (type(bt.cycles) is int and type(bt.instret) is int
-                   and all(type(v[0]) is int and type(v[1]) is int
-                           for v in bt.counts.values()))
-        if uniform and bt.n > 1:
-            o0 = bt.orders[0]
-            uniform = all(o is o0 or o == o0 for o in bt.orders[1:])
-        proto = self._lane_proto(bt, 0) if uniform else None
         exec_base = bt.executed
+        expanded: dict = {}
         for ln in range(bt.n):
-            t = (_clone_trace(proto) if uniform
-                 else self._lane_proto(bt, ln))
+            t = self._lane_trace(bt, ln, expanded)
             executed = (exec_base if type(exec_base) is int
                         else int(exec_base[ln])) + prefix
-            if prefix:
-                for k in range(prefix):
-                    instr, epc = sblock.entries[k]
-                    t.record(instr, sblock.costs[k], pc=epc)
+            for k in range(prefix):
+                instr, epc = sblock.entries[k]
+                t.record(instr, sblock.costs[k], pc=epc)
             sim = Simulator(merged_regfile=tpl.machine.merged_regfile,
                             flen=tpl.machine.flen,
                             timing=tpl.timing.config,
@@ -1156,19 +1152,6 @@ def _bind_store(i, size, mask):
             addrs = base + _U32(imm & MASK32)
             bt.mem.scatter(addrs, value, size, bt.midx)
     return run
-
-
-def _clone_trace(p: Trace) -> Trace:
-    t = Trace()
-    t.instret = p.instret
-    t.cycles = p.cycles
-    t.by_mnemonic.update(p.by_mnemonic)
-    t.by_category.update(p.by_category)
-    t.mem_accesses = p.mem_accesses
-    t.branches_taken = p.branches_taken
-    t.pc_counts.update(p.pc_counts)
-    t.pc_taken.update(p.pc_taken)
-    return t
 
 
 # ----------------------------------------------------------------------

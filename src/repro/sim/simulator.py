@@ -36,7 +36,6 @@ from .csr import IllegalCsr
 from .executor import GUEST_FAULTS, EbreakTrap, EcallTrap, execute
 from .machine import MASK32, Machine
 from .memory import Memory, MemoryAccessError
-from .semantics import spec_info
 from .timing import TimingConfig, TimingModel
 from .tracer import Trace
 from .traps import (
@@ -286,14 +285,15 @@ class Simulator:
 
     def _execute(self, stats: Trace, executed: int, max_instructions: int,
                  step_hook: Optional[StepHook]) -> RunResult:
-        """The one run path behind :meth:`run` and :meth:`resume`."""
+        """The one run path behind :meth:`run` and :meth:`resume`; its
+        end tallies every record in ``stats``, earlier runs' included."""
         machine = self.machine
         machine.csr.cycle_source = lambda: stats.cycles
         machine.csr.instret_source = lambda: stats.instret
         outcome = None
         if self.fast_path and step_hook is None:
-            # Block dispatch: bit-identical statistics, deferred until
-            # the engine returns.  A ``None`` outcome means the engine
+            # Block dispatch, records appended when the engine
+            # returns.  A ``None`` outcome means the engine
             # hit something it does not handle (undecodable word,
             # unimplemented kind, budget edge) and the reference loop
             # must finish the run from the current machine state.
@@ -305,6 +305,7 @@ class Simulator:
         exit_reason, detail, trap_info = outcome
         if trap_info is not None:
             detail = str(trap_info)
+        stats.tally()
         return RunResult(trace=stats, exit_reason=exit_reason,
                          machine=machine, trap=trap_info, detail=detail)
 
@@ -367,9 +368,10 @@ class Simulator:
         """
         machine = self.machine
         costs = self.timing.table()
-        #: pc -> (instr, cycle pair, mnemonic, category): a retire looks
-        #: its instruction up by pc instead of hashing its spec twice.
+        #: pc -> its record ``[executions, taken, pc, instr, cycle pair]``
+        #: in ``stats.records``: a retire hashes no spec.
         retire_info = {}
+        records = stats.records
         exit_reason = "halt"
         detail = ""
         trap_info: Optional[TrapInfo] = None
@@ -413,12 +415,16 @@ class Simulator:
             # pipeline still flushes).
             taken = next_pc is not None
             info = retire_info.get(pc_before)
-            if info is None or info[0] is not instr:
-                info = retire_info[pc_before] = (
-                    instr, costs[instr.spec], instr.mnemonic,
-                    spec_info(instr.spec).category)
-            stats.retire(info[2], info[3], info[1][taken], taken, pc_before)
-            machine.pc = next_pc if next_pc is not None else fallthrough
+            if info is None or info[3] is not instr:
+                # First retire here, or a new decode epoch: a new record.
+                info = retire_info[pc_before] = [
+                    0, 0, pc_before, instr, costs[instr.spec]]
+                records.append(info)
+            info[0] += 1
+            info[1] += taken
+            stats.instret += 1
+            stats.cycles += info[4][taken]
+            machine.pc = next_pc if taken else fallthrough
             executed += 1
         return exit_reason, detail, trap_info
 

@@ -4,6 +4,11 @@ Retires are counted per mnemonic (what :mod:`repro.energy` prices) and
 per category of the instruction-count breakdown of paper Fig. 4
 (load/store, ALU, conversions, scalar float, scalar/vector
 smallFloat...).
+
+Engines keep only ``instret`` and ``cycles`` live (the ``mcycle`` and
+``minstret`` CSRs read them mid-run); every other counter is derived
+by :meth:`Trace.tally` from the per-PC execution records that every
+engine appends in first-retire order.
 """
 
 from __future__ import annotations
@@ -52,7 +57,11 @@ def classify(instr: Instr) -> str:
 
 @dataclass
 class Trace:
-    """Accumulated execution statistics."""
+    """Execution statistics of one run (or of runs that share it).
+
+    The counters other than ``instret`` and ``cycles`` are derived by
+    :meth:`tally` when a run ends; a hand-built trace may set them.
+    """
 
     instret: int = 0
     cycles: int = 0
@@ -68,29 +77,65 @@ class Trace:
     #: With ``pc_counts`` it prices every retire after the run, which is
     #: how :mod:`repro.profile` attributes cycles from any engine.
     pc_taken: Counter = field(default_factory=Counter)
+    #: Execution records in first-retire order, sequences starting
+    #: ``(executions, taken, pc, instr)``; a PC that holds a new decoded
+    #: instruction (a flipped word) gets a new record.  Not pickled:
+    #: a finished trace travels as its counters, without instructions.
+    records: list = field(default_factory=list, repr=False, compare=False)
 
     def record(self, instr: Instr, cycles: int, taken: bool = False,
                pc: Optional[int] = None) -> None:
-        self.retire(instr.mnemonic, spec_info(instr.spec).category, cycles,
-                    taken, pc)
-
-    def retire(self, mnemonic: str, category: str, cycles: int,
-               taken: bool = False, pc: Optional[int] = None) -> None:
-        """:meth:`record` for a caller that already holds the
-        instruction's mnemonic and category (the reference loop keeps
-        them per pc, so a retire hashes no spec)."""
+        """Retire one ``instr`` at ``pc``: count it now, tally it later."""
         self.instret += 1
         self.cycles += cycles
-        self.by_mnemonic[mnemonic] += 1
-        self.by_category[category] += 1
-        if category in ("load", "store"):
-            self.mem_accesses += 1
-        if pc is not None:
-            self.pc_counts[pc] += 1
-        if taken:
-            self.branches_taken += 1
+        self.records.append((1, int(taken), pc, instr))
+
+    def tally(self) -> None:
+        """Derive every counter but ``instret``/``cycles`` from all the
+        records, from scratch.
+
+        Keys are inserted in first-record order, which is first-retire
+        order.  Executions are summed per spec and classed once per
+        spec (:func:`spec_info` hashes the whole spec).  A record
+        without a pc counts toward the instruction mix only.
+        """
+        per_spec = {}  # id(spec) -> [spec, executions]
+        pc_counts, pc_taken = {}, {}
+        branches_taken = 0
+        for rec in self.records:
+            count = rec[0]
+            if not count:
+                continue
+            spec = rec[3].spec
+            entry = per_spec.get(id(spec))
+            if entry is None:
+                per_spec[id(spec)] = [spec, count]
+            else:
+                entry[1] += count
+            pc, taken = rec[2], rec[1]
             if pc is not None:
-                self.pc_taken[pc] += 1
+                pc_counts[pc] = pc_counts.get(pc, 0) + count
+            if taken:
+                branches_taken += taken
+                if pc is not None:
+                    pc_taken[pc] = pc_taken.get(pc, 0) + taken
+        by_mnemonic, by_category = Counter(), Counter()
+        mem_accesses = 0
+        for spec, count in per_spec.values():
+            category = spec_info(spec).category
+            by_mnemonic[spec.mnemonic] += count
+            by_category[category] += count
+            if category in ("load", "store"):
+                mem_accesses += count
+        self.by_mnemonic, self.by_category = by_mnemonic, by_category
+        self.pc_counts, self.pc_taken = Counter(pc_counts), Counter(pc_taken)
+        self.mem_accesses = mem_accesses
+        self.branches_taken = branches_taken
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["records"] = []
+        return state
 
     def executed(self, pc: int) -> int:
         """How many times the instruction at ``pc`` retired."""

@@ -95,6 +95,42 @@ class TestInjectorSemantics:
         assert sim.machine.read_x(10) == 1 + 3  # first clean, second flipped
         assert clean.instret == result.instret
 
+    def test_instr_flip_opens_a_decode_epoch(self):
+        # The flips change what two PCs hold mid-run: from the second
+        # iteration the addi at 0x8 is xori (funct3 bit 14: byte 1 bit
+        # 6), from the third the addi at 0xc is lb (opcode bit 4), so
+        # a load appears.  Each epoch counts under its own mnemonic and
+        # category; the values were read before the trace was derived
+        # from per-PC records.
+        src = """
+        main:
+            li a0, 0
+            li t0, 3
+        loop:
+            addi a0, a0, 1
+            addi a1, a0, 0
+            addi t0, t0, -1
+            bnez t0, loop
+            ret
+        """
+        sim = Simulator(assemble(src))
+        injector = FaultInjector([BitFlip(5, "instr", 0x9, 6),
+                                  BitFlip(10, "instr", 0xC, 4)])
+        result = sim.run(0, step_hook=injector)
+        trace = result.trace
+        assert result.exit_reason == "halt"
+        assert (sim.machine.read_x(10), sim.machine.read_x(11)) == (1, 5)
+        assert list(trace.by_mnemonic.items()) == [
+            ("addi", 8), ("bne", 3), ("xori", 2), ("lb", 1), ("jalr", 1)]
+        assert list(trace.by_category.items()) == [
+            ("alu", 10), ("branch", 3), ("load", 1), ("jump", 1)]
+        assert list(trace.pc_counts.items()) == [
+            (0x0, 1), (0x4, 1), (0x8, 3), (0xC, 3), (0x10, 3), (0x14, 3),
+            (0x18, 1)]
+        assert dict(trace.pc_taken) == {0x14: 2, 0x18: 1}
+        assert (trace.mem_accesses, trace.branches_taken) == (1, 3)
+        assert (trace.instret, trace.cycles) == (15, 20)
+
     def test_mem_flip_applied_once(self):
         src = "lw a0, 0(a1)\nret"
         sim = Simulator(assemble(src))

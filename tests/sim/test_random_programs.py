@@ -4,10 +4,14 @@ reference interpreter.
 Hypothesis generates short, terminating programs: straight-line runs of
 instructions drawn from every ``alu``, ``upper``, ``load``, ``store`` and
 ``fp`` kind in :data:`repro.sim.semantics.SEMANTICS` (random registers,
-``x0`` included; static rounding modes, SR and DYN among them), runs
-separated by CSR accesses (``frm`` writes, ``cycle``/``instret`` reads,
-now and then an illegal counter write), sometimes an out-of-range load
-or store at a random position, all inside a bounded backward-branch loop.
+``x0`` included; static rounding modes, SR and DYN among them) mixed
+with RVC parcels (``c.addi``, ``c.mv``, ``c.add``, ``c.lw``, ``c.sw``),
+runs separated by CSR accesses (``frm`` writes, ``cycle``/``instret``
+reads, now and then an illegal counter write), forward conditional
+branches on random registers and ``jal`` skips inside the body, sometimes
+an out-of-range load or store at a random position, all inside a bounded
+backward-branch loop.  The forward skips make first-retire order depart
+from address order and make lockstep lanes diverge.
 Each program runs on the reference interpreter, on the block engine
 (whose blocks are shared process-wide, so later examples also reuse
 blocks an earlier one built) and as three divergent lockstep lanes;
@@ -17,6 +21,7 @@ must be identical.  A failure hypothesis shrinks is pinned in this file
 as a regression test next to the properties.
 """
 
+import struct
 from collections import defaultdict
 
 from hypothesis import given, settings
@@ -25,6 +30,7 @@ from hypothesis import strategies as st
 from repro.fp import batch as fpbatch
 from repro.fp.rounding import set_sr_key
 from repro.isa import assemble
+from repro.isa.encoding import is_compressed
 from repro.isa.instructions import all_specs, encode, spec_by_mnemonic
 from repro.sim import Simulator
 from repro.sim.csr import CSR_CYCLE, CSR_FRM, CSR_INSTRET
@@ -33,13 +39,15 @@ from repro.sim.semantics import SEMANTICS, access_size, formats
 
 MASK32 = 0xFFFFFFFF
 DATA = 0x4000     #: data window the in-range loads and stores hit
-DATA_REG = 30     #: holds DATA; never a random destination
+DATA_REG = 8      #: holds DATA (``c.lw``/``c.sw`` reach x8-x15 only)
 FAULT_REG = 29    #: holds 0xFFFFFFFF, so a 2+ byte access faults
 LOOP_REG = 31     #: the loop counter; never a random destination
+TWO_REG = 28      #: holds 2, for branches on the loop counter
 SR_KEY = 0x5EED   #: the stochastic-rounding key of a run
-RESERVED = (1, FAULT_REG, DATA_REG, LOOP_REG)  # ra and the three above
+RESERVED = (1, FAULT_REG, DATA_REG, LOOP_REG, TWO_REG)  # ra and the above
 DESTINATIONS = [r for r in range(32) if r not in RESERVED]
 SHAPES = ("alu", "upper", "load", "store", "fp")
+BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
 
 
 def _always_traps(spec):
@@ -100,30 +108,71 @@ def instructions(draw):
 
 
 @st.composite
+def compressed(draw):
+    """One RVC parcel: ``c.addi``, ``c.mv``, ``c.add``, or ``c.lw`` /
+    ``c.sw`` at a word offset from ``DATA_REG``."""
+    form = draw(st.sampled_from(("c.addi", "c.mv", "c.add", "c.lw",
+                                 "c.sw")))
+    if form in ("c.lw", "c.sw"):
+        offset = 4 * draw(st.integers(0, 15))
+        reg = draw(st.integers(9, 15) if form == "c.lw"
+                   else st.integers(8, 15))
+        return ((0b010 if form == "c.lw" else 0b110) << 13
+                | (offset >> 3 & 7) << 10 | (DATA_REG - 8) << 7
+                | (offset >> 2 & 1) << 6 | (offset >> 6 & 1) << 5
+                | (reg - 8) << 2)
+    rd = draw(st.sampled_from(DESTINATIONS))
+    if form == "c.addi":
+        imm = draw(st.integers(-32, 31).filter(bool)) & 0x3F
+        return (imm >> 5) << 12 | rd << 7 | (imm & 0x1F) << 2 | 0b01
+    funct4 = 0b1000 if form == "c.mv" else 0b1001
+    return funct4 << 12 | rd << 7 | draw(st.integers(1, 31)) << 2 | 0b10
+
+
+@st.composite
+def skips(draw):
+    """A forward jump over the next ``skip`` body items: ``jal``, or a
+    conditional branch on the loop counter against ``TWO_REG`` (its
+    outcome changes between iterations, so first-retire order departs
+    from address order) or on two random registers."""
+    form = draw(st.integers(0, 2))
+    skip = draw(st.integers(0, 6))
+    if form == 0:
+        return ("jal", draw(st.sampled_from(DESTINATIONS + [0])), skip)
+    if form == 1:
+        rs1, rs2 = draw(st.permutations((LOOP_REG, TWO_REG)))
+    else:
+        rs1, rs2 = draw(st.integers(0, 31)), draw(st.integers(0, 31))
+    return (draw(st.sampled_from(BRANCHES)), rs1, rs2, skip)
+
+
+@st.composite
 def programs(draw):
-    """``(words, frm, budget)`` for one looping program."""
-    runs = draw(st.lists(st.lists(instructions(), min_size=1, max_size=8),
+    """``(parcels, frm, budget)`` for one looping program."""
+    item = st.one_of(instructions(), instructions(), compressed())
+    runs = draw(st.lists(st.lists(item, min_size=1, max_size=8),
                          min_size=1, max_size=4))
     body = []
     for index, run in enumerate(runs):
         if index:
             body.append(draw(separators()))
         body.extend(run)
+    for skip in draw(st.lists(skips(), max_size=3)):
+        body.insert(draw(st.integers(0, len(body))), skip)
     if draw(st.integers(0, 3)) == 3:  # shrinks towards no fault
         spec = draw(st.sampled_from(FAULTING))
         fault = encode(spec, rd=5, rs1=FAULT_REG, rs2=6, imm=0)
         body.insert(draw(st.integers(0, len(body))), fault)
-    words = body + _loop_tail(len(body))
     frm = draw(st.integers(0, 5))
     budget = draw(st.one_of(st.just(10_000), st.integers(1, 120)))
-    return words, frm, budget
+    return _layout(body), frm, budget
 
 
 @st.composite
 def points(draw):
     """One run's inputs: ``(registers, data window bytes)``."""
     args = {reg: draw(values) for reg in DESTINATIONS}
-    args.update({FAULT_REG: MASK32, DATA_REG: DATA,
+    args.update({FAULT_REG: MASK32, DATA_REG: DATA, TWO_REG: 2,
                  LOOP_REG: draw(st.integers(1, 3))})
     return args, draw(st.binary(min_size=64, max_size=64))
 
@@ -143,16 +192,43 @@ def separators(draw):
     return encode(spec_by_mnemonic("csrrw"), rd=0, rs1=5, imm=CSR_CYCLE)
 
 
-def _loop_tail(body_len):
-    """``addi t6, t6, -1; bne t6, zero, <body start>; ret``."""
+def _size(parcel):
+    return 2 if is_compressed(parcel & 0xFFFF) else 4
+
+
+def _layout(body):
+    """The body's parcels with every skip resolved to a forward offset
+    (at most to the loop tail), then the loop tail: ``addi t6, t6, -1;
+    bne t6, zero, <body start>; ret``."""
+    sizes = [4 if type(item) is tuple else _size(item) for item in body]
+    starts = [sum(sizes[:index]) for index in range(len(body) + 1)]
+    parcels = []
+    for index, item in enumerate(body):
+        if type(item) is tuple:
+            target = starts[min(index + 1 + item[-1], len(body))]
+            offset = target - starts[index]
+            if item[0] == "jal":
+                item = encode(spec_by_mnemonic("jal"), rd=item[1],
+                              imm=offset)
+            else:
+                item = encode(spec_by_mnemonic(item[0]), rs1=item[1],
+                              rs2=item[2], imm=offset)
+        parcels.append(item)
     addi = encode(spec_by_mnemonic("addi"), rd=LOOP_REG, rs1=LOOP_REG,
                   imm=-1)
-    back = -4 * (body_len + 1)
+    back = -(starts[-1] + 4)
     bne = encode(spec_by_mnemonic("bne"), rs1=LOOP_REG, rs2=0, imm=back)
-    return [addi, bne, assemble("ret").words[0]]
+    return parcels + [addi, bne, assemble("ret").words[0]]
 
 
-def _program(words):
+def _program(parcels):
+    """A program whose text is ``parcels``, padded with ``c.nop`` to a
+    whole number of words."""
+    text = b"".join(struct.pack("<H" if _size(p) == 2 else "<I", p)
+                    for p in parcels)
+    if len(text) % 4:
+        text += struct.pack("<H", 0x0001)
+    words = list(struct.unpack(f"<{len(text) // 4}I", text))
     program = assemble("nop\n" * len(words))
     program.words[:] = words
     return program
@@ -181,9 +257,9 @@ def snapshot(result):
 
 
 def run_engine(program, point, fast, key=SR_KEY):
-    words, frm, budget = program
+    parcels, frm, budget = program
     args, data = point
-    sim = Simulator(_program(words), fast_path=fast)
+    sim = Simulator(_program(parcels), fast_path=fast)
     sim.machine.memory.write_block(DATA - 16, data + data[:16])
     sim.machine.csr.frm = frm
     previous = set_sr_key(key)
@@ -214,12 +290,12 @@ def test_lockstep_lanes_agree_with_reference(program, lane_points, keys):
     # batches split, re-merge and drain; every lane has its own key.
     # The integer rounding path runs at any width here (it normally
     # waits for EXACT_MIN_LANES lanes, a speed threshold).
-    words, frm, budget = program
+    parcels, frm, budget = program
     lanes = [Lane(args, [(DATA - 16, data + data[:16])], sr_key=key)
              for (args, data), key in zip(lane_points, keys)]
     min_lanes, fpbatch.EXACT_MIN_LANES = fpbatch.EXACT_MIN_LANES, 1
     try:
-        results = run_lockstep(_program(words), lanes,
+        results = run_lockstep(_program(parcels), lanes,
                                max_instructions=budget, frm=frm)
     finally:
         fpbatch.EXACT_MIN_LANES = min_lanes
