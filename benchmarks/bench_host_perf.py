@@ -24,6 +24,10 @@ two separately timed engines moves whenever either one changes, and
 host drift moves it further.  The lockstep/fast ratio is still
 reported.
 
+The face gate times :mod:`repro.fp.batch`'s scalar RNE face against
+the softfloat core on the same operands, in one process, so the ratio
+does not depend on the host.
+
 The crossover gate ties :data:`~repro.harness.parallel.
 LOCKSTEP_MIN_WIDTH` to a measurement: for one config, the wall of a
 lockstep batch over the wall of the same seeds run one after another
@@ -32,10 +36,15 @@ minimum width.
 """
 
 import os
+import random
 import sys
 import time
+from functools import partial
 
 from repro.analysis.serialize import committed_record, write_canonical
+from repro.fp import arith, batch as fpbatch, lookup
+from repro.fp.convert import double_to_bits, fcvt_f2f
+from repro.fp.formats import BINARY64
 from repro.harness.experiments import clear_cache, fig1_points
 from repro.harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint, run_points
 from repro.harness.runner import run_kernel, run_kernel_batch
@@ -63,10 +72,10 @@ LOCKSTEP_BATCHES = (4, 16, 64, 128)
 LOCKSTEP_SCALED_MIPS_FLOOR = 7.5
 
 #: Config and widths of the crossover gate.  gemm float16 auto reads
-#: lockstep/serial 1.8-2.4 at width 4 and 0.49-0.62 at width 16 (min
+#: lockstep/serial 3.9-5.4 at width 4 and 0.55-0.72 at width 32 (min
 #: of 3, 2-vCPU VM; both walls come from one host minutes apart, so the
 #: ratio does not depend on the host).  svm, the slowest config to
-#: batch, crosses only at about 24.
+#: batch, does not cross by width 32.
 CROSSOVER_CONFIG = ("gemm", "float16", "auto")
 CROSSOVER_WIDTHS = (4, LOCKSTEP_MIN_WIDTH)
 
@@ -81,6 +90,17 @@ REPEATS = 3
 SR_CONFIG = ("nn_mlp_train", "float8", "auto")
 SR_LANES = 32
 SR_OVER_RNE_CEILING = 1.4
+
+#: The scalar RNE face of :mod:`repro.fp.batch` against the softfloat
+#: core it stands in for: per-call time over the same operand pairs,
+#: the min of FACE_REPEATS interleaved runs each, for add and mul on
+#: binary16 and binary32.  Operands are kernel-like values drawn from
+#: [-4, 4].  A 2-vCPU VM read 0.4-0.55 (docs/performance.md, "Scalar
+#: RNE on the codec"); the face is worth binding only well under 1.
+FACE_FORMATS = ("binary16", "binary32")
+FACE_PAIRS = 2000
+FACE_REPEATS = 5
+FACE_OVER_CORE_CEILING = 0.6
 
 
 def _sweep_points():
@@ -180,6 +200,41 @@ def measure_sr_over_rne():
     rne, sr = (sorted(walls[k])[REPEATS // 2] for k in ("rne", "sr"))
     return {"rne_wall_seconds": round(rne, 4), "sr_wall_seconds": round(sr, 4),
             "ratio": round(sr / rne, 3)}
+
+
+def _time_calls(fn, pairs, rm):
+    start = time.perf_counter()
+    for a, b in pairs:
+        fn(a, b, rm)
+    return (time.perf_counter() - start) / len(pairs)
+
+
+def measure_face_over_core():
+    """Per-call ns of the scalar face and of the core for each op in
+    :data:`FACE_FORMATS`, and their ratio."""
+    from repro.fp.rounding import RoundingMode
+
+    rne = RoundingMode.RNE
+    rows = []
+    for name in FACE_FORMATS:
+        fmt = lookup(name)
+        rng = random.Random(1)
+        pairs = [tuple(fcvt_f2f(BINARY64, fmt,
+                                double_to_bits(rng.uniform(-4, 4)), rne)[0]
+                       for _ in range(2)) for _ in range(FACE_PAIRS)]
+        for op, face, core in (
+                ("add", fpbatch.scalar_add(fmt), partial(arith.fadd, fmt)),
+                ("mul", fpbatch.scalar_mul(fmt), partial(arith.fmul, fmt))):
+            times = {"face": [], "core": []}
+            for _ in range(FACE_REPEATS):
+                times["face"].append(_time_calls(face, pairs, rne))
+                times["core"].append(_time_calls(core, pairs, rne))
+            face_s, core_s = min(times["face"]), min(times["core"])
+            rows.append({"format": name, "op": op,
+                         "face_ns": round(face_s * 1e9),
+                         "core_ns": round(core_s * 1e9),
+                         "ratio": round(face_s / core_s, 3)})
+    return rows
 
 
 def _median_run(runs):
@@ -298,6 +353,23 @@ def test_sr_over_rne_ratio(capsys):
     assert row["ratio"] <= SR_OVER_RNE_CEILING, (
         f"stochastic rounding costs {row['ratio']}x round-to-nearest in "
         f"lockstep, above the {SR_OVER_RNE_CEILING} ceiling")
+
+
+def test_face_over_core_ratio(capsys):
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        rows = measure_face_over_core()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    with capsys.disabled():
+        print("\nscalar face/core: " + ", ".join(
+            f"{row['format']} {row['op']} {row['ratio']} "
+            f"({row['face_ns']}/{row['core_ns']} ns)" for row in rows))
+    slow = [row for row in rows if row["ratio"] > FACE_OVER_CORE_CEILING]
+    assert not slow, (
+        f"the scalar face costs more than {FACE_OVER_CORE_CEILING}x the "
+        f"core: {slow}")
 
 
 if __name__ == "__main__":

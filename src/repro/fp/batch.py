@@ -1,13 +1,24 @@
-"""Batch-axis vectorized smallFloat arithmetic with exact flags.
+"""Round-to-nearest-even smallFloat arithmetic through one codec, with
+exact flags, in two faces.
 
-The lockstep engine (:mod:`repro.sim.lockstep`) executes one guest
-instruction for N sweep points at once.  Under round-to-nearest-even
-this module computes the whole batch with a few numpy operations while
-staying *bit-identical* to the softfloat core (:mod:`repro.fp.arith`),
+* The *batch face* computes one guest instruction for N sweep points
+  at once, for the lockstep engine (:mod:`repro.sim.lockstep`), with a
+  few numpy operations per op (:func:`add`, :func:`mul`, :func:`fma`,
+  :func:`cvt`, :func:`dotp`, ...).
+* The *scalar face* computes one operation at a time, for every scalar
+  engine and serve (:func:`scalar_add`, :func:`scalar_mul`,
+  :func:`scalar_fma`, :func:`scalar_cvt`, :func:`scalar_dotp`): the
+  same binary64 arithmetic and the same tables on Python floats, with a
+  ``bisect`` where the batch face calls ``searchsorted``.  Each is a
+  drop-in for its softfloat-core op and calls that op for everything it
+  does not round itself.
+
+Both stay *bit-identical* to the softfloat core (:mod:`repro.fp.arith`),
 flags included, for binary32 and for every registered format of 16 bits
-or less: the IEEE smallFloats, posit8/posit16 and MX8.
+or less: the IEEE smallFloats, posit8/posit16 and MX8.  The core stays
+the reference every test compares against.
 
-Correctness sketch (all arrays are binary64):
+Correctness sketch (binary64 arithmetic, per lane or per call):
 
 * Operands decode exactly: every such value is a binary64 value.
   Products of two p-bit values are exact in binary64 (2p <= 48).  Sums
@@ -24,7 +35,9 @@ Correctness sketch (all arrays are binary64):
   decode table: the sorted *split points* of positive binary64 values
   -- the RNE ties between neighbouring encodings, plus the region
   edges -- and the result bits and flags of each open interval and of
-  each point.  Rounding is then one ``searchsorted`` and a gather.  The
+  each point.  Rounding is then one ``searchsorted`` (a ``bisect`` on
+  the scalar face) and a gather.  Each column is one
+  :class:`array.array`, which numpy reads through a view.  The
   ties are the arithmetic midpoints for IEEE formats and MX8's E4M3
   elements; for posits they are the odd patterns of posit(n+1, es),
   since a tie on the encoding grid is a geometric midpoint wherever
@@ -32,7 +45,10 @@ Correctness sketch (all arrays are binary64):
   tie and above the highest one (IEEE/E4M3 underflow to zero and
   overflow to inf or NaN; posit saturation at minpos and maxpos) are
   taken from the scalar core itself.  binary32 has 2^32 patterns and
-  keeps numpy's float32 cast.
+  keeps numpy's float32 cast; the scalar face rounds binary32 and
+  binary16 through the C casts of :mod:`struct`, which round to
+  nearest even (an overflow, which ``struct`` refuses, goes to the
+  core).
 * Flags: NX iff the exact value was not representable, i.e.
   ``e != 0 or decode(result) != s``.  OF and UF come from the region
   and are raised only together with NX.  UF follows the RISC-V
@@ -41,8 +57,9 @@ Correctness sketch (all arrays are binary64):
   unbounded-range rounding stays under 2^emin.
 * Anything this module cannot prove exact falls back: operations on
   NaN/NaR/infinity operands and dot products whose accumulation leaves
-  the double-double window.  Callers re-run those lanes through the
-  scalar core.
+  the double-double window or sums to exactly zero.  The batch face
+  marks those lanes for its caller to re-run through the scalar core;
+  the scalar face calls the core itself.
 
 The other rounding modes (RTZ, RDN, RUP, RMM and stochastic rounding)
 take an exact integer path for the IEEE formats (binary8, binary16,
@@ -61,15 +78,20 @@ fall back.
 
 from __future__ import annotations
 
+import struct
 import threading
+from array import array
+from bisect import bisect_right
 from functools import partial
-from typing import Dict, List, NamedTuple, Tuple
+from math import copysign, inf, nextafter
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import arith, simd
 from .convert import double_to_bits, fcvt_f2f, to_double
 from .flags import NV, OF, UF, NX
-from .formats import BINARY32, BINARY64, FloatFormat
+from .formats import BINARY32, BINARY64, FloatFormat, vector_lanes
 from .rounding import RoundingMode
 from .unpacked import unpack
 
@@ -132,7 +154,7 @@ def _quiet(fn):
 
 
 def batchable(fmt: FloatFormat) -> bool:
-    """True when ``fmt`` has a vectorized RNE fast path."""
+    """True when ``fmt`` has the RNE codec (both faces)."""
     return fmt.width <= 16 or fmt is BINARY32
 
 
@@ -181,26 +203,54 @@ def _values(fmt: FloatFormat) -> np.ndarray:
     return np.array([to_double(b, fmt) for b in range(1 << fmt.width)])
 
 
-class _Codec(NamedTuple):
-    """The RNE codec table of one format of 16 bits or less.
+class _Tables(NamedTuple):
+    """The columns of one format's RNE codec (of 16 bits or less) as
+    :class:`array.array`: compact, and cheap to index from Python.
 
     Region ``2i`` is the open interval just below ``points[i]``, region
     ``2i + 1`` is ``points[i]`` itself and region ``2 * len(points)``
     lies above the last point."""
 
-    values: np.ndarray  #: pattern -> exact binary64 value
-    points: np.ndarray  #: sorted split points of |x|, 0.0 first
-    pos: np.ndarray  #: region -> result bits of a positive value
-    neg: np.ndarray  #: region -> result bits of a negative value
-    flags: np.ndarray  #: region -> OF/UF, raised when inexact
+    values: array  #: pattern -> exact binary64 value
+    points: array  #: sorted split points of |x|, 0.0 first
+    pos: array  #: region -> result bits of a positive value
+    neg: array  #: region -> result bits of a negative value
+    flags: array  #: region -> OF/UF, raised when inexact
+
+
+class _Codec(NamedTuple):
+    """The codec table of one format, with two faces over one buffer
+    per column: read-only numpy views for the batch face, and
+    :attr:`scalar`, the columns themselves, for the scalar face."""
+
+    values: np.ndarray
+    points: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    flags: np.ndarray
+    scalar: _Tables
 
 
 _CODECS: Dict[str, _Codec] = {}
+_CODEC_LOCK = threading.Lock()
+_TYPECODES = {np.dtype(np.float64): "d", np.dtype(np.uint32): "I",
+              np.dtype(np.uint8): "B"}
+
+
+def _shared(tables) -> _Codec:
+    """The codec over ``tables`` (numpy arrays in :class:`_Tables`
+    order), each moved into an :class:`array.array` that a read-only
+    numpy view shares."""
+    columns = _Tables(*(array(_TYPECODES[t.dtype], t.tobytes())
+                        for t in tables))
+    views = [np.frombuffer(c, dtype=t.dtype) for c, t in zip(columns, tables)]
+    for view in views:
+        view.setflags(write=False)
+    return _Codec(*views, scalar=columns)
 
 
 def _build(fmt: FloatFormat) -> _Codec:
     values = _values(fmt)
-    values.setflags(write=False)
     # Patterns 0 .. top-1 are +0 and the positive finite values in
     # increasing order; pattern ``top`` is their overflow neighbour.
     top = int(np.argmax(~np.isfinite(values)))
@@ -240,15 +290,18 @@ def _build(fmt: FloatFormat) -> _Codec:
         flags[1::2] |= (points < tiny) * np.uint8(UF)
     # The format's own bit-level negation, over the whole array.
     neg = fmt.neg_bits(pos.astype(np.int32)).astype(np.uint32)
-    for table in (points, pos, neg, flags):
-        table.setflags(write=False)
-    return _Codec(values, points, pos, neg, flags)
+    return _shared((values, points, pos, neg, flags))
 
 
 def _codec(fmt: FloatFormat) -> _Codec:
+    """The codec table of ``fmt``, built once per process on first use
+    (serve threads share it)."""
     codec = _CODECS.get(fmt.name)
     if codec is None:
-        codec = _CODECS[fmt.name] = _build(fmt)
+        with _CODEC_LOCK:
+            codec = _CODECS.get(fmt.name)
+            if codec is None:
+                codec = _CODECS[fmt.name] = _build(fmt)
     return codec
 
 
@@ -897,3 +950,250 @@ def dotp(src: FloatFormat, dst: FloatFormat, acc: np.ndarray,
         lo = np.where(fallback, 0.0, lo)
     bits, flags = _finish(dst, hi, lo)
     return bits, flags, fallback
+
+
+# ----------------------------------------------------------------------
+# The scalar face: the same codec, one value at a time.  Each factory
+# returns a drop-in for the scalar core's op on its formats (operands,
+# then ``rm``; returns ``(bits, flags)``).  Under RNE it decodes through
+# the ``values`` column (binary32 through ``struct``), computes in
+# binary64 exactly as the batch face does, and rounds with one
+# ``bisect`` on ``points``.  binary16 and binary32 round through the C
+# casts ``struct`` performs instead, which are correctly rounded under
+# RNE and several times cheaper than a bisect.  Every other mode, every
+# non-finite operand and every fallback case of the batch face calls
+# the core; formats without a codec get the core op itself.
+# ----------------------------------------------------------------------
+_PACK_F64 = struct.Struct("<d").pack
+_UNPACK_U64 = struct.Struct("<Q").unpack
+_UNPACK_F32 = struct.Struct("<f").unpack
+_PACK_U32 = struct.Struct("<I").pack
+_UNPACK_F32X2 = struct.Struct("<ff").unpack
+_PACK_U32X2 = struct.Struct("<II").pack
+
+#: IEEE formats ``struct`` packs natively: (value code, pattern code).
+#: Packing rounds to nearest even and refuses an overflow.
+_NATIVE = {"binary16": ("<e", "<H"), "binary32": ("<f", "<I")}
+
+#: A rounder: ``(s, e) -> (bits, flags)``, or None where the core must
+#: decide; ``s + e`` is the exact value as :func:`_finish` takes it, with
+#: ``e`` 0.0 when ``s`` is exact.
+Rounder = Callable[[float, float], Optional[Tuple[int, int]]]
+
+
+def _odd_fix(s: float, e: float) -> float:
+    """:func:`_odd_fix64` of one value (``e != 0``)."""
+    if _UNPACK_U64(_PACK_F64(s))[0] & 1:
+        return s
+    return nextafter(s, inf if e > 0 else -inf)
+
+
+def _decoders(fmt: FloatFormat):
+    """``(decode1, decode2)``: pattern -> exact binary64 value (NaN for
+    NaN and NaR), and a pair of patterns -> a pair of values.  Plain
+    functions: they are cheaper to call than ``array.__getitem__``, and
+    binary32 pairs unpack through one ``struct`` call."""
+    if fmt.width == 32:
+        return (lambda a: _UNPACK_F32(_PACK_U32(a))[0],
+                lambda a, b: _UNPACK_F32X2(_PACK_U32X2(a, b)))
+    values = _codec(fmt).scalar.values
+    return lambda a: values[a], lambda a, b: (values[a], values[b])
+
+
+def _native_rounder(fmt: FloatFormat) -> Rounder:
+    """:func:`_finish` of one finite value through ``struct``'s cast."""
+    value_code, bits_code = _NATIVE[fmt.name]
+    pack = struct.Struct(value_code).pack
+    unpack_value = struct.Struct(value_code).unpack
+    unpack_bits = struct.Struct(bits_code).unpack
+    # The RISC-V tininess edge, as in :func:`_build`.
+    tiny = fmt.min_normal_value * (1 - 2.0 ** -(fmt.precision + 1))
+
+    def round_(s: float, e: float):
+        if e:
+            s = _odd_fix(s, e)
+        try:
+            packed = pack(s)
+        except OverflowError:
+            return None
+        if not e and unpack_value(packed)[0] == s:
+            return unpack_bits(packed)[0], 0
+        return unpack_bits(packed)[0], (UF | NX) if -tiny < s < tiny else NX
+    return round_
+
+
+def _rounder(fmt: FloatFormat) -> Rounder:
+    """:func:`_finish` of one finite value."""
+    if fmt.name in _NATIVE:
+        return _native_rounder(fmt)
+    values, points, pos, neg, flags = _codec(fmt).scalar
+    zero, neg_zero = pos[1], neg[1]
+
+    def round_(s: float, e: float):
+        if e:
+            s = _odd_fix(s, e)
+        if s > 0.0:
+            # points[0] is 0.0, so j >= 1: region 2j is the open
+            # interval below points[j], 2j - 1 is points[j - 1].
+            j = bisect_right(points, s)
+            code = 2 * j - (points[j - 1] == s)
+            bits = pos[code]
+        elif s < 0.0:
+            m = -s
+            j = bisect_right(points, m)
+            code = 2 * j - (points[j - 1] == m)
+            bits = neg[code]
+        else:
+            return (neg_zero if copysign(1.0, s) < 0.0 else zero), 0
+        if e or values[bits] != s:
+            return bits, flags[code] | NX
+        return bits, 0
+    return round_
+
+
+def _exact_sums(fmt: FloatFormat) -> bool:
+    """Whether every sum of two finite ``fmt`` values is exact in
+    binary64, so TwoSum can be skipped.  Every value of every format
+    here is a multiple of the least positive one, so a sum is exact when
+    twice the largest value spans at most 53 bits of that quantum
+    (``tests/fp/test_scalar_codec.py`` checks the premise per table)."""
+    return 2 * fmt.max_value / fmt.min_positive_value <= 2.0 ** 53
+
+
+def scalar_add(fmt: FloatFormat, sub: bool = False):
+    """``arith.fadd`` (``fsub`` when ``sub``) on ``fmt``: ``fn(a, b, rm)``."""
+    core = arith.fsub if sub else arith.fadd
+    if not batchable(fmt):
+        return partial(core, fmt)
+    decode2, round_ = _decoders(fmt)[1], _rounder(fmt)
+    two_sum = not _exact_sums(fmt)
+
+    def add(a: int, b: int, rm: RoundingMode):
+        if rm is _RNE:
+            x, y = decode2(a, b)
+            if sub:
+                y = -y
+            s = x + y
+            if s - s == 0.0:  # both finite: binary32 sums stay finite
+                e = 0.0
+                if two_sum:
+                    t = s - x
+                    e = (x - (s - t)) + (y - t)
+                r = round_(s, e)
+                if r is not None:
+                    return r
+        return core(fmt, a, b, rm)
+    return add
+
+
+def scalar_mul(fmt: FloatFormat, src: FloatFormat = None):
+    """``arith.fmul`` on ``fmt``, or with a narrower ``src`` the
+    expanding ``arith.fmul_widen``: ``fn(a, b, rm)``."""
+    if src is None:
+        src, core = fmt, partial(arith.fmul, fmt)
+    else:
+        core = partial(arith.fmul_widen, src, fmt)
+    if not (batchable(src) and batchable(fmt)):
+        return core
+    decode2, round_ = _decoders(src)[1], _rounder(fmt)
+
+    def mul(a: int, b: int, rm: RoundingMode):
+        if rm is _RNE:
+            x, y = decode2(a, b)
+            s = x * y  # exact: 2p <= 48 bits
+            if s - s == 0.0:
+                r = round_(s, 0.0)
+                if r is not None:
+                    return r
+        return core(a, b, rm)
+    return mul
+
+
+def scalar_fma(fmt: FloatFormat, negate_product: bool = False,
+               negate_addend: bool = False, src: FloatFormat = None):
+    """``arith.ffma`` on ``fmt`` (``arith.fma_mixed`` with a narrower
+    ``src`` for ``a`` and ``b``): ``fn(a, b, c, rm)``."""
+    src = src or fmt
+
+    def core(a, b, c, rm):
+        return arith.fma_mixed(src, fmt, a, b, c, rm, negate_product,
+                               negate_addend)
+    if not (batchable(src) and batchable(fmt)):
+        return core
+    decode2, decode_c, round_ = (_decoders(src)[1], _decoders(fmt)[0],
+                                 _rounder(fmt))
+
+    def fma(a: int, b: int, c: int, rm: RoundingMode):
+        if rm is _RNE:
+            x, y = decode2(a, b)
+            x *= y  # exact
+            y = decode_c(c)
+            if negate_product:
+                x = -x
+            if negate_addend:
+                y = -y
+            s = x + y
+            if s - s == 0.0:  # every operand finite
+                t = s - x
+                r = round_(s, (x - (s - t)) + (y - t))
+                if r is not None:
+                    return r
+        return core(a, b, c, rm)
+    return fma
+
+
+def scalar_cvt(src: FloatFormat, dst: FloatFormat):
+    """``convert.fcvt_f2f`` from ``src`` into ``dst``: ``fn(a, rm)``."""
+    core = partial(fcvt_f2f, src, dst)
+    if not (batchable(src) and batchable(dst)):
+        return core
+    decode1, round_ = _decoders(src)[0], _rounder(dst)
+
+    def cvt(a: int, rm: RoundingMode):
+        if rm is _RNE:
+            s = decode1(a)
+            if s - s == 0.0:
+                r = round_(s, 0.0)
+                if r is not None:
+                    return r
+        return core(a, rm)
+    return cvt
+
+
+def scalar_dotp(src: FloatFormat, dst: FloatFormat, flen: int):
+    """``simd.vfdotpex`` of ``src`` lanes into ``dst``:
+    ``fn(acc, a, b, rm)`` on packed registers.  The sum grows as a
+    double-double, as in :func:`dotp`; a sum that sheds a bit past the
+    window or is exactly zero goes to the core."""
+    core = partial(simd.vfdotpex, src, dst, flen)
+    if not (batchable(src) and batchable(dst)) or not vector_lanes(src, flen):
+        return core  # no vector form: the core raises
+    decode2, decode_acc, round_ = (_decoders(src)[1], _decoders(dst)[0],
+                                   _rounder(dst))
+    mask = src.bits_mask
+    shifts = range(0, flen, src.width)
+
+    def dot(acc: int, a: int, b: int, rm: RoundingMode):
+        if rm is _RNE:
+            hi, lo = decode_acc(acc), 0.0
+            for k in shifts:
+                x, y = decode2((a >> k) & mask, (b >> k) & mask)
+                term = x * y
+                sh = hi + term
+                t = sh - hi
+                eh = (hi - (sh - t)) + (term - t)
+                sl = lo + eh
+                t = sl - lo
+                if (lo - (sl - t)) + (eh - t):
+                    break  # a bit left the window
+                hi = sh + sl
+                t = hi - sh
+                lo = (sh - (hi - t)) + (sl - t)
+            else:
+                # NaN and infinity stick in ``hi``.
+                if hi - hi == 0.0 and hi:
+                    r = round_(hi, lo)
+                    if r is not None:
+                        return r
+        return core(acc, a, b, rm)
+    return dot

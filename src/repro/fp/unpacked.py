@@ -111,17 +111,15 @@ class Unpacked:
 _SLOT_SETTERS = tuple(getattr(Unpacked, name).__set__
                       for name in Unpacked.__slots__)
 
-# Decoded values are immutable, so unpack() memoizes them per format.
-# Formats up to 16 bits fit whole (<= 65536 patterns).  binary32 does
-# not: a sweep fills its memo, after which misses decode without
-# caching.  Its memo stays anyway: operands repeat (loop constants,
-# reloaded data), and a memo hit makes fmul.s about 2-3x cheaper than
-# decoding both operands; bypassing the memo for wide formats made the
-# fig1 sweep no faster.  The cache is keyed by id(fmt) with the format
-# pinned in the entry, which keeps lookups cheap while making id reuse
-# impossible for live entries.
+# Decoded values are immutable, so unpack() memoizes them per format,
+# for formats of 16 bits or less: every pattern fits (<= 65536
+# entries).  Wider formats decode on every call: under RNE, binary32
+# add, mul, fma, conversions and dot products round through
+# repro.fp.batch's scalar face, which never unpacks (docs/performance.md,
+# "Scalar RNE on the codec").  The cache is keyed by id(fmt) with the
+# format pinned in the entry, which keeps lookups cheap while making id
+# reuse impossible for live entries.
 _UNPACK_CACHE: Dict[int, Tuple[FloatFormat, Dict[int, Unpacked]]] = {}
-_UNPACK_CACHE_LIMIT = 1 << 16
 
 
 def unpack(bits: int, fmt: FloatFormat) -> Unpacked:
@@ -132,12 +130,13 @@ def unpack(bits: int, fmt: FloatFormat) -> Unpacked:
     """
     entry = _UNPACK_CACHE.get(id(fmt))
     if entry is None or entry[0] is not fmt:
-        entry = (fmt, {})
+        entry = (fmt, {} if fmt.width <= 16 else None)
         _UNPACK_CACHE[id(fmt)] = entry
     memo = entry[1]
-    cached = memo.get(bits)
-    if cached is not None:
-        return cached
+    if memo is not None:
+        cached = memo.get(bits)
+        if cached is not None:
+            return cached
     if bits < 0 or bits > fmt.bits_mask:
         raise ValueError(
             f"bit pattern {bits:#x} out of range for {fmt.name} ({fmt.width} bits)"
@@ -145,7 +144,7 @@ def unpack(bits: int, fmt: FloatFormat) -> Unpacked:
     # Dispatch through the format's codec: IEEE formats land in
     # ieee_decode below, guest formats (posit, MX) bring their own.
     value = fmt.decode(bits)
-    if len(memo) < _UNPACK_CACHE_LIMIT:
+    if memo is not None:
         memo[bits] = value
     return value
 

@@ -968,23 +968,24 @@ class LockstepEngine:
     def _lane_trace(self, bt: _Batch, ln: int, expanded: dict) -> Trace:
         """One lane's trace: its counts, and its block records expanded
         in that lane's first-execution order, as the block engine
-        expands them.  Lanes with the same order and uniform block
-        counts share one expansion, kept in ``expanded``."""
+        expands them, already tallied.  Lanes with the same order and
+        uniform block counts share one expansion and its tally, kept
+        in ``expanded``."""
         def lane(value):
             return value if type(value) is int else int(value[ln])
 
         counts, order = bt.counts, bt.orders[ln]
-        records = expanded.get(order)
-        if records is None:
-            records = []
-            expand_records(records, [
+        shared = expanded.get(order)
+        if shared is None:
+            shared = Trace()
+            expand_records(shared.records, [
                 (self._blocks[start].sblock,
                  (lane(counts[start][0]), lane(counts[start][1])))
                 for start in order])
+            shared.tally()
             if all(type(c) is int for start in order for c in counts[start]):
-                expanded[order] = records
-        return Trace(instret=lane(bt.instret), cycles=lane(bt.cycles),
-                     records=list(records))
+                expanded[order] = shared
+        return shared.tallied_copy(lane(bt.instret), lane(bt.cycles))
 
     def _drain_all(self, bt: _Batch, out, prefix: int = 0,
                    sblock=None) -> None:

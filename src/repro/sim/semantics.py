@@ -33,6 +33,15 @@ Shapes and the signature of ``op``:
             ``(result, flags)`` when the row has ``flags``, else the
             result.
 
+The FP rows that round (add, sub, mul, the fused ops, fmulex, fmacex,
+fcvt between FP formats, vfdotpex, and the packed forms of these) bind
+:mod:`repro.fp.batch`'s scalar face: under RNE it rounds through the
+batch codec's tables in binary64; every other mode, non-finite operands
+and the cases the codec cannot prove exact call the softfloat core,
+which the face replaces bit for bit.  Packed forms apply the scalar
+face lane by lane (:func:`_packed`).  Every engine and serve get this
+through ``op(F)``.
+
 Each row also has a *class*, what timing, Fig. 4, energy and the
 profile charge it as: its shape for ``load``/``store``/``branch``/
 ``jump``/``csr``; else ``alu``, ``mul``, ``div``, ``arith``, ``fma``,
@@ -58,9 +67,9 @@ from typing import Callable, Dict, NamedTuple, Optional
 import numpy as np
 
 from ..fp import arith, batch as fpbatch, compare, registry, simd
-from ..fp.convert import fcvt_f2f, fcvt_from_int, fcvt_to_int
+from ..fp.convert import fcvt_from_int, fcvt_to_int
 from ..fp.flags import GuestIllegal
-from ..fp.formats import FORMATS_BY_SUFFIX
+from ..fp.formats import FORMATS_BY_SUFFIX, vector_lanes
 from ..fp.registry import NumberFormat
 from ..fp.rounding import RoundingMode
 from ..isa.compressed import compressed_base_spec
@@ -483,18 +492,52 @@ def _lanewise_unflagged(op):
     return make
 
 
+def _packed(scalar, vec, acc=False):
+    """Packed-SIMD form of the scalar op ``scalar(F)``: lane by lane in
+    lane order with flags ORed, which is what ``vec``, the
+    :mod:`repro.fp.simd` form, computes through the core.  ``acc``
+    forms take ``(acc, a, b, rm)`` and call ``fn(a, b, acc, rm)`` per
+    lane.  ``vec`` itself serves formats without a vector form (it
+    raises)."""
+    def make(F: Formats):
+        fmt, flen = F.fmt, F.flen
+        if not vector_lanes(fmt, flen):
+            return partial(vec, fmt, flen)
+        fn, mask = scalar(F), fmt.bits_mask
+        shifts = range(0, flen, fmt.width)
+        if acc:
+            def run(c, a, b, rm):
+                out = flags = 0
+                for s in shifts:
+                    bits, f = fn((a >> s) & mask, (b >> s) & mask,
+                                 (c >> s) & mask, rm)
+                    out |= bits << s
+                    flags |= f
+                return out, flags
+        else:
+            def run(a, b, rm):
+                out = flags = 0
+                for s in shifts:
+                    bits, f = fn((a >> s) & mask, (b >> s) & mask, rm)
+                    out |= bits << s
+                    flags |= f
+                return out, flags
+        return run
+    return make
+
+
 for _kind, _scalar, _vec, _lane_batch, _cls in [
-    ("add", arith.fadd, simd.vfadd, fpbatch.add, "arith"),
-    ("sub", arith.fsub, simd.vfsub,
+    ("add", fpbatch.scalar_add, simd.vfadd, fpbatch.add, "arith"),
+    ("sub", partial(fpbatch.scalar_add, sub=True), simd.vfsub,
      partial(fpbatch.add, sub=True), "arith"),
-    ("mul", arith.fmul, simd.vfmul, fpbatch.mul, "arith"),
-    ("div", arith.fdiv, simd.vfdiv, None, "fdiv"),
+    ("mul", fpbatch.scalar_mul, simd.vfmul, fpbatch.mul, "arith"),
 ]:
-    _fp("f" + _kind, lambda F, op=_scalar: partial(op, F.fmt),
-        _lane_batch and _vectorized(
-            lambda F, op=_lane_batch: partial(op, F.fmt)), cls=_cls)
-    _fp("vf" + _kind, lambda F, op=_vec: partial(op, F.fmt, F.flen),
-        _lane_batch and _lanes(_lane_batch), cls=_cls)
+    _fp("f" + _kind, lambda F, op=_scalar: op(F.fmt),
+        _vectorized(lambda F, op=_lane_batch: partial(op, F.fmt)), cls=_cls)
+    _fp("vf" + _kind, _packed(lambda F, op=_scalar: op(F.fmt), _vec),
+        _lanes(_lane_batch), cls=_cls)
+_fp("fdiv", lambda F: partial(arith.fdiv, F.fmt), cls="fdiv")
+_fp("vfdiv", lambda F: partial(simd.vfdiv, F.fmt, F.flen), cls="fdiv")
 
 _fp("fsqrt", lambda F: partial(arith.fsqrt, F.fmt), cls="fsqrt")
 _fp("vfsqrt", lambda F: partial(simd.vfsqrt, F.fmt, F.flen), cls="fsqrt")
@@ -504,13 +547,14 @@ for _kind, _neg_prod, _neg_add in [("fmadd", False, False),
                                    ("fnmsub", True, False),
                                    ("fnmadd", True, True)]:
     _fp(_kind,
-        lambda F, np_=_neg_prod, na=_neg_add: lambda a, b, c, rm: arith.ffma(
-            F.fmt, a, b, c, rm, negate_product=np_, negate_addend=na),
+        lambda F, np_=_neg_prod, na=_neg_add: fpbatch.scalar_fma(
+            F.fmt, negate_product=np_, negate_addend=na),
         _vectorized(lambda F, np_=_neg_prod, na=_neg_add: partial(
             fpbatch.fma, F.fmt, negate_product=np_, negate_addend=na)),
         cls="fma")
 
-_fp("vfmac", lambda F: partial(simd.vfmac, F.fmt, F.flen),
+_fp("vfmac", _packed(lambda F: fpbatch.scalar_fma(F.fmt), simd.vfmac,
+                     acc=True),
     _lanes(lambda fmt, acc, a, b, **mode: fpbatch.fma(fmt, a, b, acc,
                                                        **mode)),
     acc=True, cls="fma")
@@ -548,7 +592,7 @@ _conv("fmv_x_f", _fmv_x_f, rounds=False, flags=False)
 _conv("fmv_f_x", lambda F: lambda v: v & F.fmt.bits_mask, rounds=False,
       flags=False)
 
-_conv("fcvt_f2f", lambda F: partial(fcvt_f2f, F.src, F.fmt),
+_conv("fcvt_f2f", lambda F: fpbatch.scalar_cvt(F.src, F.fmt),
       _vectorized(lambda F: partial(fpbatch.cvt, F.src, F.fmt)))
 _conv("vfcvt_f2f", lambda F: partial(simd.vfcvt_f2f, F.src, F.fmt, F.flen))
 for _kind, _signed_int in [("w", True), ("wu", False)]:
@@ -564,12 +608,18 @@ for _pair, _kind in enumerate(("vfcpka", "vfcpkb")):
         F.fmt, F.src, F.flen, acc, a, b, pair, rm), acc=True,
         scalar_src=True)
 
-_fp("fmulex", lambda F: partial(arith.fmul_widen, F.src, F.dst),
+_fp("fmulex", lambda F: fpbatch.scalar_mul(F.dst, src=F.src),
     _vectorized(lambda F: lambda a, b, **mode: fpbatch.mul(
         F.dst, a, b, src=F.src, **mode)),
     expands=True)
-_fp("fmacex", lambda F: lambda acc, a, b, rm: arith.fma_mixed(
-    F.src, F.dst, a, b, acc, rm),
+
+
+def _fmacex(F: Formats):
+    fma = fpbatch.scalar_fma(F.dst, src=F.src)
+    return lambda acc, a, b, rm: fma(a, b, acc, rm)
+
+
+_fp("fmacex", _fmacex,
     _vectorized(lambda F: lambda acc, a, b, **mode: fpbatch.fma(
         F.dst, a, b, acc, src=F.src, **mode)),
     acc=True, expands=True)
@@ -589,7 +639,7 @@ def _dotp_batch(F: Formats):
     return run
 
 
-_fp("vfdotpex", lambda F: partial(simd.vfdotpex, F.src, F.dst, F.flen),
+_fp("vfdotpex", lambda F: fpbatch.scalar_dotp(F.src, F.dst, F.flen),
     _vectorized(_dotp_batch), acc=True, expands=True)
 # Shared-exponent block dot product (Xmx8): rs1/rs2 each hold one
 # packed block; the source format's codec rounds the exact sum once.

@@ -286,7 +286,8 @@ class Simulator:
     def _execute(self, stats: Trace, executed: int, max_instructions: int,
                  step_hook: Optional[StepHook]) -> RunResult:
         """The one run path behind :meth:`run` and :meth:`resume`; its
-        end tallies every record in ``stats``, earlier runs' included."""
+        end tallies every record in ``stats``, earlier runs' included,
+        unless ``stats`` is already tallied and nothing retired."""
         machine = self.machine
         machine.csr.cycle_source = lambda: stats.cycles
         machine.csr.instret_source = lambda: stats.instret
@@ -305,7 +306,8 @@ class Simulator:
         exit_reason, detail, trap_info = outcome
         if trap_info is not None:
             detail = str(trap_info)
-        stats.tally()
+        if stats.tallied_at != stats.instret:
+            stats.tally()
         return RunResult(trace=stats, exit_reason=exit_reason,
                          machine=machine, trap=trap_info, detail=detail)
 

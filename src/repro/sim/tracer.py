@@ -82,6 +82,11 @@ class Trace:
     #: instruction (a flipped word) gets a new record.  Not pickled:
     #: a finished trace travels as its counters, without instructions.
     records: list = field(default_factory=list, repr=False, compare=False)
+    #: ``instret`` when the counters were last derived from ``records``
+    #: (None: never).  Every retire moves ``instret``, so a run that
+    #: retires nothing leaves a tallied trace current.  Not pickled.
+    tallied_at: Optional[int] = field(default=None, repr=False,
+                                      compare=False)
 
     def record(self, instr: Instr, cycles: int, taken: bool = False,
                pc: Optional[int] = None) -> None:
@@ -131,10 +136,22 @@ class Trace:
         self.pc_counts, self.pc_taken = Counter(pc_counts), Counter(pc_taken)
         self.mem_accesses = mem_accesses
         self.branches_taken = branches_taken
+        self.tallied_at = self.instret
+
+    def tallied_copy(self, instret: int, cycles: int) -> "Trace":
+        """A trace with these live counts and copies of this tallied
+        trace's records and counters, current at ``instret``: lockstep
+        lanes with one history share one tally."""
+        return Trace(instret, cycles, Counter(self.by_mnemonic),
+                     Counter(self.by_category), self.mem_accesses,
+                     self.branches_taken, Counter(self.pc_counts),
+                     Counter(self.pc_taken), list(self.records),
+                     tallied_at=instret)
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["records"] = []
+        state.pop("tallied_at", None)
         return state
 
     def executed(self, pc: int) -> int:
