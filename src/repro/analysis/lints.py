@@ -72,6 +72,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..fp import registry
+from ..fp.formats import vector_lanes
 from ..isa.assembler import Program
 from ..isa.disassembler import format_instr
 from ..isa.registers import xreg_name
@@ -125,10 +126,8 @@ def _narrow(suffix: Optional[str]) -> bool:
 
 def _narrow_vec(suffix: Optional[str]) -> bool:
     """Narrow *and* packed-SIMD capable (vectorization is possible)."""
-    if suffix is None:
-        return False
-    fmt = registry.by_suffix(suffix)
-    return fmt.width < 32 and fmt.has_vector
+    return (suffix is not None
+            and vector_lanes(registry.by_suffix(suffix), 32) is not None)
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([\w,\s-]*)\])?")
 

@@ -75,6 +75,7 @@ def _build_kernel_arg(args: argparse.Namespace):
 
 def _cmd_formats(args: argparse.Namespace) -> int:
     from .fp import registry
+    from .fp.formats import vector_lanes
     from .nn import fused_block_kernels
 
     rows = []
@@ -87,7 +88,7 @@ def _cmd_formats(args: argparse.Namespace) -> int:
             "family": ("ieee" if fmt.ieee else "guest"),
             "extension": fmt.ext_name or ("F" if fmt.suffix in ("s", "d")
                                           else "Xsmallfloat"),
-            "vector": bool(fmt.has_vector and fmt.width <= 16),
+            "vector": vector_lanes(fmt, 32) is not None,
             "block_dotp": bool(fmt.has_block_dotp),
             "fused_block_kernels": list(
                 fused_block_kernels(fmt.c_keyword)),

@@ -1,29 +1,33 @@
-"""Packed-SIMD sub-word operations over the FP register file (Xfvec).
+"""Packed-SIMD lane plumbing, cast-and-pack and the expanding dot product.
 
 The "Xfvec" extension (paper Section III-B) adds vector forms of every
 scalar operation for each format narrower than FLEN.  A vector lives in
 a single FLEN-bit FP register: lane 0 occupies the least-significant
 bits.  At FLEN=32 this gives 2x binary16 / 2x binary16alt / 4x binary8
-lanes (paper Table II).
+lanes (paper Table II).  Those vector forms are lane maps of their
+scalar rows (:mod:`repro.sim.semantics`); this module keeps only the
+lane plumbing (:func:`lane_count`, :func:`split_lanes`,
+:func:`join_lanes`, :func:`replicate`) and the two packed operations
+that are not lane maps:
 
-This module also implements the cast-and-pack instructions (``vfcpk*``)
-and the *expanding* dot products of "Xfaux" (``vfdotpex``), which the
-paper introduces because "convert scalars and assemble vectors" had
-emerged as a main bottleneck of transprecision computing.
+* cast-and-pack (``vfcpk*``), which converts two scalars into a lane
+  pair, the paper's answer to "convert scalars and assemble vectors"
+  emerging as a main bottleneck of transprecision computing;
+* the *expanding* dot product of "Xfaux" (``vfdotpex``), which rounds
+  the whole sum once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from . import arith, compare
 from .arith import (  # shared internals
     _cancel_zero_sign,
     _exact_sum,
     _invalid,
     _nan_result,
 )
-from .convert import fcvt_f2f, fcvt_from_int, fcvt_to_int
+from .convert import fcvt_f2f
 from .flags import GuestIllegal
 from .formats import FloatFormat, vector_lanes
 from .rounding import RoundingMode, round_and_pack
@@ -80,162 +84,6 @@ def join_lanes(values: Sequence[int], fmt: FloatFormat, flen: int) -> int:
 def replicate(scalar_bits: int, fmt: FloatFormat, flen: int) -> int:
     """Broadcast a scalar into every lane (the ``.r``-variant operand)."""
     return join_lanes([scalar_bits & fmt.bits_mask] * lane_count(fmt, flen), fmt, flen)
-
-
-# ----------------------------------------------------------------------
-# Lane-wise binary / unary operations
-# ----------------------------------------------------------------------
-def _lanewise2(
-    op: Callable[..., Result], fmt: FloatFormat, flen: int, a: int, b: int,
-    *args,
-) -> Result:
-    """``op(fmt, a[i], b[i], *args)`` per lane in lane order, flags ORed."""
-    mask = fmt.bits_mask
-    reg, flags = 0, 0
-    # Inline split/join: op results are already in-range packed bits.
-    for shift in _lane_shifts(fmt, flen):
-        bits, f = op(fmt, (a >> shift) & mask, (b >> shift) & mask, *args)
-        reg |= bits << shift
-        flags |= f
-    return reg, flags
-
-
-def vfadd(fmt: FloatFormat, flen: int, a: int, b: int, rm: RoundingMode) -> Result:
-    """Lane-wise addition (``vfadd.<fmt>``)."""
-    return _lanewise2(arith.fadd, fmt, flen, a, b, rm)
-
-
-def vfsub(fmt: FloatFormat, flen: int, a: int, b: int, rm: RoundingMode) -> Result:
-    """Lane-wise subtraction (``vfsub.<fmt>``)."""
-    return _lanewise2(arith.fsub, fmt, flen, a, b, rm)
-
-
-def vfmul(fmt: FloatFormat, flen: int, a: int, b: int, rm: RoundingMode) -> Result:
-    """Lane-wise multiplication (``vfmul.<fmt>``)."""
-    return _lanewise2(arith.fmul, fmt, flen, a, b, rm)
-
-
-def vfdiv(fmt: FloatFormat, flen: int, a: int, b: int, rm: RoundingMode) -> Result:
-    """Lane-wise division (``vfdiv.<fmt>``)."""
-    return _lanewise2(arith.fdiv, fmt, flen, a, b, rm)
-
-
-def vfsqrt(fmt: FloatFormat, flen: int, a: int, rm: RoundingMode) -> Result:
-    """Lane-wise square root (``vfsqrt.<fmt>``)."""
-    out, flags = [], 0
-    for la in split_lanes(a, fmt, flen):
-        bits, f = arith.fsqrt(fmt, la, rm)
-        out.append(bits)
-        flags |= f
-    return join_lanes(out, fmt, flen), flags
-
-
-def vfmin(fmt: FloatFormat, flen: int, a: int, b: int) -> Result:
-    """Lane-wise minNum (``vfmin.<fmt>``)."""
-    return _lanewise2(compare.fmin, fmt, flen, a, b)
-
-
-def vfmax(fmt: FloatFormat, flen: int, a: int, b: int) -> Result:
-    """Lane-wise maxNum (``vfmax.<fmt>``)."""
-    return _lanewise2(compare.fmax, fmt, flen, a, b)
-
-
-def vfmac(
-    fmt: FloatFormat, flen: int, acc: int, a: int, b: int, rm: RoundingMode
-) -> Result:
-    """Lane-wise fused multiply-accumulate: ``acc[i] += a[i] * b[i]``."""
-    # _lanewise2 calls the op once per lane, lane 0 first.
-    accs = iter(split_lanes(acc, fmt, flen))
-    return _lanewise2(
-        lambda fmt, x, y: arith.ffma(fmt, x, y, next(accs), rm),
-        fmt, flen, a, b)
-
-
-def vfsgnj(fmt: FloatFormat, flen: int, a: int, b: int) -> int:
-    """Lane-wise sign injection."""
-    out = [
-        compare.fsgnj(fmt, la, lb)
-        for la, lb in zip(split_lanes(a, fmt, flen), split_lanes(b, fmt, flen))
-    ]
-    return join_lanes(out, fmt, flen)
-
-
-def _vcmp(op, fmt: FloatFormat, flen: int, a: int, b: int) -> Result:
-    """Lane-wise comparison producing a per-lane bit mask in rd."""
-    mask, flags = 0, 0
-    for i, (la, lb) in enumerate(
-        zip(split_lanes(a, fmt, flen), split_lanes(b, fmt, flen))
-    ):
-        bit, f = op(fmt, la, lb)
-        mask |= bit << i
-        flags |= f
-    return mask, flags
-
-
-def vfeq(fmt: FloatFormat, flen: int, a: int, b: int) -> Result:
-    """Lane-wise quiet equality; result mask in an integer register."""
-    return _vcmp(compare.feq, fmt, flen, a, b)
-
-
-def vflt(fmt: FloatFormat, flen: int, a: int, b: int) -> Result:
-    """Lane-wise signaling less-than mask."""
-    return _vcmp(compare.flt, fmt, flen, a, b)
-
-
-def vfle(fmt: FloatFormat, flen: int, a: int, b: int) -> Result:
-    """Lane-wise signaling less-or-equal mask."""
-    return _vcmp(compare.fle, fmt, flen, a, b)
-
-
-# ----------------------------------------------------------------------
-# Vector conversions
-# ----------------------------------------------------------------------
-def vfcvt_f2f(
-    src_fmt: FloatFormat,
-    dst_fmt: FloatFormat,
-    flen: int,
-    a: int,
-    rm: RoundingMode,
-) -> Result:
-    """Lane-wise float-to-float conversion between equal-width formats.
-
-    Used for ``vfcvt.h.ah`` / ``vfcvt.ah.h``; width-changing vector
-    conversions go through cast-and-pack instead (as in the paper).
-    """
-    if src_fmt.width != dst_fmt.width:
-        raise ValueError("vector f2f conversion requires equal widths")
-    out, flags = [], 0
-    for lane in split_lanes(a, src_fmt, flen):
-        bits, f = fcvt_f2f(src_fmt, dst_fmt, lane, rm)
-        out.append(bits)
-        flags |= f
-    return join_lanes(out, dst_fmt, flen), flags
-
-
-def vfcvt_to_int(
-    fmt: FloatFormat, flen: int, a: int, rm: RoundingMode, signed: bool = True
-) -> Result:
-    """Lane-wise conversion to same-width integers (``vfcvt.x.<fmt>``)."""
-    out, flags = [], 0
-    for lane in split_lanes(a, fmt, flen):
-        bits, f = fcvt_to_int(fmt, lane, rm, signed=signed, xlen=fmt.width)
-        out.append(bits)
-        flags |= f
-    return join_lanes(out, fmt, flen), flags
-
-
-def vfcvt_from_int(
-    fmt: FloatFormat, flen: int, a: int, rm: RoundingMode, signed: bool = True
-) -> Result:
-    """Lane-wise conversion from same-width integers (``vfcvt.<fmt>.x``)."""
-    out, flags = [], 0
-    lanes = lane_count(fmt, flen)
-    for i in range(lanes):
-        raw = (a >> (i * fmt.width)) & fmt.bits_mask
-        bits, f = fcvt_from_int(fmt, raw, rm, signed=signed, xlen=fmt.width)
-        out.append(bits)
-        flags |= f
-    return join_lanes(out, fmt, flen), flags
 
 
 # ----------------------------------------------------------------------

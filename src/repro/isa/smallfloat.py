@@ -48,6 +48,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..fp import registry
+from ..fp.formats import vector_lanes
 from ..fp.registry import NumberFormat
 from .instructions import (
     OP_FMADD,
@@ -492,7 +493,7 @@ def _register_format(fmt: NumberFormat) -> None:
             _register_xfvec(sfx)
     else:
         _register_guest_scalar(fmt)
-        if fmt.has_vector and fmt.width <= 16:
+        if vector_lanes(fmt, 32):
             _register_guest_vector(fmt)
         if fmt.has_block_dotp:
             _register_guest_block_dotp(fmt)

@@ -34,13 +34,17 @@ Shapes and the signature of ``op``:
             result.
 
 The FP rows that round (add, sub, mul, the fused ops, fmulex, fmacex,
-fcvt between FP formats, vfdotpex, and the packed forms of these) bind
-:mod:`repro.fp.batch`'s scalar face: under RNE it rounds through the
-batch codec's tables in binary64; every other mode, non-finite operands
-and the cases the codec cannot prove exact call the softfloat core,
-which the face replaces bit for bit.  Packed forms apply the scalar
-face lane by lane (:func:`_packed`).  Every engine and serve get this
-through ``op(F)``.
+fcvt between FP formats and vfdotpex) bind :mod:`repro.fp.batch`'s
+scalar face: under RNE it rounds through the batch codec's tables in
+binary64; every other mode, non-finite operands and the cases the codec
+cannot prove exact call the softfloat core, which the face replaces bit
+for bit.  Every engine and serve get this through ``op(F)``.
+
+Packed-SIMD rows are lane maps of their scalar rows (:func:`_packed`):
+``vfadd`` is ``fadd`` applied lane by lane with the flags ORed, in both
+``op`` and ``batch``, and the scalar row is looked up when the packed
+row is bound.  Only cast-and-pack (a lane pair from two scalars) and
+``vfdotpex`` (the whole sum rounded once) are written out.
 
 Each row also has a *class*, what timing, Fig. 4, energy and the
 profile charge it as: its shape for ``load``/``store``/``branch``/
@@ -438,34 +442,6 @@ def _vectorized(make):
     return factory
 
 
-def _lanes(lane_op):
-    """Batch factory for a packed-SIMD kind from its per-lane batch op
-    ``lane_op(fmt, *lane arrays, **mode) -> (bits, flags, fallback)``
-    (``fallback`` None: no lane)."""
-    def make(F: Formats):
-        fmt = F.fmt
-        if fmt.width >= F.flen:
-            return None  # no vector form: the scalar compute raises
-        mask = _U32(fmt.bits_mask)
-        shifts = [_U32(s) for s in range(0, F.flen, fmt.width)]
-
-        def run(*regs, **mode):
-            n = regs[0].shape[0]
-            out = np.zeros(n, dtype=_U32)
-            flags = np.zeros(n, dtype=np.uint8)
-            fallback = np.zeros(n, dtype=bool)
-            for s in shifts:
-                bits, fl, fb = lane_op(fmt, *[(r >> s) & mask for r in regs],
-                                       **mode)
-                out |= bits << s
-                flags |= fl
-                if fb is not None:
-                    fallback |= fb
-            return out, flags, fallback
-        return run
-    return _vectorized(make)
-
-
 def _cmp_batch(name: str):
     return _vectorized(lambda F: lambda a, b: (
         *fpbatch.cmp(F.fmt, name, a, b), None))
@@ -479,68 +455,133 @@ def _fmv_x_f(F: Formats):
     return lambda v: v | high if v & fmt.sign_mask else v
 
 
-def _lanewise_unflagged(op):
-    """Packed-SIMD form of a flag-free scalar op (sign injection)."""
-    def make(F: Formats):
-        def run(a: int, b: int) -> int:
-            return simd.join_lanes(
-                [op(F.fmt, x, y) for x, y in zip(
-                    simd.split_lanes(a, F.fmt, F.flen),
-                    simd.split_lanes(b, F.fmt, F.flen))],
-                F.fmt, F.flen)
-        return run
-    return make
+def _no_lanes(F: Formats) -> Optional[str]:
+    """Why ``F`` has no packed form at its FLEN (None: it has one)."""
+    lanes = vector_lanes(F.fmt, F.flen)
+    if lanes is None:
+        return f"{F.fmt.name} has no vector form at FLEN={F.flen}"
+    if vector_lanes(F.src, F.flen) != lanes:
+        return f"{F.src.name} lanes do not match {F.fmt.name} lanes"
+    return None
 
 
-def _packed(scalar, vec, acc=False):
-    """Packed-SIMD form of the scalar op ``scalar(F)``: lane by lane in
-    lane order with flags ORed, which is what ``vec``, the
-    :mod:`repro.fp.simd` form, computes through the core.  ``acc``
-    forms take ``(acc, a, b, rm)`` and call ``fn(a, b, acc, rm)`` per
-    lane.  ``vec`` itself serves formats without a vector form (it
-    raises)."""
-    def make(F: Formats):
-        fmt, flen = F.fmt, F.flen
-        if not vector_lanes(fmt, flen):
-            return partial(vec, fmt, flen)
-        fn, mask = scalar(F), fmt.bits_mask
-        shifts = range(0, flen, fmt.width)
-        if acc:
+def _illegal(message: str):
+    """An op that raises :class:`GuestIllegal` when called, not when
+    bound: engines bind a whole block before any of it runs."""
+    def op(*_operands):
+        raise GuestIllegal(message)
+    return op
+
+
+def _packed(kind: str, scalar: str, *, unary=False, acc=False, mask=False,
+            xlen=False) -> None:
+    """Declare ``kind`` as the lane map of the scalar row ``scalar``.
+
+    ``op`` and ``batch`` apply the scalar row's compute lane by lane,
+    lane 0 in the low bits, with flags ORed.  ``unary`` kinds take
+    ``(a, rm)``; ``acc`` kinds take ``(acc, a, b, rm)`` and call the
+    scalar ``fn(a, b, acc, rm)`` per lane; ``mask`` kinds set bit *i* of
+    the result from lane *i*; ``xlen`` kinds convert to or from integers
+    as wide as a lane.  The scalar row is looked up when the packed row
+    is bound, so re-binding it re-binds this one too.
+    """
+    base = SEMANTICS[scalar]
+    rounds, flagged = base.rounds, base.flags
+
+    def op(F: Formats):
+        missing = _no_lanes(F)
+        if missing:
+            return _illegal(missing)
+        fmt = F.fmt
+        fn, m = SEMANTICS[scalar].op(F), fmt.bits_mask
+        if xlen:
+            fn = partial(fn, xlen=fmt.width)
+        shifts = range(0, F.flen, fmt.width)
+        if unary:
+            def run(a, rm):
+                out = flags = 0
+                for s in shifts:
+                    bits, f = fn((a >> s) & m, rm)
+                    out |= bits << s
+                    flags |= f
+                return out, flags
+        elif acc:
             def run(c, a, b, rm):
                 out = flags = 0
                 for s in shifts:
-                    bits, f = fn((a >> s) & mask, (b >> s) & mask,
-                                 (c >> s) & mask, rm)
+                    bits, f = fn((a >> s) & m, (b >> s) & m, (c >> s) & m, rm)
                     out |= bits << s
                     flags |= f
                 return out, flags
-        else:
+        elif rounds:
             def run(a, b, rm):
                 out = flags = 0
                 for s in shifts:
-                    bits, f = fn((a >> s) & mask, (b >> s) & mask, rm)
+                    bits, f = fn((a >> s) & m, (b >> s) & m, rm)
                     out |= bits << s
                     flags |= f
                 return out, flags
+        elif flagged:
+            places = range(len(shifts)) if mask else shifts
+
+            def run(a, b):
+                out = flags = 0
+                for s, place in zip(shifts, places):
+                    bits, f = fn((a >> s) & m, (b >> s) & m)
+                    out |= bits << place
+                    flags |= f
+                return out, flags
+        else:
+            def run(a, b):
+                out = 0
+                for s in shifts:
+                    out |= fn((a >> s) & m, (b >> s) & m) << s
+                return out
         return run
-    return make
+
+    def batch(F: Formats):
+        make = SEMANTICS[scalar].batch
+        fn = None if make is None or _no_lanes(F) else make(F)
+        if fn is None:
+            return None
+        m = _U32(F.fmt.bits_mask)
+        shifts = [_U32(s) for s in range(0, F.flen, F.fmt.width)]
+        places = [_U32(i) for i in range(len(shifts))] if mask else shifts
+
+        def run(*regs, **mode):
+            if acc:
+                regs = (*regs[1:], regs[0])  # the scalar fn(a, b, acc)
+            n = regs[0].shape[0]
+            out = np.zeros(n, dtype=_U32)
+            flags = np.zeros(n, dtype=np.uint8)
+            fallback = np.zeros(n, dtype=bool)
+            for s, place in zip(shifts, places):
+                bits, fl, fb = fn(*[(r >> s) & m for r in regs], **mode)
+                out |= bits << place
+                flags |= fl
+                if fb is not None:
+                    fallback |= fb
+            return out, flags, fallback
+        return run
+
+    _add(Row(kind, "fp", op, batch, cls=base.cls, rounds=rounds,
+             flags=flagged, acc=acc))
 
 
-for _kind, _scalar, _vec, _lane_batch, _cls in [
-    ("add", fpbatch.scalar_add, simd.vfadd, fpbatch.add, "arith"),
-    ("sub", partial(fpbatch.scalar_add, sub=True), simd.vfsub,
-     partial(fpbatch.add, sub=True), "arith"),
-    ("mul", fpbatch.scalar_mul, simd.vfmul, fpbatch.mul, "arith"),
+for _kind, _scalar, _batch in [
+    ("add", fpbatch.scalar_add, fpbatch.add),
+    ("sub", partial(fpbatch.scalar_add, sub=True),
+     partial(fpbatch.add, sub=True)),
+    ("mul", fpbatch.scalar_mul, fpbatch.mul),
 ]:
     _fp("f" + _kind, lambda F, op=_scalar: op(F.fmt),
-        _vectorized(lambda F, op=_lane_batch: partial(op, F.fmt)), cls=_cls)
-    _fp("vf" + _kind, _packed(lambda F, op=_scalar: op(F.fmt), _vec),
-        _lanes(_lane_batch), cls=_cls)
+        _vectorized(lambda F, op=_batch: partial(op, F.fmt)), cls="arith")
+    _packed("vf" + _kind, "f" + _kind)
 _fp("fdiv", lambda F: partial(arith.fdiv, F.fmt), cls="fdiv")
-_fp("vfdiv", lambda F: partial(simd.vfdiv, F.fmt, F.flen), cls="fdiv")
+_packed("vfdiv", "fdiv")
 
 _fp("fsqrt", lambda F: partial(arith.fsqrt, F.fmt), cls="fsqrt")
-_fp("vfsqrt", lambda F: partial(simd.vfsqrt, F.fmt, F.flen), cls="fsqrt")
+_packed("vfsqrt", "fsqrt", unary=True)
 
 for _kind, _neg_prod, _neg_add in [("fmadd", False, False),
                                    ("fmsub", False, True),
@@ -552,37 +593,27 @@ for _kind, _neg_prod, _neg_add in [("fmadd", False, False),
         _vectorized(lambda F, np_=_neg_prod, na=_neg_add: partial(
             fpbatch.fma, F.fmt, negate_product=np_, negate_addend=na)),
         cls="fma")
+_packed("vfmac", "fmadd", acc=True)
 
-_fp("vfmac", _packed(lambda F: fpbatch.scalar_fma(F.fmt), simd.vfmac,
-                     acc=True),
-    _lanes(lambda fmt, acc, a, b, **mode: fpbatch.fma(fmt, a, b, acc,
-                                                       **mode)),
-    acc=True, cls="fma")
-
-for _kind, _scalar, _vec in [("min", compare.fmin, simd.vfmin),
-                             ("max", compare.fmax, simd.vfmax)]:
+for _kind, _scalar in [("min", compare.fmin), ("max", compare.fmax)]:
     _minmax = partial(fpbatch.minmax, pick_max=_kind == "max")
     _fp("f" + _kind, lambda F, op=_scalar: partial(op, F.fmt),
         _vectorized(lambda F, op=_minmax: lambda a, b: (*op(F.fmt, a, b),
                                                         None)),
         rounds=False)
-    _fp("vf" + _kind, lambda F, op=_vec: partial(op, F.fmt, F.flen),
-        _lanes(lambda fmt, a, b, op=_minmax: (*op(fmt, a, b), None)),
-        rounds=False)
+    _packed("vf" + _kind, "f" + _kind)
 
 for _kind, _scalar in [("fsgnj", compare.fsgnj), ("fsgnjn", compare.fsgnjn),
                        ("fsgnjx", compare.fsgnjx)]:
     _fp(_kind, lambda F, op=_scalar: partial(op, F.fmt), rounds=False,
         flags=False)
-    _fp("v" + _kind, _lanewise_unflagged(_scalar), rounds=False, flags=False)
+    _packed("v" + _kind, _kind)
 
-for _kind, _scalar, _vec in [("eq", compare.feq, simd.vfeq),
-                             ("lt", compare.flt, simd.vflt),
-                             ("le", compare.fle, simd.vfle)]:
+for _kind, _scalar in [("eq", compare.feq), ("lt", compare.flt),
+                       ("le", compare.fle)]:
     _fp("f" + _kind, lambda F, op=_scalar: partial(op, F.fmt),
         _cmp_batch(_kind), rounds=False)
-    _fp("vf" + _kind, lambda F, op=_vec: partial(op, F.fmt, F.flen),
-        rounds=False)
+    _packed("vf" + _kind, "f" + _kind, mask=True)
 
 _fp("fclass", lambda F: partial(compare.fclass, F.fmt), rounds=False,
     flags=False)
@@ -594,14 +625,14 @@ _conv("fmv_f_x", lambda F: lambda v: v & F.fmt.bits_mask, rounds=False,
 
 _conv("fcvt_f2f", lambda F: fpbatch.scalar_cvt(F.src, F.fmt),
       _vectorized(lambda F: partial(fpbatch.cvt, F.src, F.fmt)))
-_conv("vfcvt_f2f", lambda F: partial(simd.vfcvt_f2f, F.src, F.fmt, F.flen))
+_packed("vfcvt_f2f", "fcvt_f2f", unary=True)
 for _kind, _signed_int in [("w", True), ("wu", False)]:
-    _conv(f"fcvt_{_kind}_f", lambda F, s=_signed_int: lambda a, rm: (
-        fcvt_to_int(F.fmt, a, rm, signed=s)))
-    _conv(f"fcvt_f_{_kind}", lambda F, s=_signed_int: lambda a, rm: (
-        fcvt_from_int(F.fmt, a, rm, signed=s)))
-_conv("vfcvt_x_f", lambda F: partial(simd.vfcvt_to_int, F.fmt, F.flen))
-_conv("vfcvt_f_x", lambda F: partial(simd.vfcvt_from_int, F.fmt, F.flen))
+    _conv(f"fcvt_{_kind}_f", lambda F, s=_signed_int: partial(
+        fcvt_to_int, F.fmt, signed=s))
+    _conv(f"fcvt_f_{_kind}", lambda F, s=_signed_int: partial(
+        fcvt_from_int, F.fmt, signed=s))
+_packed("vfcvt_x_f", "fcvt_w_f", unary=True, xlen=True)
+_packed("vfcvt_f_x", "fcvt_f_w", unary=True, xlen=True)
 
 for _pair, _kind in enumerate(("vfcpka", "vfcpkb")):
     _conv(_kind, lambda F, pair=_pair: lambda acc, a, b, rm: simd.vfcpk(

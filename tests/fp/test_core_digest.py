@@ -105,6 +105,17 @@ class _Recorder:
         return {k: h.hexdigest()[:16] for k, h in sorted(self.hashes.items())}
 
 
+def _lanewise(op, fmt, *regs):
+    """``op(*lanes)`` in lane order with the flags ORed: a packed op
+    written out over the scalar core."""
+    out = flags = 0
+    for shift in range(0, FLEN, fmt.width):
+        bits, f = op(*[(reg >> shift) & fmt.bits_mask for reg in regs])
+        out |= bits << shift
+        flags |= f
+    return out, flags
+
+
 def _record(h, result):
     bits, flags = result
     h.update(b"%x,%x;" % (bits, flags))
@@ -149,9 +160,12 @@ def _vector(rec, fmt, lanes, rng):
     for rm in MODES:
         for _ in range(N_VECTOR):
             acc, a, b = (_pack(_pick(pool, rng, lanes), fmt) for _ in range(3))
-            _record(h, simd.vfadd(fmt, FLEN, a, b, rm))
-            _record(h, simd.vfmul(fmt, FLEN, a, b, rm))
-            _record(h, simd.vfmac(fmt, FLEN, acc, a, b, rm))
+            _record(h, _lanewise(lambda x, y: arith.fadd(fmt, x, y, rm),
+                                 fmt, a, b))
+            _record(h, _lanewise(lambda x, y: arith.fmul(fmt, x, y, rm),
+                                 fmt, a, b))
+            _record(h, _lanewise(lambda z, x, y: arith.ffma(fmt, x, y, z, rm),
+                                 fmt, acc, a, b))
             acc32 = _pick(acc_pool, rng, 1)[0]
             _record(h, simd.vfdotpex(fmt, BINARY32, FLEN, acc32, a, b, rm))
 

@@ -1,4 +1,9 @@
-"""Packed-SIMD (Xfvec) and expanding (Xfaux) operation tests."""
+"""Packed-SIMD (Xfvec) and expanding (Xfaux) operation tests.
+
+The lane-wise forms are the packed semantics rows (lane maps of their
+scalar rows), reached here through their instruction specs; cast-and-pack
+and the expanding dot product are :mod:`repro.fp.simd`'s own.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -12,25 +17,20 @@ from repro.fp.simd import (
     lane_count,
     replicate,
     split_lanes,
-    vfadd,
     vfcpk,
-    vfcvt_f2f,
-    vfcvt_from_int,
-    vfcvt_to_int,
     vfdotpex,
-    vfeq,
-    vflt,
-    vfmac,
-    vfmax,
-    vfmin,
-    vfmul,
-    vfsgnj,
-    vfsqrt,
-    vfsub,
 )
+from repro.isa.instructions import spec_by_mnemonic
+from repro.sim.semantics import SEMANTICS, Formats, formats
 
 RNE = RoundingMode.RNE
 F16, F8, F32 = BINARY16, BINARY8, BINARY32
+
+
+def row(mnemonic, flen=32):
+    """The compute the semantics row binds for ``mnemonic`` at ``flen``."""
+    spec = spec_by_mnemonic(mnemonic)
+    return SEMANTICS[spec.kind].op(formats(spec, flen))
 
 
 def pack16(*values):
@@ -85,47 +85,47 @@ class TestLanePlumbing:
 
 class TestLanewiseArithmetic:
     def test_vfadd_h(self):
-        got = vfadd(F16, 32, pack16(1.0, 10.0), pack16(2.0, -4.0), RNE)[0]
+        got = row("vfadd.h")(pack16(1.0, 10.0), pack16(2.0, -4.0), RNE)[0]
         assert unpack16(got) == [3.0, 6.0]
 
     def test_vfsub_h(self):
-        got = vfsub(F16, 32, pack16(5.0, 1.0), pack16(2.0, 4.0), RNE)[0]
+        got = row("vfsub.h")(pack16(5.0, 1.0), pack16(2.0, 4.0), RNE)[0]
         assert unpack16(got) == [3.0, -3.0]
 
     def test_vfmul_b_four_lanes(self):
-        got = vfmul(F8, 32, pack8(1.0, 2.0, 3.0, 4.0), pack8(2.0, 2.0, 2.0, 2.0), RNE)[0]
+        got = row("vfmul.b")(pack8(1.0, 2.0, 3.0, 4.0), pack8(2.0, 2.0, 2.0, 2.0), RNE)[0]
         assert unpack8(got) == [2.0, 4.0, 6.0, 8.0]
 
     def test_vfsqrt(self):
-        got = vfsqrt(F16, 32, pack16(9.0, 16.0), RNE)[0]
+        got = row("vfsqrt.h")(pack16(9.0, 16.0), RNE)[0]
         assert unpack16(got) == [3.0, 4.0]
 
     def test_vfmac_is_fused_per_lane(self):
         acc = pack16(1.0, 2.0)
-        got = vfmac(F16, 32, acc, pack16(2.0, 3.0), pack16(4.0, 5.0), RNE)[0]
+        got = row("vfmac.h")(acc, pack16(2.0, 3.0), pack16(4.0, 5.0), RNE)[0]
         assert unpack16(got) == [9.0, 17.0]
 
     def test_vfmin_vfmax(self):
         a, b = pack16(1.0, 5.0), pack16(2.0, -3.0)
-        assert unpack16(vfmin(F16, 32, a, b)[0]) == [1.0, -3.0]
-        assert unpack16(vfmax(F16, 32, a, b)[0]) == [2.0, 5.0]
+        assert unpack16(row("vfmin.h")(a, b)[0]) == [1.0, -3.0]
+        assert unpack16(row("vfmax.h")(a, b)[0]) == [2.0, 5.0]
 
     def test_vfsgnj(self):
-        got = vfsgnj(F16, 32, pack16(1.5, 2.5), pack16(-1.0, 1.0))
+        got = row("vfsgnj.h")(pack16(1.5, 2.5), pack16(-1.0, 1.0))
         assert unpack16(got) == [-1.5, 2.5]
 
     def test_flags_accumulate_across_lanes(self):
         # Lane 0 fine, lane 1 is inf - inf -> NV.
         a = join_lanes([from_double(1.0, F16), F16.pos_inf], F16, 32)
         b = join_lanes([from_double(1.0, F16), F16.neg_inf], F16, 32)
-        _, flags = vfadd(F16, 32, a, b, RNE)
+        _, flags = row("vfadd.h")(a, b, RNE)
         assert flags & NV
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_vector_equals_scalar_per_lane(self, a, b):
         """Each vector lane behaves exactly like the scalar operation."""
-        vec, _ = vfmul(F16, 32, a, b, RNE)
+        vec, _ = row("vfmul.h")(a, b, RNE)
         for la, lb, lv in zip(
             split_lanes(a, F16, 32), split_lanes(b, F16, 32), split_lanes(vec, F16, 32)
         ):
@@ -134,7 +134,7 @@ class TestLanewiseArithmetic:
     def test_flen64_lanes(self):
         reg_a = join_lanes([from_double(v, F16) for v in (1.0, 2.0, 3.0, 4.0)], F16, 64)
         reg_b = join_lanes([from_double(v, F16) for v in (10.0, 20.0, 30.0, 40.0)], F16, 64)
-        got, _ = vfadd(F16, 64, reg_a, reg_b, RNE)
+        got, _ = row("vfadd.h", 64)(reg_a, reg_b, RNE)
         assert [to_double(b, F16) for b in split_lanes(got, F16, 64)] == [
             11.0,
             22.0,
@@ -145,34 +145,35 @@ class TestLanewiseArithmetic:
 
 class TestVectorComparisons:
     def test_vfeq_mask(self):
-        mask, _ = vfeq(F16, 32, pack16(1.0, 2.0), pack16(1.0, 3.0))
+        mask, _ = row("vfeq.h")(pack16(1.0, 2.0), pack16(1.0, 3.0))
         assert mask == 0b01
 
     def test_vflt_mask(self):
-        mask, _ = vflt(F8, 32, pack8(1.0, 5.0, -1.0, 0.0), pack8(2.0, 4.0, 0.0, 0.0))
+        mask, _ = row("vflt.b")(pack8(1.0, 5.0, -1.0, 0.0), pack8(2.0, 4.0, 0.0, 0.0))
         assert mask == 0b0101
 
 
 class TestVectorConversions:
     def test_vfcvt_h_to_ah(self):
         reg = pack16(1.5, -2.0)
-        got, _ = vfcvt_f2f(F16, BINARY16ALT, 32, reg, RNE)
+        got, _ = row("vfcvt.ah.h")(reg, RNE)
         vals = [to_double(b, BINARY16ALT) for b in split_lanes(got, BINARY16ALT, 32)]
         assert vals == [1.5, -2.0]
 
     def test_vfcvt_width_mismatch_rejected(self):
+        convert = SEMANTICS["vfcvt_f2f"].op(Formats(F8, F16, F8, 32))
         with pytest.raises(ValueError):
-            vfcvt_f2f(F16, F8, 32, 0, RNE)
+            convert(0, RNE)
 
     def test_vfcvt_to_int(self):
-        got, _ = vfcvt_to_int(F16, 32, pack16(3.7, -2.2), RNE)
+        got, _ = row("vfcvt.x.h")(pack16(3.7, -2.2), RNE)
         lanes = split_lanes(got, F16, 32)
         assert lanes[0] == 4
         assert lanes[1] == (-2) & 0xFFFF
 
     def test_vfcvt_from_int(self):
         reg = (0xFFFE << 16) | 7  # lanes: 7, -2 as int16
-        got, _ = vfcvt_from_int(F16, 32, reg, RNE)
+        got, _ = row("vfcvt.h.x")(reg, RNE)
         assert unpack16(got) == [7.0, -2.0]
 
 

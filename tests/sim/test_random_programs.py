@@ -67,10 +67,17 @@ FAULTING = [spec for kind in KINDS for spec in SPECS_BY_KIND[kind]
             and access_size(spec, 32) >= 2]
 
 # Register values: small integers, sign edges and encodings of the
-# special FP values of every format (zeros, ones, infinities, NaNs).
+# special FP values of every format (zeros, ones, infinities, NaNs), the
+# guest ones as single lanes and replicated across lanes: posit NaR,
+# maxpos and minpos (posit8, posit16); the MX8 element NaN and largest
+# finite values, and MX8 blocks whose E8M0 scale byte (the top byte) is
+# NaN, the largest or the smallest scale.
 SPECIAL = (0, 1, 2, 3, 31, 32, MASK32, 0x80000000, 0x7FFFFFFF, 0x3C00,
            0x3F800000, 0x7F800000, 0xFF800000, 0x7FC00000, 0x7C00, 0xFC00,
-           0x7E00, 0x38, 0x78, 0x7C, 0x3F80, 0x7F80, 0x3C003C00, 0x38383838)
+           0x7E00, 0x38, 0x78, 0x7C, 0x3F80, 0x7F80, 0x3C003C00, 0x38383838,
+           0x80, 0x8000, 0x7F, 0x7FFF, 0x80808080, 0x80008000, 0x7F7F7F7F,
+           0x01010101, 0x7FFF7FFF, 0x00010001, 0xFF, 0x7E, 0xFE, 0x7E7E7E7E,
+           0xFF383838, 0xFE7E7E7E, 0x00010101, 0x7F7F0038)
 # Operands that steer the directed and stochastic rounding paths to
 # their edges: subnormal results (the smallest normals and subnormals),
 # overflow (the largest finite values), exact cancellation (+-1.0 and

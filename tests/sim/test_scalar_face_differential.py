@@ -1,12 +1,12 @@
 """FP rows on the scalar codec face against the same rows on the core.
 
-The add, sub, mul, fma, fmulex, fmacex, fcvt and vfdotpex rows (scalar
-and packed) bind :mod:`repro.fp.batch`'s scalar face, which rounds
-under RNE through the codec tables and calls the softfloat core for
-everything else.  This suite re-binds those rows to the pure core,
-reruns whole kernels, and requires every observable to match: outputs,
-cycles, ``fcsr`` and the full :class:`~repro.sim.Trace`, Counter
-insertion order included.
+The add, sub, mul, fma, fmulex, fmacex, fcvt and vfdotpex rows bind
+:mod:`repro.fp.batch`'s scalar face, which rounds under RNE through the
+codec tables and calls the softfloat core for everything else.  This
+suite re-binds those rows to the pure core (the packed rows, lane maps
+of their scalar rows, follow), reruns whole kernels, and requires every
+observable to match: outputs, cycles, ``fcsr`` and the full
+:class:`~repro.sim.Trace`, Counter insertion order included.
 """
 
 from functools import partial
@@ -28,19 +28,15 @@ def _fma_core(negate_product, negate_addend):
         F.fmt, a, b, c, rm, negate_product, negate_addend)
 
 
-#: The rows that bind the face, each with its pure-core binding.
+#: The scalar rows that bind the face, each with its pure-core binding.
 CORE_BINDINGS = {
     "fadd": lambda F: partial(arith.fadd, F.fmt),
     "fsub": lambda F: partial(arith.fsub, F.fmt),
     "fmul": lambda F: partial(arith.fmul, F.fmt),
-    "vfadd": lambda F: partial(simd.vfadd, F.fmt, F.flen),
-    "vfsub": lambda F: partial(simd.vfsub, F.fmt, F.flen),
-    "vfmul": lambda F: partial(simd.vfmul, F.fmt, F.flen),
     "fmadd": _fma_core(False, False),
     "fmsub": _fma_core(False, True),
     "fnmsub": _fma_core(True, False),
     "fnmadd": _fma_core(True, True),
-    "vfmac": lambda F: partial(simd.vfmac, F.fmt, F.flen),
     "fmulex": lambda F: partial(arith.fmul_widen, F.src, F.dst),
     "fmacex": lambda F: lambda acc, a, b, rm: arith.fma_mixed(
         F.src, F.dst, a, b, acc, rm),
@@ -52,7 +48,7 @@ POINTS = [(kernel, ftype, mode)
           for kernel in ("gemm", "svm", "syr2k")
           for ftype, mode in (("float", "scalar"), ("float16", "auto"),
                               ("float16alt", "auto"), ("float8", "auto"))]
-POINTS.append(("nn_softmax", "posit16", "auto"))
+POINTS += [("nn_softmax", "posit16", "auto"), ("gemm", "posit8", "auto")]
 
 
 def _clear_bindings():
