@@ -14,9 +14,11 @@ against: the fast/reference speedup *ratio* is host-independent, so the
 gate fails when the ratio regresses by more than 30%, while absolute
 MIPS is recorded for information only.
 
-Each engine is timed over the sweep three times, reference and fast
-alternating, and the ratio is taken between the median runs, so one
-run slowed by a neighbour on a shared host does not fail the gate.
+The two engines run each point back to back and their times are
+summed per engine, so drift of the host's speed over a sweep moves
+both sums alike instead of their ratio.  The sweep is timed three
+times and the gate reads the run with the median ratio, so one run
+slowed by a neighbour on a shared host does not fail it.
 
 The lockstep engine is gated on its own rate, scaled to a reference
 host speed by the sampler of ``perfbench/hostspeed.py``: the ratio of
@@ -72,15 +74,15 @@ LOCKSTEP_BATCHES = (4, 16, 64, 128)
 LOCKSTEP_SCALED_MIPS_FLOOR = 7.5
 
 #: Config and widths of the crossover gate.  gemm float16 auto reads
-#: lockstep/serial 3.9-5.4 at width 4 and 0.55-0.72 at width 32 (min
+#: lockstep/serial 4.7-5.6 at width 4 and 0.58-0.76 at width 32 (min
 #: of 3, 2-vCPU VM; both walls come from one host minutes apart, so the
 #: ratio does not depend on the host).  svm, the slowest config to
 #: batch, does not cross by width 32.
 CROSSOVER_CONFIG = ("gemm", "float16", "auto")
 CROSSOVER_WIDTHS = (4, LOCKSTEP_MIN_WIDTH)
 
-#: Timed runs per engine (reference/fast alternating, median taken)
-#: and per crossover width (serial/lockstep interleaved, min taken).
+#: Timed sweeps of both engines (the median ratio taken) and runs per
+#: crossover width (serial/lockstep interleaved, min taken).
 REPEATS = 3
 
 #: Stochastic rounding in lockstep: the wall of a 32-lane SR batch over
@@ -107,24 +109,28 @@ def _sweep_points():
     return [SweepPoint(*p) for p in fig1_points()]
 
 
-def measure_guest_mips(points, fast_path):
-    """Aggregate guest MIPS over the sim phase, plus end-to-end wall."""
-    wall_start = time.perf_counter()
-    instret, sim_seconds = 0, 0.0
+def measure_guest_mips(points):
+    """Aggregate guest MIPS over the sim phase, plus end-to-end wall, of
+    the reference loop (key False) and the block engine (key True): the
+    two run each point back to back, and each engine's times are summed
+    over the points."""
+    totals = {fast_path: [0, 0.0, 0.0] for fast_path in (False, True)}
     for p in points:
-        run = run_kernel(
-            KERNELS[p.name], p.ftype, p.mode, mem_latency=p.mem_latency,
-            seed=p.seed, max_instructions=p.instruction_budget,
-            trap_ok=True, fast_path=fast_path)
-        instret += run.trace.instret
-        sim_seconds += run.sim_seconds
-    wall = time.perf_counter() - wall_start
-    return {
+        for fast_path, total in totals.items():
+            start = time.perf_counter()
+            run = run_kernel(
+                KERNELS[p.name], p.ftype, p.mode, mem_latency=p.mem_latency,
+                seed=p.seed, max_instructions=p.instruction_budget,
+                trap_ok=True, fast_path=fast_path)
+            total[2] += time.perf_counter() - start
+            total[0] += run.trace.instret
+            total[1] += run.sim_seconds
+    return {fast_path: {
         "instructions": instret,
         "sim_seconds": round(sim_seconds, 4),
         "wall_seconds": round(wall, 4),
         "guest_mips": round(instret / sim_seconds / 1e6, 4),
-    }
+    } for fast_path, (instret, sim_seconds, wall) in totals.items()}
 
 
 def measure_lockstep(points, batch, speed):
@@ -238,8 +244,10 @@ def measure_face_over_core():
 
 
 def _median_run(runs):
-    """The run with the median guest MIPS."""
-    return sorted(runs, key=lambda run: run["guest_mips"])[len(runs) // 2]
+    """The run with the median fast/reference guest-MIPS ratio."""
+    return sorted(runs, key=lambda run: (run[True]["guest_mips"]
+                                         / run[False]["guest_mips"])
+                  )[len(runs) // 2]
 
 
 def measure_jobs(points, jobs):
@@ -258,11 +266,8 @@ def collect():
     # Warm imports/compile caches so neither path pays first-run cost.
     run_kernel(KERNELS[points[0].name], points[0].ftype, points[0].mode,
                trap_ok=True)
-    runs = {False: [], True: []}
-    for _ in range(REPEATS):
-        for fast_path in runs:
-            runs[fast_path].append(measure_guest_mips(points, fast_path))
-    reference, fast = _median_run(runs[False]), _median_run(runs[True])
+    run = _median_run([measure_guest_mips(points) for _ in range(REPEATS)])
+    reference, fast = run[False], run[True]
     # One busy thread: it and the host speed sampler share one CPU, so
     # the sampler times the CPU the work runs on.
     cpus = os.sched_getaffinity(0)

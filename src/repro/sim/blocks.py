@@ -13,16 +13,33 @@ Python function.
 Each block's function is generated from the :mod:`~repro.sim.semantics`
 rows of its instructions: integer ``alu`` kinds whose op is an
 ``operator`` function are written inline (``x[5] = (x[6] + 12) &
-0xFFFFFFFF``), other ``alu`` ops, ``jalr`` targets and the signed
-branch compares call the row's op; ``upper`` kinds become constants;
-loads and stores call ``m.memory``; ``fp`` kinds call their
+0xFFFFFFFF``), and so are the compares of every branch (``blt``/``bge``
+on operands XORed with 2**31); other ``alu`` ops and ``jalr`` targets
+call the row's op; ``upper`` kinds become constants; loads and stores
+index :attr:`Memory.pages <repro.sim.memory.Memory.pages>` directly
+through precompiled ``struct`` readers and writers, and only a missing
+page, an access that crosses a page or one off the top of memory takes
+``m.memory``'s checked path; ``fp`` kinds call their
 :func:`~repro.sim.semantics.bind_in_xregs` compute with operand masks,
 the ``.r`` broadcast, the rounding mode and the ``fflags`` update
-written out.  CSR accesses, system instructions and the FP forms of the
-split register file or FLEN other than 32 call their reference handler.
-``x0`` destinations emit nothing.  The function also adds the block's
-static cycles and retire count to the :class:`~repro.sim.tracer.Trace`
-and returns the next PC, so dispatch is one call per block.
+written out.  The dynamic rounding mode is looked up once per call
+(only a CSR access, which ends a block, changes ``frm``); a reserved
+``frm`` traps at the first FP instruction that reads it.  CSR accesses,
+system instructions and the FP forms of the split register file or
+FLEN other than 32 call their reference handler.  ``x0`` destinations
+emit nothing.  The function also adds the block's static cycles and
+retire count to the :class:`~repro.sim.tracer.Trace` and returns the
+next PC, so dispatch is one call per block.
+
+*Superblocks*: a direct ``jal``/``c.j`` that links nothing (``rd =
+x0``) does not end its block when its target is not in the block yet.
+The block goes on at the target, and the jump stays an entry that costs
+its taken cycles and counts as taken on every execution.  So a loop's
+``j`` back-edge and its top-test branch run as one block, whose branch
+falls through to the block's own start.  A block whose branch leads
+back to its own start *loops in place*: its function runs the next pass
+itself while the remaining instruction budget (an argument) covers a
+whole pass, exactly where the dispatcher would have run it again.
 
 Blocks are shared process-wide.  A block bakes in its start PC, its
 instruction words, the timing configuration's costs, FLEN and the
@@ -35,7 +52,8 @@ key, so it can never hit a clean block.  Generated source is compiled
 once per distinct text (costs are arguments, not literals, so one text
 serves every timing configuration).  :func:`block_cache_info` reports
 the counters.  Each :class:`BlockEngine` keeps its own PC -> block view
-on top, which :meth:`BlockEngine.invalidate` drops.
+on top, which :meth:`BlockEngine.invalidate` drops, per address range
+of the block (a superblock has one per jump it follows).
 
 Dispatch executes whole blocks in a tight loop:
 
@@ -57,20 +75,22 @@ record order; block records expand in first-execution order, entries
 before the terminator, which is first-retire order because a block's
 first execution retires its instructions consecutively.
 
-Blocks end at: control-flow instructions (kept as a *terminator* whose
-taken/not-taken costs are both precomputed), CSR accesses (they may
-read ``mcycle``/``minstret`` and so need exact intermediate counts; the
-generated code adds the prefix's counts before calling them),
-undecodable or unimplemented instructions (the dispatcher falls back to
-the reference loop, which raises the architectural trap), and a length
-cap.  The engine also refuses to start a block that could cross the
-instruction budget; the reference loop finishes such runs with its
-exact per-instruction watchdog semantics.
+Blocks end at: control-flow instructions other than followed jumps
+(kept as a *terminator* whose taken/not-taken costs are both
+precomputed), CSR accesses (they may read ``mcycle``/``minstret`` and so
+need exact intermediate counts; the generated code adds the prefix's
+counts before calling them), undecodable or unimplemented instructions
+(the dispatcher falls back to the reference loop, which raises the
+architectural trap), and a length cap.  The engine also refuses to
+start a block that could cross the instruction budget; the reference
+loop finishes such runs with its exact per-instruction watchdog
+semantics.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 import threading
 from collections import OrderedDict
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -79,8 +99,9 @@ from ..fp.flags import ALL as FFLAGS_MASK, GuestIllegal
 from ..isa.compressed import IllegalCompressed
 from ..isa.instructions import Instr, UnknownInstruction
 from .executor import GUEST_FAULTS, reference_handler
+from .csr import _RM_BY_VALUE
 from .machine import MASK32
-from .memory import MemoryAccessError
+from .memory import _PAGE_BITS, _PAGE_MASK, _PAGE_SIZE, MemoryAccessError
 from .semantics import SEMANTICS, access_size, bind_in_xregs, static_rm
 
 #: Upper bound on entries per block.  Long straight-line runs simply
@@ -154,19 +175,23 @@ class Block:
     """
 
     __slots__ = (
-        "start", "end", "extent", "entries", "costs", "index_of",
+        "start", "end", "ranges", "entries", "jumps", "costs", "index_of",
         "static_cycles", "n_entries", "term", "total_len", "run", "source",
     )
 
     def __init__(self, start: int):
         self.start = start
-        #: Fallthrough PC after the last entry (when there is no term).
+        #: The PC after the last entry (when there is no term).
         self.end = start
-        #: One past the last byte of any parcel in the block (for
-        #: address-ranged invalidation).
-        self.extent = start
+        #: ``[low, high)`` byte ranges of the block's parcels, one per
+        #: run of adjacent parcels (a followed jump starts another), for
+        #: address-ranged invalidation.
+        self.ranges: List[Tuple[int, int]] = []
         #: ``(instr, pc)`` per straight-line instruction.
         self.entries: List[Tuple[Instr, int]] = []
+        #: PCs of the entries that are followed direct jumps: each
+        #: execution of one is a taken redirect.
+        self.jumps: frozenset = frozenset()
         #: Per-entry cycle cost (parallel to ``entries``).
         self.costs: List[int] = []
         #: PC -> index (entries, then the terminator), for mid-block
@@ -232,14 +257,16 @@ class BlockEngine:
         ``addr`` can change any parcel starting at ``addr & ~1`` or two
         bytes earlier, so every block whose extent overlaps that window
         is dropped and looked up again, by its new words, on its next
-        dispatch.
+        dispatch.  A superblock is dropped when any of its ranges
+        overlaps it.
         """
         if addr is None:
             self._view.clear()
             return
         low = (addr & ~1) - 2
         stale = [start for start, block in self._view.items()
-                 if block.start <= addr and low < block.extent]
+                 if any(first <= addr and low < last
+                        for first, last in block.ranges)]
         for start in stale:
             del self._view[start]
 
@@ -290,49 +317,55 @@ class BlockEngine:
         view = self._view
         counts: Dict[int, List[int]] = {}  # start -> [execs, takens]
         order: List[Tuple[Block, List[int]]] = []
+        # Generated code keeps ``stats.instret`` live, and a block that
+        # loops in place retires several passes per call, so the budget
+        # is tracked as the ``instret`` at which it runs out.
+        limit = max_instructions - executed + stats.instret
 
         pc = machine.pc
         while pc != _SENTINEL:
-            if executed >= max_instructions:
+            left = limit - stats.instret
+            if left <= 0:
                 machine.pc = pc
                 expand_records(stats.records, order)
                 return ("budget_exceeded",
                         f"exceeded {max_instructions} instructions at "
-                        f"pc={pc:#x}", None), executed
+                        f"pc={pc:#x}", None), max_instructions - left
             block = view.get(pc)
             if block is None:
                 block = self.block(pc)
                 if block is None:
                     break  # reference loop resolves the trap exactly
-            if executed + block.total_len > max_instructions:
+            if block.total_len > left:
                 break  # per-instruction watchdog needs the reference loop
             rec = counts.get(pc)
             if rec is None:
                 rec = counts[pc] = [0, 0]
                 order.append((block, rec))
             try:
-                pc = block.run(machine, stats, rec)
+                pc = block.run(machine, stats, rec, left)
             except GUEST_FAULTS as exc:
                 expand_records(stats.records, order)
-                outcome, retired = self._fault(stats, block, exc)
-                return outcome, executed + retired
+                outcome = self._fault(stats, block, exc)
+                return outcome, max_instructions - limit + stats.instret
             rec[0] += 1
-            executed += block.total_len
 
         machine.pc = pc
         expand_records(stats.records, order)
+        executed = max_instructions - limit + stats.instret
         if pc == _SENTINEL:
             return ("halt", "", None), executed
         return None, executed  # continue in the reference loop
 
     def _fault(self, stats, block: Block, exc):
-        """Resolve a guest fault raised inside ``block``.
+        """Resolve a guest fault raised inside ``block``; the outcome.
 
         Generated code set ``machine.pc`` to the faulting instruction.
-        Entries before it retired; a faulting terminator runs after the
-        prefix's counts were added (CSR reads must observe them), so
-        only an entry fault still adds them.  Returns ``(outcome,
-        instructions retired in block)``.
+        Entries before it retired (in this pass, for a block that loops
+        in place: earlier passes were counted when they completed); a
+        faulting terminator runs after the prefix's counts were added
+        (CSR reads must observe them), so only an entry fault still
+        adds them.
         """
         sim = self.sim
         pc = sim.machine.pc
@@ -343,13 +376,15 @@ class BlockEngine:
             instr = block.entries[idx][0]
             stats.instret += idx
             stats.cycles += sum(block.costs[:idx])
-        stats.records.extend((1, 0, entry_pc, entry_instr)
+        jumps = block.jumps
+        stats.records.extend((1, int(entry_pc in jumps), entry_pc,
+                              entry_instr)
                              for entry_instr, entry_pc
                              in block.entries[:idx])
         reason, trap_info, retires = sim._resolve_exec_fault(exc, instr)
         if retires:  # ecall/ebreak terminators
             stats.record(instr, 1, pc=pc)
-        return (reason, "", trap_info), idx
+        return reason, "", trap_info
 
 
 def expand_records(records: list,
@@ -358,10 +393,12 @@ def expand_records(records: list,
     taken terminators])`` pairs to ``records``, in that (first-execution)
     order, entries before the terminator: a block's first execution
     retires its instructions consecutively, so this is first-retire
-    order.  The block engine and every lockstep lane expand here."""
+    order.  A followed jump is taken on every execution.  The block
+    engine and every lockstep lane expand here."""
     for block, (execs, takens) in order:
         if execs:
-            records.extend((execs, 0, pc, instr)
+            jumps = block.jumps
+            records.extend((execs, execs if pc in jumps else 0, pc, instr)
                            for instr, pc in block.entries)
             term = block.term
             if term is not None:
@@ -373,12 +410,20 @@ def expand_records(records: list,
 # ----------------------------------------------------------------------
 def _block_at(sim, pc: int) -> Optional[Block]:
     """The shared block at ``pc`` for ``sim``'s current text, built (and
-    its code generated) on a miss."""
-    fetched = []  # (instr, pc, size, row)
+    its code generated) on a miss.
+
+    A direct ``jal``/``c.j`` that links nothing (``rd = x0``) does not
+    end the block when its target is not in the block yet: the block
+    goes on at the target (a *superblock*), so a loop's back-edge and
+    its header run as one block.  A superblock ends where it would run
+    into a PC it holds already, so each PC has one entry.
+    """
+    fetched = []  # (instr, pc, size, row, followed jump's target)
     words = []
+    seen = set()
     terminated = False
     addr = pc
-    while len(fetched) < MAX_BLOCK_LEN:
+    while len(fetched) < MAX_BLOCK_LEN and addr not in seen:
         try:
             instr, size, raw = sim._fetch(addr)
         except (UnknownInstruction, IllegalCompressed, MemoryAccessError):
@@ -389,13 +434,21 @@ def _block_at(sim, pc: int) -> Optional[Block]:
         row = SEMANTICS.get(instr.spec.kind)
         if row is None:
             break  # reference loop raises the illegal-instruction trap
-        fetched.append((instr, addr, size, row))
         words.append(raw)
+        seen.add(addr)
+        cf = instr.spec.cf
+        if cf == "jump" and not instr.rd:
+            target = row.op(addr, 0, instr.imm)
+            if target not in seen:
+                fetched.append((instr, addr, size, row, target))
+                addr = target
+                continue
+        fetched.append((instr, addr, size, row, None))
         addr += size
         # CSR accesses terminate blocks too: they can observe the cycle
         # and instret counters, which the fast path only keeps exact at
         # block boundaries.
-        if instr.spec.cf is not None or row.shape == "csr":
+        if cf is not None or row.shape == "csr":
             terminated = True
             break
     if not fetched:
@@ -416,28 +469,36 @@ def _build(pc: int, fetched, terminated: bool, timing, flen: int,
     block = Block(pc)
     gen = _Codegen(flen, merged)
     costs = timing.table()
+    ranges = block.ranges
+    for instr, addr, size, row, target in fetched:
+        if ranges and ranges[-1][1] == addr:
+            ranges[-1] = (ranges[-1][0], addr + size)
+        else:
+            ranges.append((addr, addr + size))
     body = fetched[:-1] if terminated else fetched
-    for instr, addr, size, row in body:
-        cost = costs[instr.spec][False]
+    jumps = set()
+    for instr, addr, size, row, target in body:
+        if target is not None:
+            jumps.add(addr)  # a followed jump retires as taken
+        cost = costs[instr.spec][target is not None]
         block.index_of[addr] = block.n_entries
         block.entries.append((instr, addr))
         block.costs.append(cost)
         block.static_cycles += cost
         block.n_entries += 1
-        block.end = (addr + size) & MASK32
-        block.extent = addr + size
+        block.end = (addr + size) & MASK32 if target is None else target
         gen.entry(instr, row, addr)
+    block.jumps = frozenset(jumps)
     n = block.n_entries
+    block.total_len = n + (1 if terminated else 0)
     if terminated:
-        instr, addr, size, row = fetched[-1]
+        instr, addr, size, row, _ = fetched[-1]
         block.index_of[addr] = n
         block.term = Term(instr, addr, (addr + size) & MASK32,
                           *costs[instr.spec])
-        block.extent = addr + size
-        gen.terminator(block.term, row, n, block.static_cycles)
+        gen.terminator(block.term, row, n, block.static_cycles, pc)
     else:
         gen.fallthrough(block.end, n, block.static_cycles)
-    block.total_len = n + (1 if terminated else 0)
     block.source, block.run = gen.finish()
     return block
 
@@ -461,17 +522,36 @@ _INLINE_ALU = {
 #: Operators with ``op(a, 0) == a``.
 _IDENTITY_ZERO = (operator.add, operator.sub, operator.xor, operator.or_,
                   operator.lshift, operator.rshift)
+#: Branch compares, by op for all but the signed ones, ...
 _INLINE_COND = {
     operator.eq: "{a} == {b}",
     operator.ne: "{a} != {b}",
     operator.lt: "{a} < {b}",
     operator.ge: "{a} >= {b}",
 }
+#: ... the signed ones by kind, written on operands XORed with 2**31
+#: (which orders two's-complement values like unsigned ones).
+_SIGNED_COND = {"blt": "<", "bge": ">="}
+_SIGN32 = 1 << 31
+
+#: Globals of generated code: ``struct`` page readers (``_ld2``,
+#: ``_ld2s``, ``_ld4``, ``_ld4s``) and writers (``_st2``, ``_st4``) by
+#: access size, and the frm -> rounding mode table.
+_GLOBALS = {"_RM": _RM_BY_VALUE}
+for _size, _code in ((2, "h"), (4, "i")):
+    _GLOBALS[f"_ld{_size}s"] = struct.Struct("<" + _code).unpack_from
+    _GLOBALS[f"_ld{_size}"] = struct.Struct("<" + _code.upper()).unpack_from
+    _GLOBALS[f"_st{_size}"] = struct.Struct("<" + _code.upper()).pack_into
 
 
 def _x(reg: int) -> str:
     """Source reading integer register ``reg`` (x0 reads as 0)."""
     return f"x[{reg}]" if reg else "0"
+
+
+def _biased(reg: int) -> str:
+    """Source reading ``reg`` XORed with 2**31, for signed compares."""
+    return f"(x[{reg}] ^ {_SIGN32})" if reg else str(_SIGN32)
 
 
 def _address(i: Instr) -> str:
@@ -481,6 +561,15 @@ def _address(i: Instr) -> str:
     if not i.imm:
         return _x(i.rs1)
     return f"({_x(i.rs1)} + {i.imm}) & {MASK32}"
+
+
+def _page_read(size: int, signed: bool) -> str:
+    """Source reading ``size`` bytes at offset ``o`` of page ``p``."""
+    if size == 1:
+        return f"((p[o] ^ 128) - 128) & {MASK32}" if signed else "p[o]"
+    if signed:
+        return f"_ld{size}s(p, o)[0] & {MASK32}"
+    return f"_ld{size}(p, o)[0]"
 
 
 class _Codegen:
@@ -499,6 +588,11 @@ class _Codegen:
         self.consts: list = []
         self.uses_mem = False
         self.uses_csr = False
+        #: Reads the dynamic rounding mode (looked up once per call:
+        #: only a CSR access, which ends a block, changes it).
+        self.uses_rm = False
+        #: Runs more passes in place (its branch leads to its start).
+        self.loops = False
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -520,12 +614,11 @@ class _Codegen:
             self._load(i, row, pc)
         elif shape == "store" and (self.fp_in_x
                                    or i.spec.syntax[0] != "frs2"):
-            self.uses_mem = True
-            self.emit(f"m.pc = {pc}")
-            self.emit(f"mem.write({_address(i)}, {_x(i.rs2)}, "
-                      f"{access_size(i.spec, self.flen)})")
+            self._store(i, pc)
         elif shape == "fp" and self.fp_in_x:
             self._fp(i, row, pc)
+        elif shape == "jump":
+            pass  # a followed direct jump: it links nothing
         else:
             self._reference(i, pc)
 
@@ -556,18 +649,45 @@ class _Codegen:
             value = f"({value}) & {MASK32}"
         self.emit(f"x[{i.rd}] = {value}")
 
-    def _load(self, i: Instr, row, pc: int) -> None:
+    def _access(self, i: Instr, size: int, pc: int) -> None:
+        """Open a load or store of ``size`` bytes: the address ``a``, its
+        page ``p`` (None when not mapped yet) and offset ``o``, and the
+        test that sends a missing page, or an access that crosses a page
+        (one off the top of memory crosses the last page), through
+        ``mem``'s checked path with ``m.pc`` set.  The caller emits that
+        path's body, then ``else:`` and the direct page access."""
         self.uses_mem = True
+        self.emit(f"a = {_address(i)}")
+        self.emit(f"o = a & {_PAGE_MASK}")
+        self.emit(f"p = pg(a >> {_PAGE_BITS})")
+        crosses = f" or o > {_PAGE_SIZE - size}" if size > 1 else ""
+        self.emit(f"if p is None{crosses}:")
+        self.emit(f"m.pc = {pc}", 1)
+
+    def _load(self, i: Instr, row, pc: int) -> None:
         size = access_size(i.spec, self.flen)
-        self.emit(f"m.pc = {pc}")
-        read = f"mem.read({_address(i)}, {size})"
+        self._access(i, size, pc)
+        read = f"mem.read(a, {size})"
         if not i.rd:
-            self.emit(read)  # still faults
-        elif row.signed:
+            self.emit(read, 1)  # still faults
+            return
+        if row.signed:
             sign = 1 << (8 * size - 1)
-            self.emit(f"x[{i.rd}] = (({read} ^ {sign}) - {sign}) & {MASK32}")
-        else:
-            self.emit(f"x[{i.rd}] = {read}")
+            read = f"(({read} ^ {sign}) - {sign}) & {MASK32}"
+        self.emit(f"x[{i.rd}] = {read}", 1)
+        self.emit("else:")
+        self.emit(f"x[{i.rd}] = {_page_read(size, row.signed)}", 1)
+
+    def _store(self, i: Instr, pc: int) -> None:
+        size = access_size(i.spec, self.flen)
+        self._access(i, size, pc)
+        value = _x(i.rs2)
+        self.emit(f"mem.write(a, {value}, {size})", 1)
+        self.emit("else:")
+        if size < 4 and i.rs2:
+            value = f"{value} & {(1 << 8 * size) - 1}"
+        self.emit(f"p[o] = {value}" if size == 1
+                  else f"_st{size}(p, o, {value})", 1)
 
     def _fp(self, i: Instr, row, pc: int) -> None:
         fn, regs, masks, scale, dmask = bind_in_xregs(i)
@@ -590,9 +710,13 @@ class _Codegen:
         if scale != 1:
             args[-1] = f"{args[-1]} * {scale}"
         if row.rounds:
-            self.uses_csr = self.uses_csr or rm is None
-            args.append("csr.rounding_mode" if rm is None
-                        else self.const(rm))
+            if rm is None and not self.uses_rm:
+                # The block's first read of frm: a reserved value traps
+                # here, as the reference handler's read would.
+                self.uses_rm = True
+                self.emit("if rm is None:")
+                self.emit("csr.rounding_mode", 1)
+            args.append("rm" if rm is None else self.const(rm))
         call = f"{self.const(fn)}({', '.join(args)})"
         if row.flags:
             self.uses_csr = True
@@ -611,19 +735,34 @@ class _Codegen:
         self.emit(f"st.cycles += {self.const(static)}")
         self.emit(f"return {end}")
 
-    def terminator(self, term: Term, row, n: int, static: int) -> None:
+    def terminator(self, term: Term, row, n: int, static: int,
+                   start: int) -> None:
         i = term.instr
         if row.shape == "branch":
-            a, b = _x(i.rs1), _x(i.rs2)
-            inline = _INLINE_COND.get(row.op)
-            cond = (inline.format(a=a, b=b) if inline is not None
-                    else f"{self.const(row.op)}({a}, {b})")
+            signed = _SIGNED_COND.get(i.spec.kind)
+            if signed is not None:
+                cond = f"{_biased(i.rs1)} {signed} {_biased(i.rs2)}"
+            else:
+                cond = _INLINE_COND[row.op].format(a=_x(i.rs1),
+                                                   b=_x(i.rs2))
+            target = (term.pc + i.imm) & MASK32
             self.emit(f"st.instret += {n + 1}")
             self.emit(f"if {cond}:")
-            self._taken(str((term.pc + i.imm) & MASK32),
-                        static + term.cost_taken, 1)
-            self.emit(f"st.cycles += {self.const(static + term.cost_ntaken)}")
-            self.emit(f"return {term.fallthrough}")
+            self.emit(f"st.cycles += {self.const(static + term.cost_taken)}",
+                      1)
+            self.emit("rec[1] += 1", 1)
+            depth = 0
+            if target != start:
+                self.emit(f"return {target}", 1)
+            else:
+                self.emit("else:")
+                depth = 1
+            self.emit(f"st.cycles += {self.const(static + term.cost_ntaken)}",
+                      depth)
+            if term.fallthrough != start:
+                self.emit(f"return {term.fallthrough}", depth)
+            if start in (target, term.fallthrough):
+                self._loop(n + 1, start)
         elif row.shape == "jump":
             if "rs1" in i.spec.syntax:
                 # The target reads rs1 before the link may overwrite it.
@@ -654,23 +793,39 @@ class _Codegen:
         self.emit("rec[1] += 1", depth)
         self.emit(f"return {target}", depth)
 
+    def _loop(self, n: int, start: int) -> None:
+        """Close a pass that leads back to the block's start: run the
+        next one in place while the budget ``left`` covers it, as the
+        dispatcher would, counting each finished pass but the last (the
+        dispatcher counts that one)."""
+        self.loops = True
+        self.emit(f"left -= {n}")
+        self.emit(f"if left < {n}:")
+        self.emit(f"return {start}", 1)
+        self.emit("rec[0] += 1")
+
     # ------------------------------------------------------------------
     def finish(self):
         """``(source, function)``: compile the text once per process."""
         prologue = ["x = m.xregs"]
         if self.uses_mem:
-            prologue.append("mem = m.memory")
-        if self.uses_csr:
+            prologue += ["mem = m.memory", "pg = mem.pages.get"]
+        if self.uses_csr or self.uses_rm:
             prologue.append("csr = m.csr")
+        if self.uses_rm:
+            prologue.append("rm = _RM.get(csr.frm)")
+        body = self.lines
+        if self.loops:
+            body = ["while True:"] + ["    " + line for line in body]
         params = ", ".join(f"k{n}" for n in range(len(self.consts)))
         source = "\n".join(
             [f"def _factory({params}):",
-             "    def _block(m, st, rec):"]
-            + ["        " + line for line in prologue + self.lines]
+             "    def _block(m, st, rec, left):"]
+            + ["        " + line for line in prologue + body]
             + ["    return _block", ""])
         factory = _factories.get(source)
         if factory is None:
-            namespace: dict = {}
+            namespace = dict(_GLOBALS)
             exec(compile(source, "<block>", "exec"), namespace)
             factory = _factories.put(source, namespace["_factory"])
         return source, factory(*self.consts)

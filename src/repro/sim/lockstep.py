@@ -582,7 +582,7 @@ class LockstepEngine:
         self._keys_differ = len(set(keys)) > 1
 
         bt = _Batch(n, np.arange(n), entry_pc,
-                    BatchMemory(n, tpl.machine.memory._pages))
+                    BatchMemory(n, tpl.machine.memory.pages))
         bt.frm = frm & 0b111
         bt.xregs[1] = HALT_ADDRESS
         bt.xregs[2] = STACK_TOP
@@ -774,8 +774,10 @@ class LockstepEngine:
             return _bind_store(i, size, (1 << (8 * size)) - 1)
         if shape == "fp":
             return self._bind_fp(i, row)
-        if shape == "sys" and i.spec.cf is None:
-            return _nop_entry  # fence
+        if shape == "jump" or (shape == "sys" and i.spec.cf is None):
+            # A fence, or a direct jump a superblock followed: the block
+            # goes on at its target, and it links nothing.
+            return _nop_entry
         return _drain_entry  # unknown kinds: scalar core decides
 
     def _bind_fp(self, i, row):
@@ -1006,7 +1008,8 @@ class LockstepEngine:
                         else int(exec_base[ln])) + prefix
             for k in range(prefix):
                 instr, epc = sblock.entries[k]
-                t.record(instr, sblock.costs[k], pc=epc)
+                t.record(instr, sblock.costs[k], epc in sblock.jumps,
+                         pc=epc)
             sim = Simulator(merged_regfile=tpl.machine.merged_regfile,
                             flen=tpl.machine.flen,
                             timing=tpl.timing.config,
@@ -1019,7 +1022,7 @@ class LockstepEngine:
             for r in range(1, 32):
                 v = bt.xregs[r]
                 xr[r] = v if type(v) is int else int(v[ln])
-            m.memory._pages = bt.mem.lane_pages(int(bt.lane_ids[ln]))
+            m.memory.pages = bt.mem.lane_pages(int(bt.lane_ids[ln]))
             csr = m.csr
             csr.fflags = (bt.fflags if type(bt.fflags) is int
                           else int(bt.fflags[ln]))

@@ -58,14 +58,17 @@ class Memory:
         if latency < 1:
             raise ValueError("memory latency must be at least 1 cycle")
         self.latency = latency
-        self._pages: Dict[int, bytearray] = {}
+        #: Page number -> its 4 KiB ``bytearray``, created on first
+        #: touch.  Public: generated block code indexes it directly, and
+        #: the lockstep engine swaps in a drained lane's pages.
+        self.pages: Dict[int, bytearray] = {}
 
     # ------------------------------------------------------------------
     def _page(self, addr: int) -> bytearray:
-        page = self._pages.get(addr >> _PAGE_BITS)
+        page = self.pages.get(addr >> _PAGE_BITS)
         if page is None:
             page = bytearray(_PAGE_SIZE)
-            self._pages[addr >> _PAGE_BITS] = page
+            self.pages[addr >> _PAGE_BITS] = page
         return page
 
     @staticmethod

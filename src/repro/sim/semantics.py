@@ -547,21 +547,24 @@ def _packed(kind: str, scalar: str, *, unary=False, acc=False, mask=False,
         m = _U32(F.fmt.bits_mask)
         shifts = [_U32(s) for s in range(0, F.flen, F.fmt.width)]
         places = [_U32(i) for i in range(len(shifts))] if mask else shifts
+        count = len(shifts)
 
         def run(*regs, **mode):
+            # Every lane of every element in one call, lane by lane: the
+            # batch forms cost mostly per call, not per element.
             if acc:
                 regs = (*regs[1:], regs[0])  # the scalar fn(a, b, acc)
             n = regs[0].shape[0]
+            if mode.get("keys") is not None:
+                mode["keys"] = np.tile(mode["keys"], count)
+            bits, fl, fb = fn(*[np.concatenate([(r >> s) & m for s in shifts])
+                                for r in regs], **mode)
             out = np.zeros(n, dtype=_U32)
-            flags = np.zeros(n, dtype=np.uint8)
-            fallback = np.zeros(n, dtype=bool)
-            for s, place in zip(shifts, places):
-                bits, fl, fb = fn(*[(r >> s) & m for r in regs], **mode)
-                out |= bits << place
-                flags |= fl
-                if fb is not None:
-                    fallback |= fb
-            return out, flags, fallback
+            for lane, place in enumerate(places):
+                out |= bits[lane * n:(lane + 1) * n] << place
+            flags = np.bitwise_or.reduce(fl.reshape(count, n), axis=0)
+            return out, flags, (None if fb is None
+                                else fb.reshape(count, n).any(axis=0))
         return run
 
     _add(Row(kind, "fp", op, batch, cls=base.cls, rounds=rounds,

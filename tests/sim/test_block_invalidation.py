@@ -130,3 +130,36 @@ def test_compressed_boundary_invalidation():
         assert ref.machine.xregs[10] == fast.machine.xregs[10]
         assert r1.trace.cycles == r2.trace.cycles
         _assert_same_trace(r1, r2)
+
+
+# ``main`` jumps back to ``target``: the block at ``main`` follows the
+# jump, so it also holds ``target``'s words, which lie below its start.
+SUPERBLOCK_SRC = """
+target:
+addi a0, a0, 10
+addi a0, a0, 10
+ret
+main:
+addi a0, zero, 1
+j target
+"""
+
+
+def test_corruption_below_a_superblock_start_drops_it():
+    for shared in (False, True):
+        program = assemble(SUPERBLOCK_SRC)
+        ref = Simulator(program, fast_path=False)
+        fast = Simulator(program, fast_path=True)
+        t1, t2 = _traces(shared)
+        main = program.address_of("main")
+        ref.run(main, trace=t1), fast.run(main, trace=t2)
+        assert fast._engine().block(main).ranges == [(0xC, 0x14),
+                                                     (0x0, 0xC)]
+        assert fast.machine.xregs[10] == 21
+        # Flip the second addi (at 0x4, under the superblock's start).
+        new_word = assemble("addi a0, a0, 1").words[0]
+        for sim in (ref, fast):
+            _corrupt(sim, 0x4, new_word)
+        r1, r2 = ref.run(main, trace=t1), fast.run(main, trace=t2)
+        assert ref.machine.xregs[10] == fast.machine.xregs[10] == 12
+        _assert_same_trace(r1, r2)

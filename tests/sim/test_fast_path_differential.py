@@ -15,6 +15,9 @@ import pytest
 from repro.isa import assemble
 from repro.kernels import KERNELS
 from repro.sim import Simulator
+from repro.sim.simulator import HALT_ADDRESS
+
+MASK32 = 0xFFFFFFFF
 
 
 # ----------------------------------------------------------------------
@@ -56,12 +59,13 @@ def assert_results_identical(ref_sim, ref_res, fast_sim, fast_res, label=""):
 
 
 def run_both(source_or_program, entry=0, args=None, max_instructions=50_000,
-             label="", poke_words=None):
+             label="", poke_words=None, data=()):
     """Run a program through both paths and compare everything.
 
     ``poke_words`` maps word index -> raw value, overwriting assembled
     text before loading (the assembler rejects raw words in ``.text``,
     but undecodable streams are exactly what the trap tests need).
+    ``data`` holds ``(address, bytes)`` pairs written to memory first.
     """
     program = (assemble(source_or_program)
                if isinstance(source_or_program, str) else source_or_program)
@@ -69,11 +73,16 @@ def run_both(source_or_program, entry=0, args=None, max_instructions=50_000,
         program.words[index] = word
     ref_sim = Simulator(program, fast_path=False)
     fast_sim = Simulator(program, fast_path=True)
+    for sim in (ref_sim, fast_sim):
+        for addr, chunk in data:
+            sim.machine.memory.write_block(addr, chunk)
     ref = ref_sim.run(entry, args=dict(args or {}),
                       max_instructions=max_instructions)
     fast = fast_sim.run(entry, args=dict(args or {}),
                         max_instructions=max_instructions)
     assert_results_identical(ref_sim, ref, fast_sim, fast, label)
+    assert_memory_contents_identical(ref_sim.machine.memory,
+                                     fast_sim.machine.memory, label)
     return ref, fast
 
 
@@ -189,6 +198,145 @@ def test_budget_exact_on_block_boundary():
     """
     for budget in range(1, 14):
         run_both(src, max_instructions=budget, label=f"budget={budget}")
+
+
+# A loop of the compiler's shape: a top-test ``bge``, then the body and
+# a ``j`` back to the test.  The block engine follows the ``j`` into the
+# test, so the body's block ends at the ``bge`` whose fall-through is the
+# body's start, and loops in place.
+TOP_TEST_LOOP = """
+addi a0, zero, 0
+addi a1, zero, 5
+head:
+bge a0, a1, done
+addi a0, a0, 1
+addi a2, a2, 3
+j head
+done:
+ret
+"""
+
+
+def test_budget_expires_at_every_pass_of_an_in_place_loop():
+    for budget in range(1, 30):
+        run_both(TOP_TEST_LOOP, max_instructions=budget,
+                 label=f"top-test budget={budget}")
+
+
+def test_in_place_loop_runs_as_one_block_call():
+    sim = Simulator(assemble(TOP_TEST_LOOP))
+    body = sim._engine().block(0xC)
+    assert [pc for _instr, pc in body.entries] == [0xC, 0x10, 0x14]
+    assert body.jumps == {0x14} and body.term.pc == 0x8
+    assert body.ranges == [(0xC, 0x18), (0x8, 0xC)]
+    assert "while True:" in body.source
+    result = sim.run(0)
+    assert result.trace.pc_taken[0x14] == result.trace.pc_counts[0x14] == 5
+
+
+def test_fault_in_a_later_pass_of_an_in_place_loop():
+    # The loaded address climbs a page per pass and runs off the top of
+    # memory in the fourth pass: the earlier passes stay counted.
+    run_both("""
+    lui a0, 0xffffd
+    addi a0, a0, -2
+    lui a1, 1
+    loop:
+    lw a2, 0(a0)
+    add a0, a0, a1
+    bne a0, zero, loop
+    ret
+    """, label="loop-fault")
+
+
+def test_superblock_stops_before_its_own_start():
+    # The block at ``main`` follows ``j top``, and ``top`` falls through
+    # into ``main`` again: the block must end there, or ``main``'s load
+    # would be two entries and a fault in the first resolve to the
+    # second.
+    source = """
+    top:
+    lw a2, 0(a1)
+    addi a3, a3, 1
+    main:
+    lw a4, 0(a0)
+    addi a0, zero, -1
+    j top
+    """
+    program = assemble(source)
+    main = program.address_of("main")
+    block = Simulator(program)._engine().block(main)
+    assert [pc for _instr, pc in block.entries] == [main, main + 4,
+                                                    main + 8, 0, 4]
+    for a0 in (0x2000, MASK32):  # faults in the second or first pass
+        ref, fast = run_both(program, entry=main,
+                             args={10: a0, 11: 0x2000},
+                             label=f"a0={a0:#x}")
+        assert (fast.trap.mepc, fast.trap.mtval) == (main, MASK32)
+
+
+# ----------------------------------------------------------------------
+# Loads and stores at the edges of the page map
+# ----------------------------------------------------------------------
+ACCESSES = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4,
+            "sb": 1, "sh": 2, "sw": 4}
+LOAD_BACK = {"sb": "lbu", "sh": "lhu", "sw": "lw"}
+#: ``(address, staged)``: across a page boundary (from every offset),
+#: within a page just below one, on a page nothing touched, and at the
+#: top of memory, staged or not.
+EDGE_ADDRESSES = [(0x2FFC, True), (0x2FFD, True), (0x2FFE, True),
+                  (0x2FFF, True), (0x7001, False), (0x7FFF, False),
+                  (0xFFFFFFFC, True), (0xFFFFFFFD, True),
+                  (0xFFFFFFFE, True), (0xFFFFFFFF, True),
+                  (0xFFFFFFFF, False)]
+
+
+@pytest.mark.parametrize("addr,staged", EDGE_ADDRESSES,
+                         ids=[f"{a:#x}-{'staged' if s else 'unmapped'}"
+                              for a, s in EDGE_ADDRESSES])
+@pytest.mark.parametrize("op", sorted(ACCESSES))
+def test_access_at_page_edges(op, addr, staged):
+    size = ACCESSES[op]
+    if op in LOAD_BACK:  # store, then read the bytes back
+        access = f"{op} a1, 0(a0)\n{LOAD_BACK[op]} a2, 0(a0)"
+    else:
+        access = f"{op} a2, 0(a0)"
+    low = min(addr & ~7, (1 << 32) - 16) - 8
+    data = [(low, bytes(range(0x81, 0x81 + 24))[:(1 << 32) - low])]
+    ref, fast = run_both(f"""
+    addi a3, zero, 3
+    {access}
+    addi a4, zero, 4
+    ret
+    """, args={10: addr, 11: 0x89ABCDEF}, data=data if staged else (),
+        label=f"{op} at {addr:#x}")
+    if addr + size > 1 << 32:  # off the top of memory: exact trap
+        cause = 7 if op in LOAD_BACK else 5
+        assert (fast.exit_reason, fast.trap.cause, fast.trap.mepc,
+                fast.trap.mtval) == ("trap", cause, 4, addr)
+        assert fast.trace.instret == 1
+    else:
+        assert fast.exit_reason == "halt"
+
+
+# ----------------------------------------------------------------------
+# Dynamic rounding mode: looked up once per block, trapping in place
+# ----------------------------------------------------------------------
+def test_reserved_frm_traps_at_the_second_fp_instruction():
+    # The first FP instruction has a static mode and retires; the second
+    # reads the reserved frm and traps, mid-block.
+    ref, fast = run_both("""
+    addi t0, zero, 6
+    csrw frm, t0
+    li a2, 0x3c00
+    li a3, 0x0001
+    fadd.h fa4, fa2, fa3, rne
+    fmul.h fa5, fa2, fa3
+    ret
+    """, label="reserved-frm")
+    assert (fast.exit_reason, fast.trap.cause, fast.trap.mepc) == (
+        "trap", 2, 0x18)
+    assert fast.trace.by_mnemonic["fadd.h"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +475,7 @@ def assert_memory_contents_identical(ref_mem, got_mem, label=""):
     page are indistinguishable to the guest.
     """
     zero = bytes(4096)
-    ref_pages, got_pages = ref_mem._pages, got_mem._pages
+    ref_pages, got_pages = ref_mem.pages, got_mem.pages
     for pno in set(ref_pages) | set(got_pages):
         assert bytes(ref_pages.get(pno, zero)) == \
             bytes(got_pages.get(pno, zero)), f"{label}: page {pno:#x}"
@@ -541,6 +689,44 @@ def test_lockstep_store_vector_value():
     ret
     """, [{10: 0x3000, 11: 5}, {10: 0x3000, 11: 9}],
         label="store-vec-value")
+
+
+def test_lockstep_drain_inside_a_superblock():
+    # The block after ``csrw`` follows ``j`` into the ``fadd.h``, which
+    # reads the reserved frm and drains the batch: the drained prefix
+    # records the jump as taken.
+    results = run_lockstep_both("""
+    addi t0, zero, 6
+    csrw frm, t0
+    addi a0, a0, 1
+    j next
+    addi a0, a0, 100
+    next:
+    fadd.h fa4, fa2, fa3
+    ret
+    """, [{10: 1}, {10: 2}], label="superblock-drain")
+    for result in results:
+        assert result.exit_reason == "trap"
+        assert result.trace.pc_taken[0xC] == 1
+
+
+def test_lockstep_runs_superblocks_without_draining(monkeypatch):
+    # Direct jumps are no-ops inside a superblock: the divergent loop
+    # below drains each batch only when it halts.
+    from repro.sim.lockstep import LockstepEngine
+
+    drained = []
+    drain_all = LockstepEngine._drain_all
+
+    def spy(self, bt, out, prefix=0, sblock=None):
+        drained.append(bt.pc)
+        return drain_all(self, bt, out, prefix, sblock)
+
+    monkeypatch.setattr(LockstepEngine, "_drain_all", spy)
+    source = TOP_TEST_LOOP.replace("addi a1, zero, 5", "mv a1, a4")
+    run_lockstep_both(source, [{14: n} for n in (3, 7, 7)],
+                      label="superblock-loop")
+    assert drained and set(drained) == {HALT_ADDRESS}
 
 
 def test_lockstep_store_divergent_address():

@@ -8,10 +8,15 @@ instructions drawn from every ``alu``, ``upper``, ``load``, ``store`` and
 with RVC parcels (``c.addi``, ``c.mv``, ``c.add``, ``c.lw``, ``c.sw``),
 runs separated by CSR accesses (``frm`` writes, ``cycle``/``instret``
 reads, now and then an illegal counter write), forward conditional
-branches on random registers and ``jal`` skips inside the body, sometimes
-an out-of-range load or store at a random position, all inside a bounded
-backward-branch loop.  The forward skips make first-retire order depart
-from address order and make lockstep lanes diverge.
+branches on random registers, ``c.beqz``/``c.bnez`` and ``jal``/``c.j``
+skips inside the body, inner loops of the compiler's shape (a top-test
+branch out, a body, a backward ``jal``/``c.j`` to the test) run a
+lane-dependent number of times, sometimes an out-of-range load or store
+at a random position, all inside a bounded backward-branch loop.  The
+forward skips make first-retire order depart from address order and
+make lockstep lanes diverge; the ``x0``-linking jumps make the block
+engine build superblocks, and the inner loops make them loop in place,
+under random budgets that often run out mid-loop.
 Each program runs on the reference interpreter, on the block engine
 (whose blocks are shared process-wide, so later examples also reuse
 blocks an earlier one built) and as three divergent lockstep lanes;
@@ -42,9 +47,11 @@ DATA = 0x4000     #: data window the in-range loads and stores hit
 DATA_REG = 8      #: holds DATA (``c.lw``/``c.sw`` reach x8-x15 only)
 FAULT_REG = 29    #: holds 0xFFFFFFFF, so a 2+ byte access faults
 LOOP_REG = 31     #: the loop counter; never a random destination
+INNER_REG = 30    #: the inner loops' counter
 TWO_REG = 28      #: holds 2, for branches on the loop counter
 SR_KEY = 0x5EED   #: the stochastic-rounding key of a run
-RESERVED = (1, FAULT_REG, DATA_REG, LOOP_REG, TWO_REG)  # ra and the above
+#: ra and the registers above.
+RESERVED = (1, FAULT_REG, DATA_REG, LOOP_REG, INNER_REG, TWO_REG)
 DESTINATIONS = [r for r in range(32) if r not in RESERVED]
 SHAPES = ("alu", "upper", "load", "store", "fp")
 BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
@@ -136,21 +143,75 @@ def compressed(draw):
     return funct4 << 12 | rd << 7 | draw(st.integers(1, 31)) << 2 | 0b10
 
 
+def c_j(offset):
+    """``c.j offset``."""
+    o = offset & 0xFFF
+    return (0b101 << 13 | (o >> 11 & 1) << 12 | (o >> 4 & 1) << 11
+            | (o >> 8 & 3) << 9 | (o >> 10 & 1) << 8 | (o >> 6 & 1) << 7
+            | (o >> 7 & 1) << 6 | (o >> 1 & 7) << 3 | (o >> 5 & 1) << 2
+            | 0b01)
+
+
+def c_branch(form, reg, offset):
+    """``c.beqz``/``c.bnez reg, offset`` (``reg`` in x8-x15)."""
+    o = offset & 0x1FF
+    return ((0b110 if form == "c.beqz" else 0b111) << 13
+            | (o >> 8 & 1) << 12 | (o >> 3 & 3) << 10 | (reg - 8) << 7
+            | (o >> 6 & 3) << 5 | (o >> 1 & 3) << 3 | (o >> 5 & 1) << 2
+            | 0b01)
+
+
 @st.composite
 def skips(draw):
-    """A forward jump over the next ``skip`` body items: ``jal``, or a
-    conditional branch on the loop counter against ``TWO_REG`` (its
-    outcome changes between iterations, so first-retire order departs
-    from address order) or on two random registers."""
-    form = draw(st.integers(0, 2))
+    """A forward jump over the next ``skip`` body items: ``jal`` or
+    ``c.j``, or a conditional branch on the loop counter against
+    ``TWO_REG`` (its outcome changes between iterations, so first-retire
+    order departs from address order), on two random registers, or
+    ``c.beqz``/``c.bnez`` on a random register of x8-x15."""
+    form = draw(st.integers(0, 4))
     skip = draw(st.integers(0, 6))
     if form == 0:
         return ("jal", draw(st.sampled_from(DESTINATIONS + [0])), skip)
     if form == 1:
+        return ("c.j", skip)
+    if form == 2:
+        return (draw(st.sampled_from(("c.beqz", "c.bnez"))),
+                draw(st.integers(8, 15)), skip)
+    if form == 3:
         rs1, rs2 = draw(st.permutations((LOOP_REG, TWO_REG)))
     else:
         rs1, rs2 = draw(st.integers(0, 31)), draw(st.integers(0, 31))
     return (draw(st.sampled_from(BRANCHES)), rs1, rs2, skip)
+
+
+@st.composite
+def loops(draw):
+    """An inner loop of the compiler's shape, as parcels: ``INNER_REG``
+    set to the low two bits of a random register (negated when counting
+    up), a top-test ``bge``/``beq`` out of the loop, a short body, the
+    counter step and a backward ``jal x0``/``c.j`` to the test."""
+    src = draw(st.sampled_from(DESTINATIONS))
+    up = draw(st.booleans())
+    body = draw(st.lists(st.one_of(instructions(), compressed()),
+                         max_size=4))
+    init = [encode(spec_by_mnemonic("andi"), rd=INNER_REG, rs1=src, imm=3)]
+    if up:
+        init.append(encode(spec_by_mnemonic("sub"), rd=INNER_REG, rs1=0,
+                           rs2=INNER_REG))
+    step = encode(spec_by_mnemonic("addi"), rd=INNER_REG, rs1=INNER_REG,
+                  imm=1 if up else -1)
+    compressed_back = draw(st.booleans())
+    back = -(4 + sum(_size(p) for p in body) + 4)
+    leave = -back + (2 if compressed_back else 4)
+    if up:  # leave once the count reaches zero
+        test = encode(spec_by_mnemonic("bge"), rs1=INNER_REG, rs2=0,
+                      imm=leave)
+    else:
+        test = encode(spec_by_mnemonic(draw(st.sampled_from(("bge", "beq")))),
+                      rs1=0, rs2=INNER_REG, imm=leave)
+    jump = (c_j(back) if compressed_back
+            else encode(spec_by_mnemonic("jal"), rd=0, imm=back))
+    return init + [test] + body + [step, jump]
 
 
 @st.composite
@@ -164,6 +225,8 @@ def programs(draw):
         if index:
             body.append(draw(separators()))
         body.extend(run)
+    for loop in draw(st.lists(loops(), max_size=2)):
+        body.insert(draw(st.integers(0, len(body))), loop)
     for skip in draw(st.lists(skips(), max_size=3)):
         body.insert(draw(st.integers(0, len(body))), skip)
     if draw(st.integers(0, 3)) == 3:  # shrinks towards no fault
@@ -203,20 +266,35 @@ def _size(parcel):
     return 2 if is_compressed(parcel & 0xFFFF) else 4
 
 
+def _item_size(item):
+    if type(item) is list:  # an inner loop's parcels
+        return sum(map(_size, item))
+    if type(item) is tuple:  # a skip
+        return 2 if item[0].startswith("c.") else 4
+    return _size(item)
+
+
 def _layout(body):
     """The body's parcels with every skip resolved to a forward offset
     (at most to the loop tail), then the loop tail: ``addi t6, t6, -1;
     bne t6, zero, <body start>; ret``."""
-    sizes = [4 if type(item) is tuple else _size(item) for item in body]
+    sizes = [_item_size(item) for item in body]
     starts = [sum(sizes[:index]) for index in range(len(body) + 1)]
     parcels = []
     for index, item in enumerate(body):
+        if type(item) is list:
+            parcels.extend(item)
+            continue
         if type(item) is tuple:
             target = starts[min(index + 1 + item[-1], len(body))]
             offset = target - starts[index]
             if item[0] == "jal":
                 item = encode(spec_by_mnemonic("jal"), rd=item[1],
                               imm=offset)
+            elif item[0] == "c.j":
+                item = c_j(offset)
+            elif item[0].startswith("c."):
+                item = c_branch(item[0], item[1], offset)
             else:
                 item = encode(spec_by_mnemonic(item[0]), rs1=item[1],
                               rs2=item[2], imm=offset)
