@@ -30,11 +30,12 @@ The face gate times :mod:`repro.fp.batch`'s scalar RNE face against
 the softfloat core on the same operands, in one process, so the ratio
 does not depend on the host.
 
-The crossover gate ties :data:`~repro.harness.parallel.
-LOCKSTEP_MIN_WIDTH` to a measurement: for one config, the wall of a
-lockstep batch over the wall of the same seeds run one after another
-on the block engine must be above 1 at width 4 and below 1 at the
-minimum width.
+The crossover gate ties :data:`~repro.sim.lockstep.LOCKSTEP_MIN_WIDTH`
+to a measurement: the wall of a lockstep batch over the wall of the
+same seeds run one after another on the block engine must be above 1
+at width 4 and below 1 at the minimum width for gemm, and stay well
+below its pre-split-rule reading at the minimum width for svm, whose
+batches split.
 """
 
 import os
@@ -48,9 +49,10 @@ from repro.fp import arith, batch as fpbatch, lookup
 from repro.fp.convert import double_to_bits, fcvt_f2f
 from repro.fp.formats import BINARY64
 from repro.harness.experiments import clear_cache, fig1_points
-from repro.harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint, run_points
+from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import run_kernel, run_kernel_batch
 from repro.kernels import KERNELS
+from repro.sim.lockstep import LOCKSTEP_MIN_WIDTH
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -73,13 +75,22 @@ LOCKSTEP_BATCHES = (4, 16, 64, 128)
 #: sits 12% under the healthy median, between the two.
 LOCKSTEP_SCALED_MIPS_FLOOR = 7.5
 
-#: Config and widths of the crossover gate.  gemm float16 auto reads
-#: lockstep/serial 4.7-5.6 at width 4 and 0.58-0.76 at width 32 (min
-#: of 3, 2-vCPU VM; both walls come from one host minutes apart, so the
-#: ratio does not depend on the host).  svm, the slowest config to
-#: batch, does not cross by width 32.
-CROSSOVER_CONFIG = ("gemm", "float16", "auto")
-CROSSOVER_WIDTHS = (4, LOCKSTEP_MIN_WIDTH)
+#: Rows of the crossover gate: config, width, and the side of a bound
+#: the lockstep/serial wall ratio must read on.  gemm float16 auto reads
+#: 4.4-5.6 at width 4 and 0.50-0.76 at width 32 (min of 3, 2-vCPU VM;
+#: both walls come from one host minutes apart, so the ratio does not
+#: depend on the host).  svm float16 auto splits on its first sample,
+#: and its sub-batches, all narrower than the run, finish on the block
+#: engine: it reads 0.79-1.01 at width 32 (one reading of 1.27 in 18),
+#: against 1.66-1.84 with every split kept in lockstep.  A bound of 1
+#: would fail about one run in nine, so its bound sits between the two
+#: at SVM_CROSSOVER_CEILING.
+GEMM = ("gemm", "float16", "auto")
+SVM = ("svm", "float16", "auto")
+SVM_CROSSOVER_CEILING = 1.2
+CROSSOVER_ROWS = ((GEMM, 4, "above", 1.0),
+                  (GEMM, LOCKSTEP_MIN_WIDTH, "below", 1.0),
+                  (SVM, LOCKSTEP_MIN_WIDTH, "below", SVM_CROSSOVER_CEILING))
 
 #: Timed sweeps of both engines (the median ratio taken) and runs per
 #: crossover width (serial/lockstep interleaved, min taken).
@@ -167,11 +178,11 @@ def measure_lockstep(points, batch, speed):
     }
 
 
-def measure_crossover(width):
+def measure_crossover(config, width):
     """Lockstep wall over serial block-engine wall for ``width`` seeds
-    of :data:`CROSSOVER_CONFIG`, each the min of :data:`REPEATS`
-    interleaved runs; below 1 the batch wins."""
-    name, ftype, mode = CROSSOVER_CONFIG
+    of ``config``, each the min of :data:`REPEATS` interleaved runs;
+    below 1 the batch wins."""
+    name, ftype, mode = config
     spec, seeds = KERNELS[name], list(range(width))
     serial, lockstep = [], []
     for _ in range(REPEATS):
@@ -182,7 +193,7 @@ def measure_crossover(width):
         start = time.perf_counter()
         run_kernel_batch(spec, ftype, mode, seeds=seeds, trap_ok=True)
         lockstep.append(time.perf_counter() - start)
-    return {"width": width,
+    return {"config": " ".join(config), "width": width,
             "serial_wall_seconds": round(min(serial), 4),
             "lockstep_wall_seconds": round(min(lockstep), 4),
             "ratio": round(min(lockstep) / min(serial), 3)}
@@ -296,8 +307,8 @@ def collect():
         "lockstep_best_batch": best["batch"],
         "lockstep_scaled_mips": best["scaled_guest_mips"],
         "parallel": [measure_jobs(points, jobs) for jobs in (1, 2)],
-        "crossover": [measure_crossover(width)
-                      for width in CROSSOVER_WIDTHS],
+        "crossover": [measure_crossover(config, width)
+                      for config, width, _side, _bound in CROSSOVER_ROWS],
     }
     return payload
 
@@ -316,7 +327,7 @@ def test_host_perf(capsys):
               f"at batch={payload['lockstep_best_batch']}, "
               f"{payload['lockstep_scaled_mips']} scaled MIPS; "
               "lockstep/serial " + ", ".join(
-                  f"{row['ratio']} at width {row['width']}"
+                  f"{row['config']} {row['ratio']} at width {row['width']}"
                   for row in payload["crossover"]))
 
     # Sanity floor: the block engine must be a clear win on any host.
@@ -327,11 +338,15 @@ def test_host_perf(capsys):
         f"lockstep {payload['lockstep_scaled_mips']} scaled MIPS below "
         f"the {LOCKSTEP_SCALED_MIPS_FLOOR} floor")
 
-    # Crossover: batching loses below the minimum width and wins at it.
-    narrow, wide = payload["crossover"]
-    assert narrow["ratio"] > 1 > wide["ratio"], (
-        f"lockstep/serial wall {narrow['ratio']} at width "
-        f"{narrow['width']}, {wide['ratio']} at width {wide['width']}: "
+    # Crossover: batching loses below the minimum width and wins at it,
+    # and a batch that splits stays well under its reading before the
+    # split rule.
+    off = [(row, side, bound) for row, (_config, _width, side, bound)
+           in zip(payload["crossover"], CROSSOVER_ROWS)
+           if not (row["ratio"] > bound if side == "above"
+                   else row["ratio"] < bound)]
+    assert not off, (
+        f"lockstep/serial wall on the wrong side of its bound: {off}; "
         f"LOCKSTEP_MIN_WIDTH={LOCKSTEP_MIN_WIDTH} no longer sits at "
         "the crossover")
 

@@ -13,16 +13,17 @@ results are bit-identical.  It does so for an IEEE binary16 config and
 for a posit8 guest-format config: both round through the same
 vectorized FP codec in the batch.  Batching pays only from
 ``LOCKSTEP_MIN_WIDTH`` lanes up; below that width the lanes run faster
-one after another.
+one after another, and under round-to-nearest-even a batch that splits
+finishes its narrower sub-batches that way too.
 
 Run:  python examples/lockstep_sweep.py
 """
 
 import time
 
-from repro.harness.parallel import LOCKSTEP_MIN_WIDTH
 from repro.harness.runner import run_kernel, run_kernel_batch
 from repro.kernels import KERNELS
+from repro.sim.lockstep import LOCKSTEP_MIN_WIDTH
 
 #: (kernel, ftype, mode): an IEEE smallFloat and a guest format.
 CONFIGS = [("gemm", "float16", "auto"), ("syrk", "posit8", "auto")]

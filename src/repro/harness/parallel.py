@@ -276,26 +276,6 @@ def _worker(point_tuple: Tuple) -> Tuple[Tuple, SafeRunOutcome]:
             status="error", detail=f"worker: {type(exc).__name__}: {exc}")
 
 
-#: Narrowest batch that runs in lockstep; a narrower set of seed variants
-#: runs its points one after another on the block engine.  Measured on
-#: a 2-vCPU VM, one process, min of 3 runs of lockstep wall over serial
-#: block-engine wall (below 1, lockstep wins):
-#:
-#:   config                    w=2    w=4   w=8   w=16  w=24  w=32
-#:   atax float16 auto         7.05   3.67  2.03  1.06  0.76  0.62
-#:   gemm float16 auto         8.02   4.18  2.21  1.37  0.93  0.72
-#:   svm float16 auto          10.23  8.22  3.95  2.36  2.13  1.29
-#:   syrk float8 manual        6.90   3.66  2.03  1.03  0.79  0.55
-#:   nn_softmax posit16 auto   5.60   3.49  1.79  0.90  0.65  0.50
-#:
-#: Serial runs round their FP through the scalar codec face, so most
-#: configs cross between 16 and 24 lanes; gemm read 0.76-1.01 at 24
-#: over four sets, so batches start at 32, where every config but svm
-#: wins.  ``benchmarks/bench_host_perf.py`` gates the gemm row:
-#: lockstep must lose at width 4 and win at this width.
-LOCKSTEP_MIN_WIDTH = 32
-
-
 def run_group_lockstep(group: List[SweepPoint],
                        **overrides) -> Dict[SweepPoint, SafeRunOutcome]:
     """Run one compatible group batched, crash-isolated.

@@ -26,8 +26,9 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint, point_key
+from ..harness.parallel import SweepPoint, point_key
 from ..harness.runner import SafeRunOutcome
+from ..sim.lockstep import LOCKSTEP_MIN_WIDTH
 
 #: Lower sorts first in the ready heap.
 PRIORITY_RANK = {"interactive": 0, "batch": 1}
@@ -232,7 +233,7 @@ class JobQueue:
         instruction budget, differing only in seed -- and carry no
         deadline (a deadline-derived budget cap is per-job, which a
         shared batch cannot honour).  They are taken only when they
-        make a batch of at least :data:`~repro.harness.parallel.
+        make a batch of at least :data:`~repro.sim.lockstep.
         LOCKSTEP_MIN_WIDTH` with ``head``; a narrower batch is slower
         than its jobs run one after another, so they stay queued for
         free workers.  Popped jobs stay in the coalescing index until

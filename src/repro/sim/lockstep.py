@@ -28,7 +28,16 @@ Lanes that cannot continue in lockstep at all (traps, budget exhaustion,
 reserved rounding modes, unsupported situations) are *drained*: their
 state is materialized into a fresh scalar
 :class:`~repro.sim.simulator.Simulator` which resumes execution on the
-existing fast path.  The contract is bit-identical per point: traces
+existing fast path.  A dispatch costs about the same at any width, so
+a sub-batch that a split left narrower than both the run and
+:data:`LOCKSTEP_MIN_WIDTH` drains too, at the block boundary where it
+is popped, when its rounding mode is one whose serial lanes round on
+the scalar face (:data:`SCALAR_FACE_MODES`, RNE) and the lanes still
+in lockstep number no more than that width: they could not re-merge
+into a batch that beats their serial runs, so they finish faster one
+after another.  A run that never splits keeps every width.
+:attr:`LockstepEngine.events` counts splits, merges and drains by
+reason.  The contract is bit-identical per point: traces
 (including Counter insertion order), registers, memory, fcsr, exit reason
 and detail strings match a per-point run exactly.
 """
@@ -36,6 +45,7 @@ and detail strings match a per-point run exactly.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -57,6 +67,38 @@ from .tracer import Trace
 _SENTINEL = HALT_ADDRESS
 _U32 = np.uint32
 _U8 = np.uint8
+
+#: Narrowest batch that runs in lockstep: a run of fewer lanes, or a
+#: sub-batch a split left narrower than this (see
+#: :data:`SCALAR_FACE_MODES`), runs its lanes one after another on the
+#: block engine.  Measured on a 2-vCPU VM, one process, min of 3 runs
+#: of lockstep wall over serial block-engine wall (below 1, lockstep
+#: wins):
+#:
+#:   config                    w=2    w=4   w=8   w=16  w=24  w=32
+#:   atax float16 auto         7.48   3.33  2.03  1.19  0.80  0.58
+#:   gemm float16 auto         9.23   4.64  2.44  1.31  0.90  0.72
+#:   svm float16 auto          1.20   1.01  1.08  1.04  0.96  0.95
+#:   syrk float8 manual        9.61   4.90  2.64  1.39  0.99  0.65
+#:   nn_softmax posit16 auto   7.85   4.17  2.20  1.12  0.77  0.53
+#:
+#: Most configs cross between 16 and 24 lanes, gemm near 24, so batches
+#: start at 32.  svm splits on its first sample at any width and then
+#: runs on the block engine.  Under RNE, a split rule bounding only the
+#: sub-batch at 8, 16, 24 or 32 lanes read the same within noise in
+#: 32-lane runs (``docs/performance.md``), so one width serves both
+#: rules.
+#: ``benchmarks/bench_host_perf.py`` gates the gemm and svm rows.
+LOCKSTEP_MIN_WIDTH = 32
+
+#: Dynamic rounding modes whose serial lanes round on ``fp/batch``'s
+#: scalar face.  Under these a sub-batch that a split left narrower
+#: than :data:`LOCKSTEP_MIN_WIDTH` drains to the block engine (once no
+#: more than that many lanes are left in lockstep); under
+#: the others (stochastic and directed rounding) the serial path is the
+#: softfloat core, and keeping narrow sub-batches to re-merge costs
+#: less.
+SCALAR_FACE_MODES = frozenset({RoundingMode.RNE})
 
 
 class _Drain(Exception):
@@ -548,11 +590,18 @@ class LockstepEngine:
         self._tpl_engine = template._engine()
         self._blocks: Dict[int, object] = {}
         self._budget = 0
+        self._live = 0  # lanes not yet drained in the current run
         #: Each lane's stochastic-rounding key (uint64, by lane id).
         self._sr_keys = np.zeros(0, dtype=np.uint64)
         #: True when lanes hold different keys: uniform operands then
         #: no longer share one stochastically rounded result.
         self._keys_differ = False
+        #: Splits, merges and drains so far; a drain counts under
+        #: ``"drain."`` and its reason: ``narrow`` (a split left the
+        #: batch under the lockstep width), ``budget`` (the budget edge),
+        #: ``unbuildable`` (no block at the PC), ``binder`` (a binder
+        #: raised :class:`_Drain`) or ``halt``.
+        self.events: Counter = Counter()
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -612,6 +661,11 @@ class LockstepEngine:
         heap = self._heap = []
         self._seq = 0
         self._push(bt)
+        # A split sub-batch narrower than this runs faster serially, once
+        # the lanes left in lockstep (``_live``) could not re-merge into
+        # a batch wider than the lockstep width either.
+        narrow = min(n, LOCKSTEP_MIN_WIDTH)
+        self._live = n
         prev_key = set_sr_key(keys[0] if keys else 0)
         try:
             with fpbatch.quiet_errors():
@@ -626,6 +680,11 @@ class LockstepEngine:
                             break
                         heapq.heappop(heap)
                         cur = _merge_batches(cur, peer)
+                        self.events["merge"] += 1
+                    if (cur.n < narrow and self._live <= LOCKSTEP_MIN_WIDTH
+                            and cur.frm in SCALAR_FACE_MODES):
+                        self._drain_all(cur, out, "narrow")
+                        continue
                     # With other batches pending, step one block at a
                     # time so diverged batches can catch up and
                     # re-merge; otherwise run the tight loop.
@@ -649,15 +708,15 @@ class LockstepEngine:
             if type(executed) is not int:
                 executed = int(executed.max())
             if executed >= budget:
-                self._drain_all(bt, out)  # resume reports budget_exceeded
+                self._drain_all(bt, out, "budget")  # resume reports it
                 return
             lb = self._get_block(pc)
             if lb is None:
-                self._drain_all(bt, out)  # reference loop resolves it
+                self._drain_all(bt, out, "unbuildable")  # reference loop
                 return
             sb = lb.sblock
             if executed + sb.total_len > budget:
-                self._drain_all(bt, out)  # watchdog edge: step scalar
+                self._drain_all(bt, out, "budget")  # edge: step scalar
                 return
             rec = bt.counts.get(pc)
             if rec is None:
@@ -679,7 +738,7 @@ class LockstepEngine:
                     entries[idx](bt)
                 except _Drain:
                     bt.pc = sb.entries[idx][1]
-                    self._drain_all(bt, out, idx, sb)
+                    self._drain_all(bt, out, "binder", idx, sb)
                     drained = True
                     break
             if drained:
@@ -701,7 +760,7 @@ class LockstepEngine:
                     bt.cycles -= sb.static_cycles
                     bt.executed -= n
                     bt.pc = term.pc
-                    self._drain_all(bt, out, n, sb)
+                    self._drain_all(bt, out, "binder", n, sb)
                     return
 
                 cost_nt, cost_tk = term.cost_ntaken, term.cost_taken
@@ -709,6 +768,7 @@ class LockstepEngine:
                     rec[0] += 1
                     bt.instret += 1
                     bt.executed += 1
+                    self.events["split"] += 1
                     taken = bt.select(res.mask)
                     taken.cycles += cost_tk
                     taken.counts[pc][1] += 1
@@ -734,7 +794,7 @@ class LockstepEngine:
                 self._push(bt)  # let lagging batches catch up and merge
                 return
 
-        self._drain_all(bt, out)  # halt: resume returns immediately
+        self._drain_all(bt, out, "halt")  # resume returns immediately
 
     # ------------------------------------------------------------------
     # Block binding
@@ -989,16 +1049,19 @@ class LockstepEngine:
                 expanded[order] = shared
         return shared.tallied_copy(lane(bt.instret), lane(bt.cycles))
 
-    def _drain_all(self, bt: _Batch, out, prefix: int = 0,
+    def _drain_all(self, bt: _Batch, out, reason: str, prefix: int = 0,
                    sblock=None) -> None:
         """Materialize every lane of ``bt`` into a scalar simulator and
-        run it to completion from ``bt.pc``.
+        run it to completion from ``bt.pc``; ``reason`` names the drain
+        in :attr:`events`.
 
         ``prefix`` straight-line entries of ``sblock`` (already applied
         to the batch state but not to its block records) are
         recorded entry by entry, reproducing the scalar engine's
         mid-block bookkeeping before the resume takes over.
         """
+        self.events["drain." + reason] += 1
+        self._live -= bt.n
         tpl = self.tpl
         exec_base = bt.executed
         expanded: dict = {}

@@ -1,6 +1,6 @@
 """Queue semantics: coalescing, priorities, bounds, drain mode."""
 
-from repro.harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint, point_key
+from repro.harness.parallel import SweepPoint, point_key
 from repro.harness.runner import SafeRunOutcome
 from repro.serve.jobs import (
     ADMIT_CLOSED,
@@ -10,6 +10,7 @@ from repro.serve.jobs import (
     Job,
     JobQueue,
 )
+from repro.sim.lockstep import LOCKSTEP_MIN_WIDTH
 
 GEMM = SweepPoint("gemm", "float16", "auto")
 ATAX = SweepPoint("atax", "float16", "auto")

@@ -17,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.harness.parallel import LOCKSTEP_MIN_WIDTH, SweepPoint
+from repro.harness.parallel import SweepPoint
 from repro.harness.runner import SafeRunOutcome, run_kernel
 from repro.kernels import KERNELS
 from repro.serve import ReproServeApp, ServeClient, ServeClientError
@@ -25,6 +25,7 @@ from repro.serve.executor import KernelExecutor
 from repro.serve.jobs import Job, JobQueue
 from repro.serve.server import make_server
 from repro.sim import BLOCK_CACHE_SIZE
+from repro.sim.lockstep import LOCKSTEP_MIN_WIDTH
 
 
 class GatedRunner:

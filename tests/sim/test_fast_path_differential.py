@@ -15,7 +15,6 @@ import pytest
 from repro.isa import assemble
 from repro.kernels import KERNELS
 from repro.sim import Simulator
-from repro.sim.simulator import HALT_ADDRESS
 
 MASK32 = 0xFFFFFFFF
 
@@ -502,21 +501,41 @@ def assert_lane_identical(ref_sim, ref_res, got_res, label=""):
 
 def run_lockstep_both(source_or_program, lane_args, entry=0,
                       max_instructions=50_000, label=""):
-    """Run lanes batched and each lane alone; compare everything."""
-    from repro.sim.lockstep import Lane, run_lockstep
+    """Run lanes batched and each lane alone; compare everything.
+    Returns the batched results and the engine's split, merge and
+    drain counts."""
+    from repro.sim.lockstep import Lane, LockstepEngine
 
     program = (assemble(source_or_program)
                if isinstance(source_or_program, str) else source_or_program)
     lanes = [Lane(dict(args)) for args in lane_args]
-    results = run_lockstep(program, lanes, entry=entry,
-                           max_instructions=max_instructions)
+    engine = LockstepEngine(Simulator(program))
+    results = engine.run(lanes, entry=entry,
+                         max_instructions=max_instructions)
     for index, args in enumerate(lane_args):
         ref_sim = Simulator(program)
         ref_res = ref_sim.run(entry, args=dict(args),
                               max_instructions=max_instructions)
         assert_lane_identical(ref_sim, ref_res, results[index],
                               f"{label}/lane{index}")
-    return results
+    return results, engine.events
+
+
+@pytest.fixture
+def split_batches_stay(monkeypatch):
+    """Keep split sub-batches in lockstep at any width: the tests that
+    use it check splits and re-convergence, not the width rule (a
+    narrow split of an RNE batch otherwise finishes on the block
+    engine)."""
+    from repro.sim import lockstep
+
+    monkeypatch.setattr(lockstep, "LOCKSTEP_MIN_WIDTH", 1)
+
+
+def drains(events):
+    """The drain counts of ``events``, by reason."""
+    return {key[len("drain."):]: count for key, count in events.items()
+            if key.startswith("drain.")}
 
 
 LOCKSTEP_MATRIX = [
@@ -572,6 +591,7 @@ def test_lockstep_kernel_matrix_bit_identical(name, ftype, mode):
                               f"{name}/{ftype}/{mode}/lane{index}")
 
 
+@pytest.mark.usefixtures("split_batches_stay")
 def test_lockstep_loop_divergence():
     # Data-dependent trip counts: lanes split at the branch and
     # re-converge; each must retire exactly its scalar schedule.
@@ -595,6 +615,7 @@ def test_lockstep_trap_in_one_lane():
         label="trap-one-lane")
 
 
+@pytest.mark.usefixtures("split_batches_stay")
 def test_lockstep_budget_exhausted_in_one_lane():
     # Lane 1 spins past the budget; lanes 0/2 halt under it.
     run_lockstep_both("""
@@ -655,6 +676,7 @@ def test_lockstep_fflags_accrue_per_lane():
         label="fflags-mix")
 
 
+@pytest.mark.usefixtures("split_batches_stay")
 def test_lockstep_live_counters_in_loop():
     # cycle/instret reads inside a divergent loop stay exact per lane.
     run_lockstep_both("""
@@ -695,7 +717,7 @@ def test_lockstep_drain_inside_a_superblock():
     # The block after ``csrw`` follows ``j`` into the ``fadd.h``, which
     # reads the reserved frm and drains the batch: the drained prefix
     # records the jump as taken.
-    results = run_lockstep_both("""
+    results, _ = run_lockstep_both("""
     addi t0, zero, 6
     csrw frm, t0
     addi a0, a0, 1
@@ -710,23 +732,106 @@ def test_lockstep_drain_inside_a_superblock():
         assert result.trace.pc_taken[0xC] == 1
 
 
-def test_lockstep_runs_superblocks_without_draining(monkeypatch):
+@pytest.mark.usefixtures("split_batches_stay")
+def test_lockstep_runs_superblocks_without_draining():
     # Direct jumps are no-ops inside a superblock: the divergent loop
     # below drains each batch only when it halts.
-    from repro.sim.lockstep import LockstepEngine
-
-    drained = []
-    drain_all = LockstepEngine._drain_all
-
-    def spy(self, bt, out, prefix=0, sblock=None):
-        drained.append(bt.pc)
-        return drain_all(self, bt, out, prefix, sblock)
-
-    monkeypatch.setattr(LockstepEngine, "_drain_all", spy)
     source = TOP_TEST_LOOP.replace("addi a1, zero, 5", "mv a1, a4")
-    run_lockstep_both(source, [{14: n} for n in (3, 7, 7)],
-                      label="superblock-loop")
-    assert drained and set(drained) == {HALT_ADDRESS}
+    _, events = run_lockstep_both(source, [{14: n} for n in (3, 7, 7)],
+                                  label="superblock-loop")
+    assert events["split"] and set(drains(events)) == {"halt"}
+
+
+# Lanes with a0 < 4 leave for ``short``; the others loop 3 or 5 times
+# (a4), and a split at the third back-edge re-merges at the loop exit.
+NARROW_SPLIT = """
+    li t0, 4
+    blt a0, t0, short
+    li a1, 0
+    li a2, 0x3c00
+loop:
+    addi a1, a1, 3
+    fadd.h a2, a2, a3
+    fmul.h a5, a2, a3
+    addi a4, a4, -1
+    bnez a4, loop
+    add a0, a1, a5
+    ret
+short:
+    fadd.h a2, a3, a3
+    add a0, a0, a2
+    ret
+"""
+NARROW_LANES = [{10: lane, 13: 0x3c00 + 7 * lane, 14: 3 + 2 * (lane & 1)}
+                for lane in range(32)]
+
+
+def test_lockstep_narrow_side_of_a_wide_run_stays_and_remerges():
+    # 40 lanes, wider than the lockstep width: lanes 0-3 loop twice more
+    # than the rest, so the third back-edge splits them off.  They could
+    # still re-merge into a wide batch, so they stay, loop and re-merge.
+    _, events = run_lockstep_both(NARROW_SPLIT, [
+        {10: 4 + lane, 13: 0x3c00 + 7 * lane, 14: 5 if lane < 4 else 3}
+        for lane in range(40)], label="wide-run")
+    assert drains(events) == {"halt": 1}
+    assert events["split"] == 1 and events["merge"] == 1
+
+
+# Lanes 0-7 halt first; the other 32 loop 3 or 5 times by the parity
+# of a0.
+HALT_THEN_SPLIT = """
+    li t0, 8
+    bge a0, t0, main
+    fadd.h a2, a3, a3
+    ret
+main:
+    li a1, 0
+    li a2, 0x3c00
+loop:
+    addi a1, a1, 3
+    fadd.h a2, a2, a3
+    addi a4, a4, -1
+    bnez a4, loop
+    add a0, a1, a2
+    ret
+"""
+
+
+def test_lockstep_narrow_splits_drain_once_the_run_is_narrow():
+    # While 40 lanes are in lockstep the 8-lane side stays batched and
+    # halts; the 32 left then split 16/16, and both sides drain.
+    _, events = run_lockstep_both(HALT_THEN_SPLIT, [
+        {10: lane, 13: 0x3c00 + 7 * lane, 14: 3 + 2 * (lane & 1)}
+        for lane in range(40)], label="halt-then-split")
+    assert drains(events) == {"halt": 1, "narrow": 2}
+    assert events["split"] == 2 and not events["merge"]
+
+
+def test_lockstep_stochastic_splits_stay_batched():
+    # Under SR the serial lanes would round on the softfloat core, so a
+    # narrow split stays in lockstep; the short side halts on its own.
+    _, events = run_lockstep_both("li t6, 5\ncsrw frm, t6" + NARROW_SPLIT,
+                                  NARROW_LANES, label="narrow-sr")
+    assert drains(events) == {"halt": 2}
+    assert events["split"] == 2 and events["merge"] == 1
+
+
+def test_lockstep_narrow_run_that_never_splits_stays_batched():
+    # Three lanes are far under the lockstep width, but only a split
+    # drains a batch early.
+    _, events = run_lockstep_both(NARROW_SPLIT, [
+        {10: 5, 13: 0x3c00 + lane, 14: 3} for lane in range(3)],
+        label="narrow-run")
+    assert drains(events) == {"halt": 1} and not events["split"]
+
+
+def test_lockstep_narrow_splits_drain_at_the_default_width():
+    # 32 lanes at the default width: both sides of the first split are
+    # narrower than the run, so both finish on the block engine.
+    _, events = run_lockstep_both(NARROW_SPLIT, NARROW_LANES,
+                                  label="narrow-default")
+    assert drains(events) == {"narrow": 2}
+    assert events["split"] == 1 and not events["merge"]
 
 
 def test_lockstep_store_divergent_address():

@@ -5,7 +5,8 @@ Hypothesis generates short, terminating programs: straight-line runs of
 instructions drawn from every ``alu``, ``upper``, ``load``, ``store`` and
 ``fp`` kind in :data:`repro.sim.semantics.SEMANTICS` (random registers,
 ``x0`` included; static rounding modes, SR and DYN among them) mixed
-with RVC parcels (``c.addi``, ``c.mv``, ``c.add``, ``c.lw``, ``c.sw``),
+with RVC parcels (``c.addi``, ``c.mv``, ``c.add``, ``c.lw``, ``c.sw``,
+``c.flw``, ``c.fsw``),
 runs separated by CSR accesses (``frm`` writes, ``cycle``/``instret``
 reads, now and then an illegal counter write), forward conditional
 branches on random registers, ``c.beqz``/``c.bnez`` and ``jal``/``c.j``
@@ -29,6 +30,7 @@ as a regression test next to the properties.
 import struct
 from collections import defaultdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +41,7 @@ from repro.isa.encoding import is_compressed
 from repro.isa.instructions import all_specs, encode, spec_by_mnemonic
 from repro.sim import Simulator
 from repro.sim.csr import CSR_CYCLE, CSR_FRM, CSR_INSTRET
+from repro.sim import lockstep
 from repro.sim.lockstep import Lane, run_lockstep
 from repro.sim.semantics import SEMANTICS, access_size, formats
 
@@ -121,17 +124,22 @@ def instructions(draw):
     return encode(spec, **fields)
 
 
+#: funct3 of the RVC word loads and stores (quadrant 0).
+MEMORY_RVC = {"c.lw": 0b010, "c.flw": 0b011, "c.sw": 0b110, "c.fsw": 0b111}
+
+
 @st.composite
 def compressed(draw):
     """One RVC parcel: ``c.addi``, ``c.mv``, ``c.add``, or ``c.lw`` /
-    ``c.sw`` at a word offset from ``DATA_REG``."""
-    form = draw(st.sampled_from(("c.addi", "c.mv", "c.add", "c.lw",
-                                 "c.sw")))
-    if form in ("c.lw", "c.sw"):
+    ``c.sw`` / ``c.flw`` / ``c.fsw`` at a word offset from
+    ``DATA_REG``."""
+    form = draw(st.sampled_from(("c.addi", "c.mv", "c.add")
+                                + tuple(MEMORY_RVC)))
+    if form in MEMORY_RVC:
         offset = 4 * draw(st.integers(0, 15))
-        reg = draw(st.integers(9, 15) if form == "c.lw"
-                   else st.integers(8, 15))
-        return ((0b010 if form == "c.lw" else 0b110) << 13
+        loads = form in ("c.lw", "c.flw")
+        reg = draw(st.integers(9, 15) if loads else st.integers(8, 15))
+        return (MEMORY_RVC[form] << 13
                 | (offset >> 3 & 7) << 10 | (DATA_REG - 8) << 7
                 | (offset >> 2 & 1) << 6 | (offset >> 6 & 1) << 5
                 | (reg - 8) << 2)
@@ -367,23 +375,31 @@ def test_block_engine_agrees_with_reference(program, point):
                 run_engine(program, point, fast=False), "block")
 
 
+@pytest.mark.parametrize("min_width", (lockstep.LOCKSTEP_MIN_WIDTH, 1),
+                         ids=("default-width", "split-stays"))
 @settings(max_examples=50, deadline=None)
-@given(programs(), st.lists(points(), min_size=3, max_size=3),
-       st.permutations((SR_KEY, SR_KEY + 1, SR_KEY + 2)))
-def test_lockstep_lanes_agree_with_reference(program, lane_points, keys):
+@given(program=programs(),
+       lane_points=st.lists(points(), min_size=3, max_size=3),
+       keys=st.permutations((SR_KEY, SR_KEY + 1, SR_KEY + 2)))
+def test_lockstep_lanes_agree_with_reference(min_width, program,
+                                             lane_points, keys):
     # Lanes differ in registers, data, loop trip counts and SR keys, so
     # batches split, re-merge and drain; every lane has its own key.
-    # The integer rounding path runs at any width here (it normally
-    # waits for EXACT_MIN_LANES lanes, a speed threshold).
+    # At the default width an RNE sub-batch drains at its first split;
+    # at width 1 every split stays in lockstep.  The integer rounding
+    # path runs at any width here (it normally waits for
+    # EXACT_MIN_LANES lanes, a speed threshold).
     parcels, frm, budget = program
     lanes = [Lane(args, [(DATA - 16, data + data[:16])], sr_key=key)
              for (args, data), key in zip(lane_points, keys)]
     min_lanes, fpbatch.EXACT_MIN_LANES = fpbatch.EXACT_MIN_LANES, 1
+    width, lockstep.LOCKSTEP_MIN_WIDTH = lockstep.LOCKSTEP_MIN_WIDTH, min_width
     try:
         results = run_lockstep(_program(parcels), lanes,
                                max_instructions=budget, frm=frm)
     finally:
         fpbatch.EXACT_MIN_LANES = min_lanes
+        lockstep.LOCKSTEP_MIN_WIDTH = width
     for index, (point, key, result) in enumerate(
             zip(lane_points, keys, results)):
         assert_same(snapshot(result),
