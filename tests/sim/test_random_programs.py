@@ -30,7 +30,6 @@ as a regression test next to the properties.
 import struct
 from collections import defaultdict
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -375,20 +374,11 @@ def test_block_engine_agrees_with_reference(program, point):
                 run_engine(program, point, fast=False), "block")
 
 
-@pytest.mark.parametrize("min_width", (lockstep.LOCKSTEP_MIN_WIDTH, 1),
-                         ids=("default-width", "split-stays"))
-@settings(max_examples=50, deadline=None)
-@given(program=programs(),
-       lane_points=st.lists(points(), min_size=3, max_size=3),
-       keys=st.permutations((SR_KEY, SR_KEY + 1, SR_KEY + 2)))
-def test_lockstep_lanes_agree_with_reference(min_width, program,
-                                             lane_points, keys):
+def check_lockstep_lanes(min_width, program, lane_points, keys):
     # Lanes differ in registers, data, loop trip counts and SR keys, so
     # batches split, re-merge and drain; every lane has its own key.
-    # At the default width an RNE sub-batch drains at its first split;
-    # at width 1 every split stays in lockstep.  The integer rounding
-    # path runs at any width here (it normally waits for
-    # EXACT_MIN_LANES lanes, a speed threshold).
+    # The integer rounding path runs at any width here (it normally
+    # waits for EXACT_MIN_LANES lanes, a speed threshold).
     parcels, frm, budget = program
     lanes = [Lane(args, [(DATA - 16, data + data[:16])], sr_key=key)
              for (args, data), key in zip(lane_points, keys)]
@@ -405,3 +395,24 @@ def test_lockstep_lanes_agree_with_reference(min_width, program,
         assert_same(snapshot(result),
                     run_engine(program, point, fast=False, key=key),
                     f"lockstep lane {index}")
+
+
+LANE_CASES = dict(program=programs(),
+                  lane_points=st.lists(points(), min_size=3, max_size=3),
+                  keys=st.permutations((SR_KEY, SR_KEY + 1, SR_KEY + 2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(**LANE_CASES)
+def test_lockstep_lanes_agree_with_reference(program, lane_points, keys):
+    # At the default width an RNE sub-batch drains at its first split.
+    check_lockstep_lanes(lockstep.LOCKSTEP_MIN_WIDTH, program,
+                         lane_points, keys)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**LANE_CASES)
+def test_lockstep_lanes_agree_with_reference_when_splits_stay(
+        program, lane_points, keys):
+    # At width 1 every split stays in lockstep.
+    check_lockstep_lanes(1, program, lane_points, keys)
