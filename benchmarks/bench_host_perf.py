@@ -33,9 +33,8 @@ does not depend on the host.
 The crossover gate ties :data:`~repro.sim.lockstep.LOCKSTEP_MIN_WIDTH`
 to a measurement: the wall of a lockstep batch over the wall of the
 same seeds run one after another on the block engine must be above 1
-at width 4 and below 1 at the minimum width for gemm, and stay well
-below its pre-split-rule reading at the minimum width for svm, whose
-batches split.
+at width 4 and below 1 at the minimum width for gemm, and below 1 at
+the minimum width for svm, whose batches split.
 """
 
 import os
@@ -75,22 +74,17 @@ LOCKSTEP_BATCHES = (4, 16, 64, 128)
 #: sits 12% under the healthy median, between the two.
 LOCKSTEP_SCALED_MIPS_FLOOR = 7.5
 
-#: Rows of the crossover gate: config, width, and the side of a bound
-#: the lockstep/serial wall ratio must read on.  gemm float16 auto reads
-#: 4.4-5.6 at width 4 and 0.50-0.76 at width 32 (min of 3, 2-vCPU VM;
-#: both walls come from one host minutes apart, so the ratio does not
-#: depend on the host).  svm float16 auto splits on its first sample,
-#: and its sub-batches, all narrower than the run, finish on the block
-#: engine: it reads 0.79-1.01 at width 32 (one reading of 1.27 in 18),
-#: against 1.66-1.84 with every split kept in lockstep.  A bound of 1
-#: would fail about one run in nine, so its bound sits between the two
-#: at SVM_CROSSOVER_CEILING.
-GEMM = ("gemm", "float16", "auto")
-SVM = ("svm", "float16", "auto")
-SVM_CROSSOVER_CEILING = 1.2
-CROSSOVER_ROWS = ((GEMM, 4, "above", 1.0),
-                  (GEMM, LOCKSTEP_MIN_WIDTH, "below", 1.0),
-                  (SVM, LOCKSTEP_MIN_WIDTH, "below", SVM_CROSSOVER_CEILING))
+#: Configs and widths of the crossover gate.  gemm float16 auto reads
+#: lockstep/serial 4.4-5.6 at width 4 and 0.50-0.76 at width 32 (min of
+#: 3, 2-vCPU VM; both walls come from one host minutes apart, so the
+#: ratio does not depend on the host).  svm float16 auto splits on its
+#: first sample, and both sides, narrower than the run, finish on the
+#: block engine: it reads 0.79-1.01 at width 32 (one reading of 1.27 in
+#: 18), against 1.66-1.84 with every split kept in lockstep, so its row
+#: sits at the bound and fails now and then.
+CROSSOVER_CONFIG = ("gemm", "float16", "auto")
+CROSSOVER_WIDTHS = (4, LOCKSTEP_MIN_WIDTH)
+SPLIT_CROSSOVER_CONFIG = ("svm", "float16", "auto")
 
 #: Timed sweeps of both engines (the median ratio taken) and runs per
 #: crossover width (serial/lockstep interleaved, min taken).
@@ -307,8 +301,9 @@ def collect():
         "lockstep_best_batch": best["batch"],
         "lockstep_scaled_mips": best["scaled_guest_mips"],
         "parallel": [measure_jobs(points, jobs) for jobs in (1, 2)],
-        "crossover": [measure_crossover(config, width)
-                      for config, width, _side, _bound in CROSSOVER_ROWS],
+        "crossover": [measure_crossover(CROSSOVER_CONFIG, width)
+                      for width in CROSSOVER_WIDTHS]
+        + [measure_crossover(SPLIT_CROSSOVER_CONFIG, LOCKSTEP_MIN_WIDTH)],
     }
     return payload
 
@@ -339,16 +334,16 @@ def test_host_perf(capsys):
         f"the {LOCKSTEP_SCALED_MIPS_FLOOR} floor")
 
     # Crossover: batching loses below the minimum width and wins at it,
-    # and a batch that splits stays well under its reading before the
-    # split rule.
-    off = [(row, side, bound) for row, (_config, _width, side, bound)
-           in zip(payload["crossover"], CROSSOVER_ROWS)
-           if not (row["ratio"] > bound if side == "above"
-                   else row["ratio"] < bound)]
-    assert not off, (
-        f"lockstep/serial wall on the wrong side of its bound: {off}; "
+    # also for a config whose batches split.
+    narrow, wide, split = payload["crossover"]
+    assert narrow["ratio"] > 1 > wide["ratio"], (
+        f"lockstep/serial wall {narrow['ratio']} at width "
+        f"{narrow['width']}, {wide['ratio']} at width {wide['width']}: "
         f"LOCKSTEP_MIN_WIDTH={LOCKSTEP_MIN_WIDTH} no longer sits at "
         "the crossover")
+    assert split["ratio"] < 1, (
+        f"{split['config']} lockstep/serial wall {split['ratio']} at "
+        f"width {split['width']}: its split batches lose to serial runs")
 
     # Regression gate against the committed baseline (the ratio is
     # host-independent; absolute MIPS is informational).

@@ -1,15 +1,14 @@
 """Where a diverged lockstep sub-batch should leave lockstep.
 
 A lockstep batch that splits on a data-dependent branch leaves
-sub-batches narrower than the run.  Under round-to-nearest-even such a
-sub-batch drains to the block engine once it, and the lanes left in
-lockstep, are narrower than :data:`repro.sim.lockstep.
-LOCKSTEP_MIN_WIDTH` (the lanes left may equal it).  This microbenchmark
+sub-batches narrower than the run.  Under round-to-nearest-even, in a
+run of at most :data:`repro.sim.lockstep.LOCKSTEP_MIN_WIDTH` lanes,
+such a sub-batch drains to the block engine.  This microbenchmark
 times one 32-lane ``run_kernel_batch`` of each config that splits, under
 RNE and under stochastic rounding, with the width set to each of
 :data:`WIDTHS` in turn.  Width 1 drains nothing, as the engine did
-before the rule; since the width also bounds the lanes left in
-lockstep, any width under 32 drains nothing in a 32-lane run either.
+before the rule; since a 32-lane run is wider than any width under
+32, those widths drain nothing either.
 Under SR the rule does not apply, so SR joins
 :data:`~repro.sim.lockstep.SCALAR_FACE_MODES` for the measurement.
 Runs are interleaved (every width once per round, the order rotating

@@ -29,13 +29,13 @@ reserved rounding modes, unsupported situations) are *drained*: their
 state is materialized into a fresh scalar
 :class:`~repro.sim.simulator.Simulator` which resumes execution on the
 existing fast path.  A dispatch costs about the same at any width, so
-a sub-batch that a split left narrower than both the run and
-:data:`LOCKSTEP_MIN_WIDTH` drains too, at the block boundary where it
-is popped, when its rounding mode is one whose serial lanes round on
-the scalar face (:data:`SCALAR_FACE_MODES`, RNE) and the lanes still
-in lockstep number no more than that width: they could not re-merge
-into a batch that beats their serial runs, so they finish faster one
-after another.  A run that never splits keeps every width.
+in a run no wider than :data:`LOCKSTEP_MIN_WIDTH`, a sub-batch that a
+split left narrower than the run drains too, at the block boundary
+where it is popped, when its rounding mode is one whose serial lanes
+round on the scalar face (:data:`SCALAR_FACE_MODES`, RNE): it could
+not re-merge into a batch that beats its serial runs, so its lanes
+finish faster one after another.  A run that never splits, and a run
+wider than that width, keeps every sub-batch in lockstep.
 :attr:`LockstepEngine.events` counts splits, merges and drains by
 reason.  The contract is bit-identical per point: traces
 (including Counter insertion order), registers, memory, fcsr, exit reason
@@ -69,7 +69,7 @@ _U32 = np.uint32
 _U8 = np.uint8
 
 #: Narrowest batch that runs in lockstep: a run of fewer lanes, or a
-#: sub-batch a split left narrower than this (see
+#: sub-batch a split left narrower than a run no wider than this (see
 #: :data:`SCALAR_FACE_MODES`), runs its lanes one after another on the
 #: block engine.  Measured on a 2-vCPU VM, one process, min of 3 runs
 #: of lockstep wall over serial block-engine wall (below 1, lockstep
@@ -93,11 +93,10 @@ LOCKSTEP_MIN_WIDTH = 32
 
 #: Dynamic rounding modes whose serial lanes round on ``fp/batch``'s
 #: scalar face.  Under these a sub-batch that a split left narrower
-#: than :data:`LOCKSTEP_MIN_WIDTH` drains to the block engine (once no
-#: more than that many lanes are left in lockstep); under
-#: the others (stochastic and directed rounding) the serial path is the
-#: softfloat core, and keeping narrow sub-batches to re-merge costs
-#: less.
+#: than a run of at most :data:`LOCKSTEP_MIN_WIDTH` lanes drains to the
+#: block engine; under the others (stochastic and directed rounding)
+#: the serial path is the softfloat core, and keeping narrow
+#: sub-batches to re-merge costs less.
 SCALAR_FACE_MODES = frozenset({RoundingMode.RNE})
 
 
@@ -590,7 +589,6 @@ class LockstepEngine:
         self._tpl_engine = template._engine()
         self._blocks: Dict[int, object] = {}
         self._budget = 0
-        self._live = 0  # lanes not yet drained in the current run
         #: Each lane's stochastic-rounding key (uint64, by lane id).
         self._sr_keys = np.zeros(0, dtype=np.uint64)
         #: True when lanes hold different keys: uniform operands then
@@ -661,11 +659,9 @@ class LockstepEngine:
         heap = self._heap = []
         self._seq = 0
         self._push(bt)
-        # A split sub-batch narrower than this runs faster serially, once
-        # the lanes left in lockstep (``_live``) could not re-merge into
-        # a batch wider than the lockstep width either.
-        narrow = min(n, LOCKSTEP_MIN_WIDTH)
-        self._live = n
+        # In a run no wider than the lockstep width, a split sub-batch
+        # (narrower than the run) runs faster serially.
+        narrow = n if n <= LOCKSTEP_MIN_WIDTH else 0
         prev_key = set_sr_key(keys[0] if keys else 0)
         try:
             with fpbatch.quiet_errors():
@@ -681,8 +677,7 @@ class LockstepEngine:
                         heapq.heappop(heap)
                         cur = _merge_batches(cur, peer)
                         self.events["merge"] += 1
-                    if (cur.n < narrow and self._live <= LOCKSTEP_MIN_WIDTH
-                            and cur.frm in SCALAR_FACE_MODES):
+                    if cur.n < narrow and cur.frm in SCALAR_FACE_MODES:
                         self._drain_all(cur, out, "narrow")
                         continue
                     # With other batches pending, step one block at a
@@ -1061,7 +1056,6 @@ class LockstepEngine:
         mid-block bookkeeping before the resume takes over.
         """
         self.events["drain." + reason] += 1
-        self._live -= bt.n
         tpl = self.tpl
         exec_base = bt.executed
         expanded: dict = {}

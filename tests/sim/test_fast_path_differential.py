@@ -557,14 +557,22 @@ LOCKSTEP_MATRIX = [
 ]
 
 
-@pytest.mark.parametrize("name,ftype,mode", LOCKSTEP_MATRIX,
-                         ids=[f"{n}-{t}-{m}" for n, t, m in LOCKSTEP_MATRIX])
-def test_lockstep_kernel_matrix_bit_identical(name, ftype, mode):
+#: Rows whose lanes branch on data and split (svm's ``acc > bestv``
+#: update, nn_mlp_train's ReLU gradient); svm's mx8 seeds all branch
+#: alike.
+SPLIT_MATRIX = [(name, ftype, mode) for name, ftype, mode in LOCKSTEP_MATRIX
+                if name in ("svm", "svm_mixed", "nn_mlp_train")
+                and (name, ftype) != ("svm", "mx8")]
+
+
+def run_lockstep_kernel(name, ftype, mode):
+    """Run three seeds of a kernel config batched and each alone;
+    compare everything.  Returns the engine's event counts."""
     import numpy as np
 
     from repro.compiler import compile_source
     from repro.harness.runner import _stage_args
-    from repro.sim.lockstep import Lane, run_lockstep
+    from repro.sim.lockstep import Lane, LockstepEngine
 
     spec = KERNELS[name]
     if mode == "manual":
@@ -579,8 +587,9 @@ def test_lockstep_kernel_matrix_bit_identical(name, ftype, mode):
         regs, stores, _ = _stage_args(spec, ftype, run_params, data)
         staged.append((regs, stores))
         lanes.append(Lane(regs, stores))
-    results = run_lockstep(kernel.program, lanes, entry=spec.entry,
-                           max_instructions=50_000_000)
+    engine = LockstepEngine(Simulator(kernel.program))
+    results = engine.run(lanes, entry=spec.entry,
+                         max_instructions=50_000_000)
     for index, (regs, stores) in enumerate(staged):
         ref_sim = Simulator(kernel.program)
         for addr, chunk in stores:
@@ -589,6 +598,25 @@ def test_lockstep_kernel_matrix_bit_identical(name, ftype, mode):
                               max_instructions=50_000_000)
         assert_lane_identical(ref_sim, ref_res, results[index],
                               f"{name}/{ftype}/{mode}/lane{index}")
+    return engine.events
+
+
+@pytest.mark.parametrize("name,ftype,mode", LOCKSTEP_MATRIX,
+                         ids=[f"{n}-{t}-{m}" for n, t, m in LOCKSTEP_MATRIX])
+def test_lockstep_kernel_matrix_bit_identical(name, ftype, mode):
+    run_lockstep_kernel(name, ftype, mode)
+
+
+@pytest.mark.usefixtures("split_batches_stay")
+@pytest.mark.parametrize("name,ftype,mode", SPLIT_MATRIX,
+                         ids=[f"{n}-{t}-{m}" for n, t, m in SPLIT_MATRIX])
+def test_lockstep_kernel_matrix_bit_identical_when_splits_stay(
+        name, ftype, mode):
+    # At the default width a three-lane RNE run drains both sides of its
+    # first split; here every sub-batch stays, so real compiled kernels
+    # split, re-merge and reorder lanes in lockstep.
+    events = run_lockstep_kernel(name, ftype, mode)
+    assert events["split"] and drains(events) == {"halt": 1}
 
 
 @pytest.mark.usefixtures("split_batches_stay")
@@ -797,14 +825,52 @@ loop:
 """
 
 
-def test_lockstep_narrow_splits_drain_once_the_run_is_narrow():
-    # While 40 lanes are in lockstep the 8-lane side stays batched and
-    # halts; the 32 left then split 16/16, and both sides drain.
+def test_lockstep_wide_run_keeps_its_splits_after_lanes_halt():
+    # The split rule is fixed for the run: 40 lanes are wider than the
+    # lockstep width, so once the 8-lane side halts, the 32 left still
+    # keep both sides of their 16/16 split in lockstep.
     _, events = run_lockstep_both(HALT_THEN_SPLIT, [
         {10: lane, 13: 0x3c00 + 7 * lane, 14: 3 + 2 * (lane & 1)}
         for lane in range(40)], label="halt-then-split")
-    assert drains(events) == {"halt": 1, "narrow": 2}
-    assert events["split"] == 2 and not events["merge"]
+    assert drains(events) == {"halt": 2}
+    assert events["split"] == 2 and events["merge"] == 1
+
+
+# Lanes with a0 < 4 switch to RNE and finish at ``short``; the others
+# keep SR and loop 3 or 5 times (a4), re-merging at the loop exit.
+MIXED_MODE_SPLIT = """
+    li t6, 5
+    csrw frm, t6
+    li t0, 4
+    bge a0, t0, long
+    csrw frm, zero
+    bgez a0, short
+short:
+    fadd.h a2, a3, a3
+    add a0, a0, a2
+    ret
+long:
+    li a1, 0
+    li a2, 0x3c00
+loop:
+    addi a1, a1, 3
+    fadd.h a2, a2, a3
+    fmul.h a5, a2, a3
+    addi a4, a4, -1
+    bnez a4, loop
+    add a0, a1, a5
+    ret
+"""
+
+
+def test_lockstep_narrow_split_drains_while_the_rest_remerges():
+    # 32 lanes: the 4-lane side, now RNE, drains at its next block
+    # boundary; the 28-lane SR side stays, splits in its loop and
+    # re-merges.  Drained and batched lanes each match their solo run.
+    _, events = run_lockstep_both(MIXED_MODE_SPLIT, NARROW_LANES,
+                                  label="narrow-mixed")
+    assert drains(events) == {"narrow": 1, "halt": 1}
+    assert events["split"] == 2 and events["merge"] == 1
 
 
 def test_lockstep_stochastic_splits_stay_batched():
